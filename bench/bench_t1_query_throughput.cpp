@@ -122,9 +122,8 @@ FanOutRows RunFanOutComparison(const DemoEnvironment& env,
 }
 
 // Morsel scaling: the shared-ingest fan-out plan swept over worker
-// counts 1/2/4. All runs are pipelined (source on its own thread), so
-// the sweep isolates what the worker pool adds: concurrent branches plus
-// the hash-partitioned window suffix.
+// counts 1/2/4 — what the worker pool adds: concurrent branches plus the
+// hash-partitioned window suffix.
 struct ThreadScaling {
   static constexpr size_t kCounts[3] = {1, 2, 4};
   double ke_per_s[3] = {0.0, 0.0, 0.0};
@@ -146,7 +145,6 @@ ThreadScaling RunThreadSweep(const DemoEnvironment& env,
       return out;
     }
     nebula::EngineOptions engine_options;
-    engine_options.pipelined = true;
     engine_options.worker_threads = ThreadScaling::kCounts[i];
     nebula::NodeEngine engine(engine_options);
     auto id = engine.Submit(std::move(built->plan));
@@ -166,7 +164,7 @@ ThreadScaling RunThreadSweep(const DemoEnvironment& env,
 }
 
 Row RunQuery(const DemoEnvironment& env, int number, uint64_t max_events,
-             bool optimize, bool compiled = true, bool metrics = true) {
+             bool optimize, bool compiled = true) {
   QueryOptions options;
   options.max_events = max_events;
   options.sink = SinkMode::kCounting;
@@ -179,7 +177,6 @@ Row RunQuery(const DemoEnvironment& env, int number, uint64_t max_events,
   nebula::EngineOptions engine_options;
   engine_options.optimizer.enable = optimize;
   engine_options.compiled_kernels = compiled;
-  engine_options.metrics_enabled = metrics;
   nebula::NodeEngine engine(engine_options);
   auto id = engine.Submit(std::move(built->plan));
   if (!id.ok() || !engine.RunToCompletion(*id).ok()) {
@@ -194,37 +191,8 @@ Row RunQuery(const DemoEnvironment& env, int number, uint64_t max_events,
   row.ke_per_s = stats->EventsPerSecond() / 1e3;
   row.mb_per_s = stats->MegabytesPerSecond();
   row.emitted = stats->events_emitted;
-  if (metrics) {
-    if (auto snap = engine.Metrics(*id); snap.ok()) row.metrics = *snap;
-  }
+  if (auto snap = engine.Metrics(*id); snap.ok()) row.metrics = *snap;
   return row;
-}
-
-// Collection overhead: the same query with the registry disabled vs the
-// default always-on instrumentation. Records the throughput delta so the
-// trajectory JSON guards the "<5% overhead" budget (CI runners are
-// noisy, so the number is a trend signal, not a gate).
-struct MetricsOverhead {
-  double ke_per_s_off = 0.0;
-  double ke_per_s_on = 0.0;
-  double overhead_pct = 0.0;
-};
-
-MetricsOverhead MeasureMetricsOverhead(const DemoEnvironment& env,
-                                       uint64_t max_events) {
-  MetricsOverhead out;
-  // Q1 (geofencing) is the widest-record, highest-rate row — the most
-  // metrics-sensitive hot path. One warm-up pass, then measure.
-  RunQuery(env, 1, max_events, /*optimize=*/true);
-  out.ke_per_s_off = RunQuery(env, 1, max_events, /*optimize=*/true,
-                              /*compiled=*/true, /*metrics=*/false)
-                         .ke_per_s;
-  out.ke_per_s_on = RunQuery(env, 1, max_events, /*optimize=*/true).ke_per_s;
-  if (out.ke_per_s_off > 0.0) {
-    out.overhead_pct =
-        (out.ke_per_s_off - out.ke_per_s_on) / out.ke_per_s_off * 100.0;
-  }
-  return out;
 }
 
 }  // namespace
@@ -321,8 +289,8 @@ int main(int argc, char** argv) {
 
   // Morsel-driven scaling on the fan-out plan: worker counts 1/2/4.
   const ThreadScaling scaling = RunThreadSweep(**env, events);
-  std::printf("\nmorsel-driven scaling (fan-out plan, pipelined source,"
-              " worker pool 1/2/4):\n");
+  std::printf("\nmorsel-driven scaling (fan-out plan, worker pool"
+              " 1/2/4):\n");
   std::printf("  %-10s %12s %12s\n", "workers", "ke/s", "speedup");
   for (size_t i = 0; i < 3; ++i) {
     std::printf("  %-10zu %12.1f %12.2fx\n", ThreadScaling::kCounts[i],
@@ -334,13 +302,6 @@ int main(int argc, char** argv) {
   std::printf("  scaling efficiency at 4 workers: %.2f"
               " (%u hardware threads on this host)\n",
               scaling.efficiency, std::thread::hardware_concurrency());
-
-  // Always-on instrumentation must stay within its <5% throughput budget.
-  const MetricsOverhead overhead = MeasureMetricsOverhead(**env, events);
-  std::printf("\nmetrics collection overhead (Q1, registry off vs on):"
-              " %.1f ke/s -> %.1f ke/s (%.2f%%)\n",
-              overhead.ke_per_s_off, overhead.ke_per_s_on,
-              overhead.overhead_pct);
 
   // Machine-readable trajectory record (one JSON object per run).
   if (FILE* json = std::fopen(json_path.c_str(), "w")) {
@@ -403,11 +364,6 @@ int main(int argc, char** argv) {
         fanout.independent_seconds, scaling.ke_per_s[0], scaling.ke_per_s[1],
         scaling.ke_per_s[2], scaling.speedup_t4, scaling.efficiency,
         std::thread::hardware_concurrency());
-    std::fprintf(json,
-                 "  ,\"metrics_overhead\": {\"ke_per_s_off\": %.2f,"
-                 " \"ke_per_s_on\": %.2f, \"overhead_pct\": %.2f}\n",
-                 overhead.ke_per_s_off, overhead.ke_per_s_on,
-                 overhead.overhead_pct);
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("\nwrote %s\n", json_path.c_str());

@@ -25,9 +25,28 @@
 # plan/pipeline verifiers check every rewrite pass and compiled plan.
 # Without clang installed it degrades to the verify-each Debug ctest run
 # (the annotations and tidy checks then only run in CI).
+#
+# Opt-in benchmark smoke (mirrors the CI `perfbench-smoke` job):
+#   CHECK_BENCH=1 scripts/check.sh
+# builds perfbench/ (the replay benchmark BENCHMARK.json declares, into
+# $CARGO_TARGET_DIR or .bench_build/) and runs the geofence, fanout and
+# fleet workloads for 2 s each. The benchmark exits non-zero on a failed
+# query or on any row that differs from its reference run, so engine API
+# drift or a wrong result fails the gate. The engine-forcing variables
+# the benchmark refuses to run under are cleared for it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
+  for workload in geofence fanout fleet; do
+    env -u NM_WORKER_THREADS -u NM_FAULT_PROFILE -u NM_VERIFY_EACH \
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace 0
+  done
+  echo "perfbench smoke: OK"
+  exit 0
+fi
 
 if [[ "${CHECK_STATIC:-0}" == "1" ]]; then
   BUILD_DIR="${1:-build-static}"

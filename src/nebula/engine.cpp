@@ -1,7 +1,6 @@
 #include "nebula/engine.hpp"
 
 #include <cstdlib>
-#include <deque>
 #include <functional>
 
 #include "common/logging.hpp"
@@ -47,46 +46,19 @@ uint64_t HashKeyText(const std::string& s) {
   return h;
 }
 
-/// Bounded blocking queue for the pipelined hand-off between the source
-/// thread and the processing thread.
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
+// Buffers per schema pool of a query's execution context.
+constexpr size_t kBuffersPerPool = 128;
 
-  void Push(TupleBufferPtr buf) NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (items_.size() >= capacity_ && !closed_) not_full_.Wait(mutex_);
-    if (closed_) return;
-    items_.push_back(std::move(buf));
-    not_empty_.NotifyOne();
-  }
+// Morsels a strand queues before a post from the ingest thread blocks
+// (or sheds, under a degradation shed policy): the bounded morsel queue
+// that backpressures ingest against slow operators.
+constexpr size_t kStrandCapacity = 8;
 
-  /// Pops the next buffer; returns nullptr when closed and drained.
-  TupleBufferPtr Pop() NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (items_.empty() && !closed_) not_empty_.Wait(mutex_);
-    if (items_.empty()) return nullptr;
-    TupleBufferPtr buf = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return buf;
-  }
-
-  void Close() NM_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    closed_ = true;
-    not_empty_.NotifyAll();
-    not_full_.NotifyAll();
-  }
-
- private:
-  size_t capacity_;
-  Mutex mutex_;
-  CondVar not_empty_;
-  CondVar not_full_;
-  std::deque<TupleBufferPtr> items_ NM_GUARDED_BY(mutex_);
-  bool closed_ NM_GUARDED_BY(mutex_) = false;
-};
+// A segment's dispatch-target path as strand instruments and task
+// errors name it.
+std::string PathKey(const CompiledPipeline& seg) {
+  return seg.path.empty() ? "root" : seg.path;
+}
 
 /// Depth-first visit of every segment of a compiled pipeline tree.
 template <typename Fn>
@@ -104,17 +76,15 @@ struct NodeEngine::RunningQuery {
   SourcePtr source;
   CompiledPipeline pipeline;  // operator tree; sinks at the leaves
   std::unique_ptr<ExecutionContext> ctx;
-  std::unique_ptr<BoundedQueue> queue;  // pipelined mode only
 
-  std::thread worker;
-  std::thread source_thread;  // pipelined mode only
+  // The ingest thread. The first waiter joins it under `join_mutex`;
+  // concurrent waiters block on the mutex, then read the same status.
+  Mutex join_mutex;
+  std::thread worker NM_GUARDED_BY(join_mutex);
   std::atomic<bool> cancel{false};
   std::atomic<bool> started{false};
   std::atomic<bool> finished{false};
-  Status run_status;
-  // Written by the source thread (pipelined mode) strictly before it closes
-  // the queue; read by the pipeline thread only after the queue drains.
-  Status source_status;
+  Status run_status;  // written by `worker` before it exits
 
   // Ingest-side counters (source output).
   std::atomic<uint64_t> events_ingested{0};
@@ -131,23 +101,27 @@ struct NodeEngine::RunningQuery {
   // hot path — relaxed atomics, no lock, no map lookup. Declared before
   // `pool` so in-flight worker tasks can still record while the pool
   // destructor drains them.
-  std::unique_ptr<metrics::MetricsRegistry> metrics;
+  metrics::MetricsRegistry metrics;
   // Periodic rate sampler (metrics_interval > 0); declared after the
   // registry (destroyed first) and stopped at the end of RunLoop.
   std::unique_ptr<metrics::Sampler> sampler;
-  bool metrics_on = false;
   // Verify-each: check the batch contract (sealed buffer, ascending
   // in-bounds selection) at every segment entry. Set from
   // `OptimizerOptions::verify_each` at submission.
   bool verify_batches = false;
   // Engine-level flow counters and sampler-derived rate gauges.
-  metrics::Counter* m_events_ingested = nullptr;
-  metrics::Counter* m_bytes_ingested = nullptr;
-  metrics::Counter* m_events_emitted = nullptr;
-  metrics::Counter* m_bytes_emitted = nullptr;
-  metrics::Gauge* m_ingest_rate = nullptr;
-  metrics::Gauge* m_emit_rate = nullptr;
-  metrics::Counter* m_samples = nullptr;
+  metrics::Counter* m_events_ingested =
+      metrics.GetCounter("engine.events_ingested");
+  metrics::Counter* m_bytes_ingested =
+      metrics.GetCounter("engine.bytes_ingested");
+  metrics::Counter* m_events_emitted =
+      metrics.GetCounter("engine.events_emitted");
+  metrics::Counter* m_bytes_emitted =
+      metrics.GetCounter("engine.bytes_emitted");
+  metrics::Gauge* m_ingest_rate =
+      metrics.GetGauge("engine.ingest_events_per_sec");
+  metrics::Gauge* m_emit_rate = metrics.GetGauge("engine.emit_events_per_sec");
+  metrics::Counter* m_samples = metrics.GetCounter("engine.metric_samples");
 
   // Per-dispatch-target backpressure instruments, shared per segment
   // *path*: partition clones carry their segment's path, so a keyed
@@ -193,42 +167,43 @@ struct NodeEngine::RunningQuery {
       NM_GUARDED_BY(dyn_mutex);
   int next_branch_id NM_GUARDED_BY(dyn_mutex) = 1;
 
-  // Resolves every instrument of the pipeline tree out of the registry:
-  // per-operator latency/batch-size histograms (DAG-path prefix, fused
-  // kernels expanding per stage), per-channel wire counters, and one
-  // strand gauge/histogram pair per segment path. Shared partition sinks
-  // re-bind to the same names — the registry returns the same pointers.
-  void BindMetricsTree(CompiledPipeline* seg) {
+  // Resolves the instruments of `seg`'s own operators, sink and channels
+  // under its DAG-path prefix (fused kernels expanding per stage), and
+  // points `sm` at the strand gauge/histogram pair of its path. Binding a
+  // name twice returns the same instrument, so partition clones and their
+  // shared sink re-bind harmlessly.
+  void BindSegment(CompiledPipeline* seg, StrandMetrics* sm) {
     const std::string prefix = seg->path.empty() ? "" : seg->path + "/";
-    const std::string path_key = seg->path.empty() ? "root" : seg->path;
-    for (OperatorPtr& op : seg->operators) {
-      op->BindMetrics(metrics.get(), prefix);
-    }
-    if (seg->sink) seg->sink->BindMetrics(metrics.get(), prefix);
+    const std::string path_key = PathKey(*seg);
+    for (OperatorPtr& op : seg->operators) op->BindMetrics(&metrics, prefix);
+    if (seg->sink) seg->sink->BindMetrics(&metrics, prefix);
     for (size_t i = 0; i < seg->channels.size(); ++i) {
       const std::shared_ptr<NetworkChannel>& ch = seg->channels[i];
       const std::string base = "channel." + path_key + "." +
                                std::to_string(i) + "." +
                                std::to_string(ch->from_node()) + "->" +
                                std::to_string(ch->to_node());
-      ch->BindMetrics(metrics->GetCounter(base + ".wire_bytes"),
-                      metrics->GetCounter(base + ".frames"),
-                      metrics->GetCounter(base + ".events"),
-                      metrics->GetHistogram(base + ".transfer_micros"));
-      ch->BindFaultMetrics(metrics->GetCounter(base + ".frames_dropped"),
-                           metrics->GetCounter(base + ".retransmits"),
-                           metrics->GetCounter(base + ".frames_shed"));
+      ch->BindMetrics(metrics.GetCounter(base + ".wire_bytes"),
+                      metrics.GetCounter(base + ".frames"),
+                      metrics.GetCounter(base + ".events"),
+                      metrics.GetHistogram(base + ".transfer_micros"));
+      ch->BindFaultMetrics(metrics.GetCounter(base + ".frames_dropped"),
+                           metrics.GetCounter(base + ".retransmits"),
+                           metrics.GetCounter(base + ".frames_shed"));
     }
-    auto it = strand_metrics_by_path.find(path_key);
-    if (it == strand_metrics_by_path.end()) {
-      auto sm = std::make_unique<StrandMetrics>();
-      sm->queue_depth =
-          metrics->GetGauge("worker.strand." + path_key + ".queue_depth");
-      sm->task_wait = metrics->GetHistogram("worker.strand." + path_key +
-                                            ".task_wait_micros");
-      it = strand_metrics_by_path.emplace(path_key, std::move(sm)).first;
-    }
-    strand_metrics[seg] = it->second.get();
+    sm->queue_depth =
+        metrics.GetGauge("worker.strand." + path_key + ".queue_depth");
+    sm->task_wait =
+        metrics.GetHistogram("worker.strand." + path_key + ".task_wait_micros");
+  }
+
+  // Binds every segment of the pipeline tree, one strand instrument pair
+  // per segment path.
+  void BindMetricsTree(CompiledPipeline* seg) {
+    std::unique_ptr<StrandMetrics>& sm = strand_metrics_by_path[PathKey(*seg)];
+    if (!sm) sm = std::make_unique<StrandMetrics>();
+    BindSegment(seg, sm.get());
+    strand_metrics[seg] = sm.get();
     for (CompiledPipeline& branch : seg->branches) BindMetricsTree(&branch);
     for (CompiledPipeline& part : seg->partitions) BindMetricsTree(&part);
   }
@@ -298,42 +273,87 @@ struct NodeEngine::RunningQuery {
     }
   }
 
-  // Runs `target`'s chain over `batch`: inline without a pool, else as a
-  // task on the target's strand. The target's strand instruments see
-  // every hand-off: queued depth on post/run, post→run wait per task
-  // (zeros inline, where nothing ever queues — so the gauge exists and
-  // reads 0 at one worker, matching the multi-worker metric names).
-  Status Dispatch(CompiledPipeline* target, const exec::Batch& batch) {
-    StrandMetrics* sm = metrics_on ? strand_metrics.at(target) : nullptr;
-    if (!pool) {
-      if (sm) sm->task_wait->Record(0);
+  // The two units of work a dispatch target receives through `HandOff`:
+  // one batch through its chain, and end-of-stream.
+  auto Push(const exec::Batch& batch) {
+    return [this, batch](CompiledPipeline* target) {
       return PushThrough(target, 0, batch);
+    };
+  }
+  auto Finish() {
+    return [this](CompiledPipeline* target) { return FinishSegment(target); };
+  }
+
+  // The one strand hand-off, for every dispatch target — fan-out branch,
+  // key partition or dynamic branch (`br` set) — and every unit of
+  // `work`. Without a pool it runs inline and records a zero task wait,
+  // so the strand instruments exist and read 0 at one worker, matching
+  // the multi-worker metric names. With one it posts to the target's
+  // strand, tracking queued depth on post/run and post→run wait per task;
+  // strand FIFO order means a finish task observes every batch posted
+  // before it. A posted task short-circuits once the query failed or was
+  // cancelled (cancel is not end-of-stream, so no further state is
+  // built; the drain that follows only retires the captures), or once its
+  // branch detached. Errors: an inline static error returns to the
+  // caller, so the ingest loop skips FinishAll; a posted one is recorded
+  // with its path; a dynamic branch's force-detaches only that branch.
+  template <typename Work>
+  Status HandOff(CompiledPipeline* target, std::shared_ptr<DynamicBranch> br,
+                 Work work) {
+    if (br && br->detached.load(std::memory_order_relaxed)) {
+      return Status::OK();
     }
-    int64_t posted_at = 0;
-    if (sm) {
-      posted_at = MonotonicNowMicros();
-      const int64_t d = sm->depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      sm->queue_depth->Set(static_cast<double>(d));
+    StrandMetrics* sm = br ? &br->sm : strand_metrics.at(target);
+    if (!pool) {
+      sm->task_wait->Record(0);
+      const Status st = work(target);
+      if (st.ok() || !br) return st;
+      FailBranch(br, st);
+      return Status::OK();
     }
-    strands.at(target)->Post([this, target, batch, sm, posted_at] {
-      if (sm) {
-        sm->task_wait->Record(MonotonicNowMicros() - posted_at);
-        const int64_t d =
-            sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-        sm->queue_depth->Set(static_cast<double>(d));
-      }
-      // Cancelled queries drop queued morsels: cancel is not
-      // end-of-stream, so no further state should be built (the drain
-      // that follows only retires the captures).
+    WorkerPool::Strand* strand =
+        br ? br->strand.get() : strands.at(target).get();
+    const int64_t posted_at = MonotonicNowMicros();
+    sm->queue_depth->Set(static_cast<double>(
+        sm->depth.fetch_add(1, std::memory_order_relaxed) + 1));
+    strand->Post([this, target, br = std::move(br), work = std::move(work), sm,
+                  posted_at] {
+      sm->task_wait->Record(MonotonicNowMicros() - posted_at);
+      sm->queue_depth->Set(static_cast<double>(
+          sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1));
       if (failed.load(std::memory_order_relaxed) ||
-          cancel.load(std::memory_order_relaxed)) {
+          cancel.load(std::memory_order_relaxed) ||
+          (br && br->detached.load(std::memory_order_relaxed))) {
         return;
       }
-      const Status st = PushThrough(target, 0, batch);
-      if (!st.ok()) {
-        RecordFailure(target->path.empty() ? "root" : target->path, st);
+      const Status st = work(target);
+      if (st.ok()) return;
+      if (br) {
+        FailBranch(br, st);
+      } else {
+        RecordFailure(PathKey(*target), st);
       }
     });
+    return Status::OK();
+  }
+
+  // Tail of a shared host: hands `work` to every branch attached right
+  // now — each sealed batch (the zero-copy fan-out, for branches that
+  // appear and disappear at runtime), then end-of-stream. The snapshot
+  // copies shared_ptrs under the lock and hands off outside it, so
+  // admission/teardown never contends with branch execution, only with
+  // this per-buffer copy.
+  template <typename Work>
+  Status HandOffToBranches(const Work& work) {
+    std::vector<std::shared_ptr<DynamicBranch>> active;
+    {
+      MutexLock lock(dyn_mutex);
+      active = dyn_branches;
+    }
+    for (std::shared_ptr<DynamicBranch>& br : active) {
+      CompiledPipeline* target = br->pipeline.get();
+      NM_RETURN_NOT_OK(HandOff(target, std::move(br), work));
+    }
     return Status::OK();
   }
 
@@ -359,7 +379,7 @@ struct NodeEngine::RunningQuery {
       const exec::Batch part(
           batch.data,
           std::make_shared<exec::SelectionVector>(std::move(sels[p])));
-      NM_RETURN_NOT_OK(Dispatch(&seg->partitions[p], part));
+      NM_RETURN_NOT_OK(HandOff(&seg->partitions[p], nullptr, Push(part)));
     }
     return Status::OK();
   }
@@ -368,19 +388,17 @@ struct NodeEngine::RunningQuery {
   // key partitions, once per fan-out branch (every branch receives the
   // *same* sealed batch; buffers are immutable after seal and filters
   // refine selection vectors instead of mutating, so the hand-off is
-  // zero-copy), or into the sink at a leaf.
+  // zero-copy), to a shared host's dynamic branches, or into the sink at
+  // a leaf.
   Status DispatchTail(CompiledPipeline* seg, const exec::Batch& batch) {
     if (!seg->partitions.empty()) return DispatchPartitions(seg, batch);
     if (!seg->branches.empty()) {
       for (CompiledPipeline& branch : seg->branches) {
-        NM_RETURN_NOT_OK(Dispatch(&branch, batch));
+        NM_RETURN_NOT_OK(HandOff(&branch, nullptr, Push(batch)));
       }
       return Status::OK();
     }
-    if (seg->sink == nullptr) return DispatchDynamic(batch);
-    if (!metrics_on) {
-      return seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
-    }
+    if (seg->sink == nullptr) return HandOffToBranches(Push(batch));
     const uint64_t rows = batch.NumRows();
     const int64_t start = MonotonicNowMicros();
     const Status st = seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
@@ -393,51 +411,29 @@ struct NodeEngine::RunningQuery {
     return st;
   }
 
-  // Tail of a shared host: hand the sealed batch to every branch attached
-  // right now. The snapshot copies shared_ptrs under the lock and posts
-  // outside it, so admission/teardown never contends with branch
-  // execution, only with this per-buffer copy. Each branch runs on its
-  // own strand — the zero-copy fan-out concurrency model, for branches
-  // that appear and disappear at runtime.
-  Status DispatchDynamic(const exec::Batch& batch) {
-    std::vector<std::shared_ptr<DynamicBranch>> active;
-    {
-      MutexLock lock(dyn_mutex);
-      active = dyn_branches;
+  // The branch `branch_id` of a shared host, attached or retired (cleanly
+  // detached or force-detached after a failure); null if never attached.
+  std::shared_ptr<DynamicBranch> FindBranch(int branch_id) const
+      NM_EXCLUDES(dyn_mutex) {
+    MutexLock lock(dyn_mutex);
+    for (const auto& br : dyn_branches) {
+      if (br->id == branch_id) return br;
     }
-    for (const std::shared_ptr<DynamicBranch>& br : active) {
-      if (br->detached.load(std::memory_order_relaxed)) continue;
-      StrandMetrics* sm = metrics_on ? &br->sm : nullptr;
-      if (!pool) {
-        if (sm) sm->task_wait->Record(0);
-        const Status st = PushThrough(br->pipeline.get(), 0, batch);
-        if (!st.ok()) FailBranch(br, st);
-        continue;
-      }
-      int64_t posted_at = 0;
-      if (sm) {
-        posted_at = MonotonicNowMicros();
-        const int64_t d =
-            sm->depth.fetch_add(1, std::memory_order_relaxed) + 1;
-        sm->queue_depth->Set(static_cast<double>(d));
-      }
-      br->strand->Post([this, br, batch, sm, posted_at] {
-        if (sm) {
-          sm->task_wait->Record(MonotonicNowMicros() - posted_at);
-          const int64_t d =
-              sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-          sm->queue_depth->Set(static_cast<double>(d));
-        }
-        if (failed.load(std::memory_order_relaxed) ||
-            cancel.load(std::memory_order_relaxed) ||
-            br->detached.load(std::memory_order_relaxed)) {
-          return;
-        }
-        const Status st = PushThrough(br->pipeline.get(), 0, batch);
-        if (!st.ok()) FailBranch(br, st);
-      });
+    for (const auto& br : retired_dyn) {
+      if (br->id == branch_id) return br;
     }
-    return Status::OK();
+    return nullptr;
+  }
+
+  // Moves `br` from the attached to the retired branches; a no-op when it
+  // already retired.
+  void RetireLocked(const DynamicBranch* br) NM_REQUIRES(dyn_mutex) {
+    for (auto it = dyn_branches.begin(); it != dyn_branches.end(); ++it) {
+      if (it->get() != br) continue;
+      retired_dyn.push_back(std::move(*it));
+      dyn_branches.erase(it);
+      return;
+    }
   }
 
   // Fault isolation for shared hosts: a branch whose own operators error
@@ -452,50 +448,16 @@ struct NodeEngine::RunningQuery {
     br->failure = Status(st.code(), "branch " + br->pipeline->path +
                                         " detached: " + st.message());
     NM_LOG_ERROR() << "query " << id << " " << br->failure.ToString();
-    for (auto it = dyn_branches.begin(); it != dyn_branches.end(); ++it) {
-      if (it->get() != br.get()) continue;
-      retired_dyn.push_back(std::move(*it));
-      dyn_branches.erase(it);
-      break;
-    }
-  }
-
-  // End-of-stream for a shared host's branches: finish each surviving
-  // branch on its own strand (FIFO order — every data task was posted
-  // first, so Finish observes the complete shared stream).
-  Status FinishDynamicBranches() {
-    std::vector<std::shared_ptr<DynamicBranch>> active;
-    {
-      MutexLock lock(dyn_mutex);
-      active = dyn_branches;
-    }
-    for (const std::shared_ptr<DynamicBranch>& br : active) {
-      if (br->detached.load(std::memory_order_relaxed)) continue;
-      if (!pool) {
-        const Status st = FinishSegment(br->pipeline.get());
-        if (!st.ok()) FailBranch(br, st);
-        continue;
-      }
-      br->strand->Post([this, br] {
-        if (failed.load(std::memory_order_relaxed) ||
-            cancel.load(std::memory_order_relaxed) ||
-            br->detached.load(std::memory_order_relaxed)) {
-          return;
-        }
-        const Status st = FinishSegment(br->pipeline.get());
-        if (!st.ok()) FailBranch(br, st);
-      });
-    }
-    return Status::OK();
+    RetireLocked(br.get());
   }
 
   // Pushes a batch through segment operators [from..] and onward via
-  // `DispatchTail`. With metrics on, each operator's process-latency
-  // histogram records its *self* time: wall time of ProcessBatch minus
-  // the time spent inside the forward continuation (which runs the rest
-  // of the chain). Fused batch-kernel operators time their stages
-  // internally instead and leave the base histograms unbound, so the
-  // outer RecordProcess no-ops for them.
+  // `DispatchTail`. Each operator's process-latency histogram records its
+  // *self* time: wall time of ProcessBatch minus the time spent inside
+  // the forward continuation (which runs the rest of the chain). Fused
+  // batch-kernel operators time their stages internally instead and
+  // leave the base histograms unbound, so the outer RecordProcess no-ops
+  // for them.
   Status PushThrough(CompiledPipeline* seg, size_t from,
                      const exec::Batch& batch) {
     if (verify_batches && from == 0) {
@@ -505,16 +467,6 @@ struct NodeEngine::RunningQuery {
       return DispatchTail(seg, batch);
     }
     Operator* op = seg->operators[from].get();
-    if (!metrics_on) {
-      Status inner = Status::OK();
-      auto forward = [this, seg, from, &inner](const exec::Batch& out) {
-        Status st = PushThrough(seg, from + 1, out);
-        if (!st.ok() && inner.ok()) inner = st;
-      };
-      Status s = op->ProcessBatch(batch, forward);
-      if (!s.ok()) return s;
-      return inner;
-    }
     const uint64_t rows_in = batch.NumRows();
     int64_t child_micros = 0;
     Status inner = Status::OK();
@@ -532,27 +484,10 @@ struct NodeEngine::RunningQuery {
     return inner;
   }
 
-  // Finishes `target` on its own strand (inline without a pool). Strand
-  // FIFO order makes this safe: every data task for the target was posted
-  // before the finish task, so Finish observes the complete stream.
-  Status FinishTarget(CompiledPipeline* target) {
-    if (!pool) return FinishSegment(target);
-    strands.at(target)->Post([this, target] {
-      if (failed.load(std::memory_order_relaxed) ||
-          cancel.load(std::memory_order_relaxed)) {
-        return;
-      }
-      const Status st = FinishSegment(target);
-      if (!st.ok()) {
-        RecordFailure(target->path.empty() ? "root" : target->path, st);
-      }
-    });
-    return Status::OK();
-  }
-
   // End-of-stream: cascade Finish through the segment's chain (flushed
   // state flows through the rest of the chain and into the downstream
-  // targets), then finish each partition and branch pipeline.
+  // targets), then finish each partition and branch pipeline — or, at a
+  // shared host's sink-less leaf, whatever dynamic branches are attached.
   Status FinishSegment(CompiledPipeline* seg) {
     for (size_t i = 0; i < seg->operators.size(); ++i) {
       Status inner = Status::OK();
@@ -566,16 +501,14 @@ struct NodeEngine::RunningQuery {
       if (!inner.ok()) return inner;
     }
     for (CompiledPipeline& part : seg->partitions) {
-      NM_RETURN_NOT_OK(FinishTarget(&part));
+      NM_RETURN_NOT_OK(HandOff(&part, nullptr, Finish()));
     }
     for (CompiledPipeline& branch : seg->branches) {
-      NM_RETURN_NOT_OK(FinishTarget(&branch));
+      NM_RETURN_NOT_OK(HandOff(&branch, nullptr, Finish()));
     }
     if (seg->sink == nullptr && seg->partitions.empty() &&
         seg->branches.empty()) {
-      // Shared-host leaf: end-of-stream cascades into whatever dynamic
-      // branches are attached.
-      return FinishDynamicBranches();
+      return HandOffToBranches(Finish());
     }
     return Status::OK();
   }
@@ -649,22 +582,21 @@ Result<int> NodeEngine::Submit(LogicalPlan plan) {
     NM_RETURN_NOT_OK(analysis::VerifyPipeline(rq->pipeline));
     rq->verify_batches = true;
   }
-  rq->source = plan.TakeSource();
+  return Register(std::move(rq), plan.TakeSource());
+}
+
+Result<int> NodeEngine::Submit(Query query) {
+  NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(query).Build());
+  return Submit(std::move(plan));
+}
+
+Result<int> NodeEngine::Register(std::unique_ptr<RunningQuery> rq,
+                                 SourcePtr source) {
+  rq->source = std::move(source);
   rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
-                                               options_.pool_size);
+                                               kBuffersPerPool);
   NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->metrics_on = options_.metrics_enabled;
-  if (rq->metrics_on) {
-    rq->metrics = std::make_unique<metrics::MetricsRegistry>();
-    rq->m_events_ingested = rq->metrics->GetCounter("engine.events_ingested");
-    rq->m_bytes_ingested = rq->metrics->GetCounter("engine.bytes_ingested");
-    rq->m_events_emitted = rq->metrics->GetCounter("engine.events_emitted");
-    rq->m_bytes_emitted = rq->metrics->GetCounter("engine.bytes_emitted");
-    rq->m_ingest_rate = rq->metrics->GetGauge("engine.ingest_events_per_sec");
-    rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
-    rq->m_samples = rq->metrics->GetCounter("engine.metric_samples");
-    rq->BindMetricsTree(&rq->pipeline);
-  }
+  rq->BindMetricsTree(&rq->pipeline);
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -672,9 +604,11 @@ Result<int> NodeEngine::Submit(LogicalPlan plan) {
   return id;
 }
 
-Result<int> NodeEngine::Submit(Query query) {
-  NM_ASSIGN_OR_RETURN(LogicalPlan plan, std::move(query).Build());
-  return Submit(std::move(plan));
+Result<NodeEngine::RunningQuery*> NodeEngine::Find(int query_id) const {
+  MutexLock lock(mutex_);
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) return Status::NotFound("unknown query id");
+  return it->second.get();
 }
 
 Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
@@ -742,40 +676,12 @@ Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
     NM_RETURN_NOT_OK(analysis::VerifyPipeline(rq->pipeline, pctx));
     rq->verify_batches = true;
   }
-  rq->source = plan.TakeSource();
-  rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
-                                               options_.pool_size);
-  NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->metrics_on = options_.metrics_enabled;
-  if (rq->metrics_on) {
-    rq->metrics = std::make_unique<metrics::MetricsRegistry>();
-    rq->m_events_ingested = rq->metrics->GetCounter("engine.events_ingested");
-    rq->m_bytes_ingested = rq->metrics->GetCounter("engine.bytes_ingested");
-    rq->m_events_emitted = rq->metrics->GetCounter("engine.events_emitted");
-    rq->m_bytes_emitted = rq->metrics->GetCounter("engine.bytes_emitted");
-    rq->m_ingest_rate = rq->metrics->GetGauge("engine.ingest_events_per_sec");
-    rq->m_emit_rate = rq->metrics->GetGauge("engine.emit_events_per_sec");
-    rq->m_samples = rq->metrics->GetCounter("engine.metric_samples");
-    rq->BindMetricsTree(&rq->pipeline);
-  }
-  MutexLock lock(mutex_);
-  const int id = next_id_++;
-  rq->id = id;
-  queries_[id] = std::move(rq);
-  return id;
+  return Register(std::move(rq), plan.TakeSource());
 }
 
 Result<int> NodeEngine::AttachBranch(
     int host_id, std::vector<LogicalOperatorPtr> suffix_ops) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(host_id));
   if (!rq->shared_host) {
     return Status::FailedPrecondition(
         "query is not a shared host (SubmitShared)");
@@ -819,24 +725,10 @@ Result<int> NodeEngine::AttachBranch(
     pctx.root_path = br->pipeline->path;
     NM_RETURN_NOT_OK(analysis::VerifyPipeline(*br->pipeline, pctx));
   }
-  for (OperatorPtr& op : br->pipeline->operators) {
-    NM_RETURN_NOT_OK(op->Open(rq->ctx.get()));
-  }
-  NM_RETURN_NOT_OK(br->pipeline->sink->Open(rq->ctx.get()));
-  if (rq->metrics_on) {
-    const std::string path_key = br->pipeline->path;
-    const std::string prefix = path_key + "/";
-    for (OperatorPtr& op : br->pipeline->operators) {
-      op->BindMetrics(rq->metrics.get(), prefix);
-    }
-    br->pipeline->sink->BindMetrics(rq->metrics.get(), prefix);
-    br->sm.queue_depth =
-        rq->metrics->GetGauge("worker.strand." + path_key + ".queue_depth");
-    br->sm.task_wait = rq->metrics->GetHistogram("worker.strand." + path_key +
-                                                 ".task_wait_micros");
-  }
-  // Publication point: the next DispatchDynamic snapshot sees the branch,
-  // so it joins the stream at a buffer boundary.
+  NM_RETURN_NOT_OK(rq->OpenAll(br->pipeline.get()));
+  rq->BindSegment(br->pipeline.get(), &br->sm);
+  // Publication point: the next HandOffToBranches snapshot sees the
+  // branch, so it joins the stream at a buffer boundary.
   MutexLock lock(rq->dyn_mutex);
   if (rq->pool) br->strand = rq->pool->MakeStrand();
   const int branch_id = br->id;
@@ -853,77 +745,35 @@ Result<int> NodeEngine::AttachBranch(
 }
 
 Status NodeEngine::DetachBranch(int host_id, int branch_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(host_id));
+  const std::shared_ptr<RunningQuery::DynamicBranch> br =
+      rq->FindBranch(branch_id);
+  if (!br) return Status::NotFound("unknown branch id");
+  // Flag first: tasks already queued on the branch's strand check the
+  // flag and fall through without touching operator state. The branch
+  // itself parks in `retired_dyn` rather than dying here — its strand
+  // may still be in a worker's hands — and is destroyed with the host.
+  // Detaching a retired branch (detached earlier, or force-detached after
+  // a failure, which stays readable through BranchStatus) is a no-op.
+  br->detached.store(true, std::memory_order_relaxed);
   MutexLock lock(rq->dyn_mutex);
-  for (auto it = rq->dyn_branches.begin(); it != rq->dyn_branches.end();
-       ++it) {
-    if ((*it)->id != branch_id) continue;
-    // Flag first: tasks already queued on the branch's strand check the
-    // flag and fall through without touching operator state. The branch
-    // itself parks in `retired_dyn` rather than dying here — its strand
-    // may still be in a worker's hands — and is destroyed with the host.
-    (*it)->detached.store(true, std::memory_order_relaxed);
-    rq->retired_dyn.push_back(std::move(*it));
-    rq->dyn_branches.erase(it);
-    return Status::OK();
-  }
-  // Already retired — either detached earlier or force-detached by the
-  // engine after a branch failure. Detaching is idempotent either way
-  // (the failure stays readable through BranchStatus).
-  for (const auto& br : rq->retired_dyn) {
-    if (br->id == branch_id) return Status::OK();
-  }
-  return Status::NotFound("unknown branch id");
+  rq->RetireLocked(br.get());
+  return Status::OK();
 }
 
 Status NodeEngine::BranchStatus(int host_id, int branch_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
+  const std::shared_ptr<RunningQuery::DynamicBranch> br =
+      rq->FindBranch(branch_id);
+  if (!br) return Status::NotFound("unknown branch id");
   MutexLock lock(rq->dyn_mutex);
-  for (const auto& br : rq->dyn_branches) {
-    if (br->id == branch_id) return Status::OK();
-  }
-  for (const auto& br : rq->retired_dyn) {
-    if (br->id == branch_id) return br->failure;
-  }
-  return Status::NotFound("unknown branch id");
+  return br->failure;
 }
 
 Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(host_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
-  std::shared_ptr<RunningQuery::DynamicBranch> br;
-  {
-    MutexLock lock(rq->dyn_mutex);
-    for (const auto& candidate : rq->dyn_branches) {
-      if (candidate->id == branch_id) {
-        br = candidate;
-        break;
-      }
-    }
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
+  const std::shared_ptr<RunningQuery::DynamicBranch> br =
+      rq->FindBranch(branch_id);
   if (!br) return Status::NotFound("unknown branch id");
   QueryStats stats;
   // Shared ingest: every branch of the host rides the same source stream.
@@ -955,77 +805,29 @@ Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
 }
 
 Result<QueryPlanText> NodeEngine::Explain(int query_id) const {
-  MutexLock lock(mutex_);
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return Status::NotFound("unknown query id");
-  }
-  return it->second->plan_text;
-}
-
-void NodeEngine::SourceLoop(RunningQuery* rq) {
-  // Pipelined mode: fill buffers and hand them to the processing thread.
-  while (!rq->cancel.load()) {
-    TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
-    auto more = rq->source->Fill(buf.get());
-    if (!more.ok()) {
-      rq->source_status = more.status();
-      break;
-    }
-    rq->events_ingested.fetch_add(buf->size());
-    rq->bytes_ingested.fetch_add(buf->SizeBytes());
-    if (rq->metrics_on) {
-      rq->m_events_ingested->Add(buf->size());
-      rq->m_bytes_ingested->Add(buf->SizeBytes());
-    }
-    if (!buf->empty()) {
-      buf->Seal();
-      rq->queue->Push(std::move(buf));
-    }
-    if (!*more) break;
-  }
-  rq->queue->Close();
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
+  return rq->plan_text;
 }
 
 void NodeEngine::RunLoop(RunningQuery* rq) {
   Status status = Status::OK();
-  if (options_.pipelined) {
-    while (true) {
-      TupleBufferPtr buf = rq->queue->Pop();
-      if (!buf) break;
+  while (!rq->cancel.load() && !rq->failed.load(std::memory_order_relaxed)) {
+    TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
+    auto more = rq->source->Fill(buf.get());
+    if (!more.ok()) {
+      status = more.status();
+      break;
+    }
+    rq->events_ingested.fetch_add(buf->size());
+    rq->bytes_ingested.fetch_add(buf->SizeBytes());
+    rq->m_events_ingested->Add(buf->size());
+    rq->m_bytes_ingested->Add(buf->SizeBytes());
+    if (!buf->empty()) {
+      buf->Seal();
       status = rq->PushThrough(&rq->pipeline, 0, exec::Batch(std::move(buf)));
-      if (!status.ok() || rq->cancel.load() ||
-          rq->failed.load(std::memory_order_relaxed)) {
-        break;
-      }
+      if (!status.ok()) break;
     }
-    // The queue only closes after the source thread recorded its status.
-    if (status.ok() && !rq->source_status.ok()) {
-      status = rq->source_status;
-    }
-  } else {
-    while (!rq->cancel.load() &&
-           !rq->failed.load(std::memory_order_relaxed)) {
-      TupleBufferPtr buf = rq->ctx->Allocate(rq->source->schema());
-      auto more = rq->source->Fill(buf.get());
-      if (!more.ok()) {
-        status = more.status();
-        break;
-      }
-      rq->events_ingested.fetch_add(buf->size());
-      rq->bytes_ingested.fetch_add(buf->SizeBytes());
-      if (rq->metrics_on) {
-        rq->m_events_ingested->Add(buf->size());
-        rq->m_bytes_ingested->Add(buf->SizeBytes());
-      }
-      if (!buf->empty()) {
-        buf->Seal();
-        status =
-            rq->PushThrough(&rq->pipeline, 0, exec::Batch(std::move(buf)));
-        if (!status.ok()) break;
-      }
-      if (!*more) break;
-    }
+    if (!*more) break;
   }
   // Cancellation is not end-of-stream: a cancelled query must not flush
   // its window/CEP state as if the stream completed, so FinishAll is
@@ -1054,28 +856,19 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
 }
 
 Status NodeEngine::Start(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(query_id));
   if (rq->started.exchange(true)) {
     return Status::FailedPrecondition("query already started");
   }
   rq->started_at.store(MonotonicNowMicros());
   if (worker_threads_ > 1) {
-    // Strand capacity = the pipelined hand-off depth: the ingest thread
-    // blocks once a target falls that many sealed batches behind
-    // (worker-side posts never block — see worker_pool.hpp). Created
-    // under dyn_mutex so a concurrent AttachBranch either sees the pool
-    // (and makes its own strand) or is seen here (and gets one).
+    // The ingest thread blocks once a target falls kStrandCapacity sealed
+    // batches behind (worker-side posts never block — see
+    // worker_pool.hpp). Created under dyn_mutex so a concurrent
+    // AttachBranch either sees the pool (and makes its own strand) or is
+    // seen here (and gets one).
     MutexLock lock(rq->dyn_mutex);
-    rq->pool = std::make_unique<WorkerPool>(worker_threads_,
-                                            options_.queue_capacity,
+    rq->pool = std::make_unique<WorkerPool>(worker_threads_, kStrandCapacity,
                                             options_.faults.retry.shed_policy);
     rq->MakeStrands(&rq->pipeline);
     for (const auto& br : rq->dyn_branches) {
@@ -1090,11 +883,7 @@ Status NodeEngine::Start(int query_id) {
       NM_RETURN_NOT_OK(analysis::VerifyStrandOwnership(owners));
     }
   }
-  if (options_.pipelined) {
-    rq->queue = std::make_unique<BoundedQueue>(options_.queue_capacity);
-    rq->source_thread = std::thread([this, rq] { SourceLoop(rq); });
-  }
-  if (rq->metrics_on && options_.metrics_interval > 0) {
+  if (options_.metrics_interval > 0) {
     // Windowed rates: each tick divides the counter delta since the last
     // tick by the elapsed window, so a long-running query's gauges track
     // the *current* throughput instead of the lifetime average.
@@ -1113,40 +902,24 @@ Status NodeEngine::Start(int query_id) {
           rq->m_samples->Increment();
         });
   }
+  MutexLock lock(rq->join_mutex);
   rq->worker = std::thread([this, rq] { RunLoop(rq); });
   return Status::OK();
 }
 
 Status NodeEngine::Wait(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(query_id));
   if (!rq->started.load()) {
     return Status::FailedPrecondition("query not started");
   }
-  if (rq->source_thread.joinable()) rq->source_thread.join();
+  MutexLock lock(rq->join_mutex);
   if (rq->worker.joinable()) rq->worker.join();
   return rq->run_status;
 }
 
 Status NodeEngine::Cancel(int query_id) {
-  RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(query_id));
   rq->cancel.store(true);
-  if (rq->queue) rq->queue->Close();
   if (!rq->started.load()) return Status::OK();
   return Wait(query_id);
 }
@@ -1157,15 +930,7 @@ Status NodeEngine::RunToCompletion(int query_id) {
 }
 
 Result<QueryStats> NodeEngine::Stats(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
   QueryStats stats;
   stats.events_ingested = rq->events_ingested.load();
   stats.bytes_ingested = rq->bytes_ingested.load();
@@ -1249,32 +1014,12 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
 }
 
 Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
-  if (!rq->metrics) {
-    return Status::FailedPrecondition(
-        "metrics disabled (EngineOptions::metrics_enabled = false)");
-  }
-  return rq->metrics->Snapshot();
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
+  return rq->metrics.Snapshot();
 }
 
 Result<DeploymentReport> NodeEngine::Deployment(int query_id) const {
-  const RunningQuery* rq = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      return Status::NotFound("unknown query id");
-    }
-    rq = it->second.get();
-  }
+  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
   // Every channel lowered anywhere in the pipeline tree, depth-first.
   std::vector<std::shared_ptr<NetworkChannel>> channels;
   ForEachSegment(rq->pipeline, [&channels](const CompiledPipeline& seg) {

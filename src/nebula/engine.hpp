@@ -10,9 +10,7 @@
 /// *once* per buffer and every branch receives the *same* sealed batch
 /// (zero-copy; selection vectors keep branch filtering independent), so
 /// several sinks (alerting + archival) ride one ingest without the
-/// hand-off copies the engine used to pay per branch.
-/// An optional *pipelined* mode decouples source and processing onto two
-/// threads with a bounded hand-off queue (backpressure). Multiple queries
+/// hand-off copies the engine used to pay per branch. Multiple queries
 /// run concurrently on their own threads.
 ///
 /// With `EngineOptions::worker_threads > 1` execution is *morsel-driven*
@@ -94,14 +92,14 @@ struct QueryStats {
 
 /// \brief Engine configuration.
 struct EngineOptions {
-  size_t tuples_per_buffer = 1024;  ///< records per buffer
-  size_t pool_size = 128;           ///< buffers per schema pool
-  bool pipelined = false;           ///< source and pipeline on two threads
-  size_t queue_capacity = 8;        ///< hand-off queue depth (pipelined)
-  /// Workers in the morsel-driven pool. 1 executes every query on its own
-  /// single thread (the historical behavior); N > 1 runs fan-out branches
-  /// concurrently and hash-partitions qualifying keyed stateful suffixes
-  /// N ways. 0 (the default) resolves from the `NM_WORKER_THREADS`
+  /// Records per buffer; each query's buffer pools hold 128 buffers per
+  /// schema.
+  size_t tuples_per_buffer = 1024;
+  /// Workers in the morsel-driven pool. 1 executes every query inline on
+  /// its ingest thread; N > 1 runs fan-out branches concurrently and
+  /// hash-partitions qualifying keyed stateful suffixes N ways, each
+  /// dispatch target on a strand that queues at most 8 batches before
+  /// ingest blocks. 0 (the default) resolves from the `NM_WORKER_THREADS`
   /// environment variable, else 1 — the toggle the TSan CI job uses to
   /// force every existing test through the concurrent path unchanged.
   size_t worker_threads = 0;
@@ -121,14 +119,6 @@ struct EngineOptions {
   /// (the default), placement annotations are ignored and every plan
   /// executes single-node.
   const Topology* topology = nullptr;
-  /// Always-on observability (docs/ARCHITECTURE.md "Observability"): each
-  /// query owns a `metrics::MetricsRegistry` with per-operator latency and
-  /// batch-size histograms, per-channel wire counters, per-strand queue
-  /// depth/task-wait instruments and engine-level flow counters, read via
-  /// `NodeEngine::Metrics`. The record path is relaxed-atomic and cheap
-  /// (the bench gate holds measured overhead under 5%); false disables
-  /// every instrument for exact A/B comparisons.
-  bool metrics_enabled = true;
   /// When > 0, each running query starts a sampler thread firing at this
   /// interval: every tick derives windowed ingest/emit throughput gauges
   /// (`engine.ingest_events_per_sec` / `engine.emit_events_per_sec`) and
@@ -227,7 +217,9 @@ class NodeEngine {
   /// Starts the query's worker thread(s).
   Status Start(int query_id);
 
-  /// Blocks until the query's source is exhausted and the pipeline flushed.
+  /// Blocks until the query's source is exhausted and the pipeline
+  /// flushed. Any number of threads may wait on one query; each gets its
+  /// final status.
   Status Wait(int query_id);
 
   /// Requests cooperative cancellation (the source loop stops at the next
@@ -243,12 +235,14 @@ class NodeEngine {
 
   /// Point-in-time value copy of the query's metrics registry — safe to
   /// call while the query runs on any number of workers (instrument reads
-  /// are relaxed-atomic; the snapshot owns plain values). Fails with
-  /// `FailedPrecondition` when the engine was built with
-  /// `metrics_enabled = false`. Metric names are identical across worker
-  /// counts: operators key by DAG path (fused kernel stages under their
-  /// original chained names), strand instruments by dispatch-target path
-  /// (partition clones share their segment's path and its instruments).
+  /// are relaxed-atomic; the snapshot owns plain values). Every query
+  /// records (docs/ARCHITECTURE.md "Observability"): per-operator latency
+  /// and batch-size histograms, per-channel wire counters, per-strand
+  /// queue depth/task-wait instruments and engine-level flow counters.
+  /// Metric names are identical across worker counts: operators key by
+  /// DAG path (fused kernel stages under their original chained names),
+  /// strand instruments by dispatch-target path (partition clones share
+  /// their segment's path and its instruments).
   Result<metrics::MetricsSnapshot> Metrics(int query_id) const;
 
   /// The query's plan renderings (pre- and post-optimization), captured at
@@ -269,8 +263,12 @@ class NodeEngine {
  private:
   struct RunningQuery;
 
+  /// Shared tail of `Submit` and `SubmitShared`: opens the compiled
+  /// pipeline, binds its instruments and registers the query with its
+  /// source under a fresh id.
+  Result<int> Register(std::unique_ptr<RunningQuery> rq, SourcePtr source);
+  Result<RunningQuery*> Find(int query_id) const;
   void RunLoop(RunningQuery* rq);
-  void SourceLoop(RunningQuery* rq);
 
   EngineOptions options_;
   size_t worker_threads_ = 1;  ///< resolved from options/env at construction

@@ -1,10 +1,17 @@
 // Failure-injection and robustness tests: source errors mid-stream,
 // logging levels, execution-context pooling, CSV parse errors, the
-// all-errors root-cause model, and shared-host branch-failure isolation.
+// all-errors root-cause model, shared-host branch-failure isolation, and
+// concurrent waiters.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "common/logging.hpp"
 #include "nebula/engine.hpp"
@@ -60,23 +67,30 @@ TEST(EngineFailures, SourceErrorPropagatesFromWait) {
   const Status status = engine.RunToCompletion(*id);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
-  SetLogLevel(LogLevel::kWarn);
-}
 
-TEST(EngineFailures, SourceErrorPropagatesInPipelinedMode) {
-  SetLogLevel(LogLevel::kOff);
+  // The same failure feeding a fan-out plan on 4 workers: small buffers
+  // keep both branch strands queued with batches when the source fails,
+  // and the ingest error still comes back from Wait as the root cause.
   EngineOptions options;
-  options.pipelined = true;
-  NodeEngine engine(options);
-  auto sink = std::make_shared<CountingSink>(EventSchema());
-  auto id = engine.Submit(
-      Query::From(std::make_unique<FailingSource>(EventSchema(), 100))
-          .To(sink));
-  ASSERT_TRUE(id.ok());
-  // The pipelined source thread hits the error; the pipeline drains what
-  // arrived and the error surfaces from Wait.
-  const Status status = engine.RunToCompletion(*id);
-  EXPECT_FALSE(status.ok());
+  options.worker_threads = 4;
+  options.tuples_per_buffer = 8;
+  NodeEngine pooled(options);
+  auto kept = std::make_shared<CountingSink>(EventSchema());
+  auto all = std::make_shared<CountingSink>(EventSchema());
+  SplitQuery split =
+      Query::From(std::make_unique<FailingSource>(EventSchema(), 2000))
+          .Split(2);
+  std::move(split[0]).Filter(Ge(Attribute("value"), Lit(0.0))).To(kept);
+  std::move(split[1]).To(all);
+  auto plan = std::move(split).Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto fan_out = pooled.Submit(std::move(*plan));
+  ASSERT_TRUE(fan_out.ok()) << fan_out.status().ToString();
+  const Status pooled_status = pooled.RunToCompletion(*fan_out);
+  EXPECT_EQ(pooled_status.code(), StatusCode::kInternal);
+  EXPECT_NE(pooled_status.message().find("[root] sensor bus failure"),
+            std::string::npos)
+      << pooled_status.ToString();
   SetLogLevel(LogLevel::kWarn);
 }
 
@@ -251,6 +265,9 @@ void RunSharedHostBranchIsolation(size_t workers) {
   EXPECT_NE(failed.message().find("downstream store rejected"),
             std::string::npos)
       << failed.ToString();
+  // Its stats stay readable after the branch detached.
+  const auto failing_stats = manager.Stats(*failing);
+  EXPECT_TRUE(failing_stats.ok()) << failing_stats.status().ToString();
   // Cancelling the already-failed member is clean (idempotent detach).
   EXPECT_TRUE(manager.Cancel(*failing).ok());
   EXPECT_TRUE(manager.Cancel(*healthy).ok());
@@ -263,6 +280,87 @@ TEST(EngineFailures, SharedHostIsolatesFailedBranchSingleWorker) {
 
 TEST(EngineFailures, SharedHostIsolatesFailedBranchFourWorkers) {
   RunSharedHostBranchIsolation(4);
+}
+
+// Calls every `waits[i]` on its own thread and returns their statuses,
+// or nullopt when a waiter is still blocked after 20 s. The waiters run
+// detached, so a hang fails the test instead of stalling the suite.
+std::optional<std::vector<Status>> WaitConcurrently(
+    std::vector<std::function<Status()>> waits) {
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<Status> statuses;
+    size_t done = 0;
+  };
+  auto shared = std::make_shared<Shared>();
+  shared->statuses.resize(waits.size());
+  for (size_t i = 0; i < waits.size(); ++i) {
+    std::thread([shared, i, wait = std::move(waits[i])] {
+      const Status st = wait();
+      std::lock_guard<std::mutex> lock(shared->mu);
+      shared->statuses[i] = st;
+      ++shared->done;
+      shared->cv.notify_all();
+    }).detach();
+  }
+  std::unique_lock<std::mutex> lock(shared->mu);
+  if (!shared->cv.wait_for(lock, std::chrono::seconds(20), [&shared] {
+        return shared->done == shared->statuses.size();
+      })) {
+    return std::nullopt;
+  }
+  return shared->statuses;
+}
+
+TEST(EngineFailures, ConcurrentWaitersOnOneQueryAllReturn) {
+  auto engine = std::make_unique<NodeEngine>();
+  auto sink = std::make_shared<CountingSink>(EventSchema());
+  auto id = engine->Submit(
+      Query::From(std::make_unique<MemorySource>(EventSchema(),
+                                                 FailureRows(2000), 1, "ts"))
+          .To(sink));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(engine->Start(*id).ok());
+  NodeEngine* e = engine.get();
+  const auto wait = [e, query = *id] { return e->Wait(query); };
+  const auto statuses = WaitConcurrently({wait, wait});
+  if (!statuses) {
+    (void)engine.release();  // a waiter still holds it
+    FAIL() << "a concurrent Wait did not return";
+  }
+  for (const Status& st : *statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(sink->events(), 2000u);
+}
+
+// Two clients of one shared host wait on their own threads: both reach
+// the host's Wait, and both get their own branch's status.
+TEST(EngineFailures, SharedHostClientsWaitConcurrently) {
+  auto engine = std::make_unique<NodeEngine>();
+  auto manager = std::make_unique<serving::SharedQueryManager>(engine.get());
+  auto sink_a = std::make_shared<CountingSink>(EventSchema());
+  auto sink_b = std::make_shared<CountingSink>(EventSchema());
+  auto a = manager->Submit(Query::From(SharedNamedSource(2000))
+                               .Filter(Ge(Attribute("value"), Lit(0.0)))
+                               .To(sink_a));
+  auto b = manager->Submit(Query::From(SharedNamedSource(2000))
+                               .Filter(Ge(Attribute("value"), Lit(0.0)))
+                               .To(sink_b));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(manager->NumHostedPlans(), 1u);
+  ASSERT_TRUE(manager->Start(*a).ok());
+  serving::SharedQueryManager* m = manager.get();
+  const auto statuses = WaitConcurrently(
+      {[m, vid = *a] { return m->Wait(vid); },
+       [m, vid = *b] { return m->Wait(vid); }});
+  if (!statuses) {
+    (void)manager.release();  // a waiter still holds them
+    (void)engine.release();
+    FAIL() << "a concurrent client Wait did not return";
+  }
+  for (const Status& st : *statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(sink_a->events(), 2000u);
+  EXPECT_EQ(sink_b->events(), 2000u);
 }
 
 TEST(EngineFailures, DoubleStartRejected) {

@@ -489,7 +489,11 @@ TEST(MonotonicityGuards, WindowAggShedsLateRecordsInsteadOfRefiring) {
   // out-of-order row at ts=1s lands in that already-fired pane and must
   // be shed, not re-open it.
   std::vector<std::vector<Value>> rows = MakeRows(16);
-  rows.push_back({Value(int64_t{0}), Value(Seconds(1)), Value(99.0)});
+  std::vector<Value> late;
+  late.emplace_back(int64_t{0});
+  late.emplace_back(Seconds(1));
+  late.emplace_back(99.0);
+  rows.push_back(std::move(late));
   auto schema = Schema::Build()
                     .AddInt64("key")
                     .AddTimestamp("window_start")

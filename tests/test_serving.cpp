@@ -493,38 +493,50 @@ TEST(SharedQueryManager, RunningHostRejectsDivergentPrefixIntoNewGroup) {
 // Branch-scoped metrics: a client's snapshot carries its own branch
 // instruments and never another branch's.
 TEST(SharedQueryManager, MetricsAreScopedToOwnBranch) {
-  EngineOptions options;
-  options.worker_threads = 1;
-  NodeEngine engine(options);
-  SharedQueryManager manager(&engine);
-  auto sink_a = std::make_shared<CountingSink>(EventSchema());
-  auto sink_b = std::make_shared<CountingSink>(EventSchema());
-  auto vid_a = manager.Submit(Query::From(NamedSource(20))
-                                  .Filter(Ge(Attribute("value"), Lit(0.0)))
-                                  .To(sink_a));
-  auto vid_b = manager.Submit(Query::From(NamedSource(20))
-                                  .Filter(Ge(Attribute("value"), Lit(0.0)))
-                                  .To(sink_b));
-  ASSERT_TRUE(vid_a.ok() && vid_b.ok());
-  ASSERT_TRUE(manager.Start(*vid_a).ok());
-  ASSERT_TRUE(manager.Wait(*vid_a).ok());
-  auto snapshot = manager.Metrics(*vid_a);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  bool saw_own_branch = false;
-  for (const auto& [name, value] : snapshot->histograms) {
-    EXPECT_TRUE(name.rfind("op.b2/", 0) != 0) << name;
-    if (name.rfind("op.b1/", 0) == 0) saw_own_branch = true;
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    EngineOptions options;
+    options.worker_threads = workers;
+    NodeEngine engine(options);
+    SharedQueryManager manager(&engine);
+    auto sink_a = std::make_shared<CountingSink>(EventSchema());
+    auto sink_b = std::make_shared<CountingSink>(EventSchema());
+    auto vid_a = manager.Submit(Query::From(NamedSource(20))
+                                    .Filter(Ge(Attribute("value"), Lit(0.0)))
+                                    .To(sink_a));
+    auto vid_b = manager.Submit(Query::From(NamedSource(20))
+                                    .Filter(Ge(Attribute("value"), Lit(0.0)))
+                                    .To(sink_b));
+    ASSERT_TRUE(vid_a.ok() && vid_b.ok());
+    ASSERT_TRUE(manager.Start(*vid_a).ok());
+    ASSERT_TRUE(manager.Wait(*vid_a).ok());
+    auto snapshot = manager.Metrics(*vid_a);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    bool saw_own_branch = false;
+    for (const auto& [name, value] : snapshot->histograms) {
+      EXPECT_TRUE(name.rfind("op.b2/", 0) != 0) << name;
+      if (name.rfind("op.b1/", 0) == 0) saw_own_branch = true;
+    }
+    EXPECT_TRUE(saw_own_branch);
+    // The other client's snapshot holds the mirror view.
+    auto other = manager.Metrics(*vid_b);
+    ASSERT_TRUE(other.ok());
+    bool saw_other_branch = false;
+    for (const auto& [name, value] : other->histograms) {
+      EXPECT_TRUE(name.rfind("op.b1/", 0) != 0) << name;
+      if (name.rfind("op.b2/", 0) == 0) saw_other_branch = true;
+    }
+    EXPECT_TRUE(saw_other_branch);
+    // Every hand-off to a dynamic branch records its strand wait: zeros
+    // inline at one worker, post-to-run waits on the pool.
+    ASSERT_EQ(manager.Hosts().size(), 1u);
+    auto host = engine.Metrics(manager.Hosts()[0]);
+    ASSERT_TRUE(host.ok()) << host.status().ToString();
+    const auto wait =
+        host->histograms.find("worker.strand.b1.task_wait_micros");
+    ASSERT_NE(wait, host->histograms.end());
+    EXPECT_GT(wait->second.count, 0u);
   }
-  EXPECT_TRUE(saw_own_branch);
-  // The other client's snapshot holds the mirror view.
-  auto other = manager.Metrics(*vid_b);
-  ASSERT_TRUE(other.ok());
-  bool saw_other_branch = false;
-  for (const auto& [name, value] : other->histograms) {
-    EXPECT_TRUE(name.rfind("op.b1/", 0) != 0) << name;
-    if (name.rfind("op.b2/", 0) == 0) saw_other_branch = true;
-  }
-  EXPECT_TRUE(saw_other_branch);
 }
 
 // --- Coordinator merge layer -------------------------------------------
