@@ -390,55 +390,238 @@ class NotKernel final : public ScalarKernel {
   mutable std::vector<uint8_t> a_;
 };
 
-// --- Extension-function bridge ----------------------------------------------
+// --- Text comparison --------------------------------------------------------
+
+// Which outcomes of a three-way comparison satisfy `op`, indexed by the
+// comparison's sign + 1.
+struct Accepts {
+  uint8_t by_sign[3];
+
+  explicit Accepts(CompareOp op) {
+    const bool lt = op == CompareOp::kLt || op == CompareOp::kLe ||
+                    op == CompareOp::kNe;
+    const bool eq = op == CompareOp::kLe || op == CompareOp::kGe ||
+                    op == CompareOp::kEq;
+    const bool gt = op == CompareOp::kGt || op == CompareOp::kGe ||
+                    op == CompareOp::kNe;
+    by_sign[0] = lt;
+    by_sign[1] = eq;
+    by_sign[2] = gt;
+  }
+
+  uint8_t operator()(int cmp) const {
+    return by_sign[(cmp > 0) - (cmp < 0) + 1];
+  }
+};
+
+// Length of a NUL-padded fixed-width text field: the bytes before its
+// first NUL, capped at the width.
+size_t TextLength(const uint8_t* p, size_t width) {
+  const void* nul = std::memchr(p, 0, width);
+  return nul == nullptr
+             ? width
+             : static_cast<size_t>(static_cast<const uint8_t*>(nul) - p);
+}
+
+// std::string::compare over two byte strings.
+int CompareText(const uint8_t* a, size_t alen, const uint8_t* b,
+                size_t blen) {
+  const int c = std::memcmp(a, b, std::min(alen, blen));
+  if (c != 0) return c;
+  return alen < blen ? -1 : (alen > blen ? 1 : 0);
+}
+
+class TextLiteralCompareKernel final : public ScalarKernel {
+ public:
+  TextLiteralCompareKernel(CompareOp op, size_t offset, size_t width,
+                           std::string literal, bool literal_on_left)
+      : ScalarKernel(KernelType::kBool),
+        op_(op),
+        accepts_(op),
+        offset_(offset),
+        width_(width),
+        literal_(std::move(literal)) {
+    // `lit op field` reads the field-first comparison's sign reversed.
+    if (literal_on_left) std::swap(accepts_.by_sign[0], accepts_.by_sign[2]);
+  }
+
+  void EvalBool(const RowSpan& rows, uint8_t* out) const override {
+    const auto* lit = reinterpret_cast<const uint8_t*>(literal_.data());
+    const size_t len = literal_.size();
+    if (op_ == CompareOp::kEq || op_ == CompareOp::kNe) {
+      const uint8_t ne = op_ == CompareOp::kNe ? 1 : 0;
+      // A field value holds no NUL and at most `width_` bytes.
+      if (len > width_ || std::memchr(lit, 0, len) != nullptr) {
+        std::memset(out, ne, rows.count);
+        return;
+      }
+      // Independent of the bytes after the field's first NUL.
+      for (size_t i = 0; i < rows.count; ++i) {
+        const uint8_t* f = rows.Row(i) + offset_;
+        const bool eq = std::memcmp(f, lit, len) == 0 &&
+                        (len == width_ || f[len] == 0);
+        out[i] = static_cast<uint8_t>(eq) ^ ne;
+      }
+      return;
+    }
+    for (size_t i = 0; i < rows.count; ++i) {
+      const uint8_t* f = rows.Row(i) + offset_;
+      out[i] = accepts_(CompareText(f, TextLength(f, width_), lit, len));
+    }
+  }
+
+ private:
+  CompareOp op_;
+  Accepts accepts_;
+  size_t offset_;
+  size_t width_;
+  std::string literal_;
+};
+
+class TextFieldCompareKernel final : public ScalarKernel {
+ public:
+  TextFieldCompareKernel(CompareOp op, size_t lhs_offset, size_t lhs_width,
+                         size_t rhs_offset, size_t rhs_width)
+      : ScalarKernel(KernelType::kBool),
+        accepts_(op),
+        lhs_offset_(lhs_offset),
+        lhs_width_(lhs_width),
+        rhs_offset_(rhs_offset),
+        rhs_width_(rhs_width) {}
+
+  void EvalBool(const RowSpan& rows, uint8_t* out) const override {
+    for (size_t i = 0; i < rows.count; ++i) {
+      const uint8_t* a = rows.Row(i) + lhs_offset_;
+      const uint8_t* b = rows.Row(i) + rhs_offset_;
+      out[i] = accepts_(CompareText(a, TextLength(a, lhs_width_), b,
+                                    TextLength(b, rhs_width_)));
+    }
+  }
+
+ private:
+  Accepts accepts_;
+  size_t lhs_offset_;
+  size_t lhs_width_;
+  size_t rhs_offset_;
+  size_t rhs_width_;
+};
+
+// --- Extension-function bridges ---------------------------------------------
 
 class ScalarFnKernel final : public ScalarKernel {
  public:
-  ScalarFnKernel(KernelType out_type, std::function<double(const double*)> fn,
-                 std::vector<KernelPtr> args, std::vector<double> const_args)
+  ScalarFnKernel(KernelType out_type, ColumnFn fn, std::vector<KernelPtr> args,
+                 std::vector<double> const_args)
       : ScalarKernel(out_type),
         fn_(std::move(fn)),
         args_(std::move(args)),
         const_args_(std::move(const_args)),
+        cols_(args_.size()),
+        col_ptrs_(args_.size()) {}
+
+  void EvalBool(const RowSpan& rows, uint8_t* out) const override {
+    result_.resize(rows.count);
+    EvalInto(rows, result_.data());
+    for (size_t i = 0; i < rows.count; ++i) out[i] = result_[i] != 0.0;
+  }
+  void EvalInt64(const RowSpan& rows, int64_t* out) const override {
+    result_.resize(rows.count);
+    EvalInto(rows, result_.data());
+    for (size_t i = 0; i < rows.count; ++i) {
+      out[i] = static_cast<int64_t>(result_[i]);
+    }
+  }
+  void EvalDouble(const RowSpan& rows, double* out) const override {
+    EvalInto(rows, out);
+  }
+
+ private:
+  void EvalInto(const RowSpan& rows, double* out) const {
+    for (size_t a = 0; a < args_.size(); ++a) {
+      if (args_[a] == nullptr) {
+        cols_[a].assign(rows.count, const_args_[a]);
+      } else {
+        cols_[a].resize(rows.count);
+        args_[a]->EvalAsDouble(rows, cols_[a].data());
+      }
+      col_ptrs_[a] = cols_[a].data();
+    }
+    fn_(col_ptrs_.data(), rows.count, out);
+  }
+
+  ColumnFn fn_;
+  std::vector<KernelPtr> args_;  ///< nullptr entries are constants
+  std::vector<double> const_args_;
+  mutable std::vector<std::vector<double>> cols_;
+  mutable std::vector<const double*> col_ptrs_;
+  mutable std::vector<double> result_;
+};
+
+class BoxedFnKernel final : public ScalarKernel {
+ public:
+  BoxedFnKernel(KernelType out_type, BoxedFn fn, std::vector<KernelPtr> args,
+                std::vector<Value> const_args)
+      : ScalarKernel(out_type),
+        fn_(std::move(fn)),
+        args_(std::move(args)),
+        row_args_(std::move(const_args)),
         cols_(args_.size()) {}
 
   void EvalBool(const RowSpan& rows, uint8_t* out) const override {
-    EvalRows(rows, [out](size_t i, double r) { out[i] = r != 0.0 ? 1 : 0; });
+    EvalRows(rows,
+             [out](size_t i, const Value& r) { out[i] = ValueAsBool(r); });
   }
   void EvalInt64(const RowSpan& rows, int64_t* out) const override {
     EvalRows(rows,
-             [out](size_t i, double r) { out[i] = static_cast<int64_t>(r); });
+             [out](size_t i, const Value& r) { out[i] = ValueAsInt64(r); });
   }
   void EvalDouble(const RowSpan& rows, double* out) const override {
-    EvalRows(rows, [out](size_t i, double r) { out[i] = r; });
+    EvalRows(rows,
+             [out](size_t i, const Value& r) { out[i] = ValueAsDouble(r); });
   }
 
  private:
   template <typename Store>
   void EvalRows(const RowSpan& rows, const Store& store) const {
-    const size_t arity = args_.size();
-    row_args_.resize(arity);
-    for (size_t a = 0; a < arity; ++a) {
-      if (args_[a] == nullptr) {
-        row_args_[a] = const_args_[a];
-        continue;
+    for (size_t a = 0; a < args_.size(); ++a) {
+      if (args_[a] == nullptr) continue;  // row_args_[a] holds the constant
+      switch (args_[a]->type()) {
+        case KernelType::kBool:
+          args_[a]->EvalBool(rows, Retype<uint8_t>(&cols_[a], rows.count));
+          break;
+        case KernelType::kInt64:
+          args_[a]->EvalInt64(rows, Retype<int64_t>(&cols_[a], rows.count));
+          break;
+        case KernelType::kDouble:
+          args_[a]->EvalDouble(rows, Retype<double>(&cols_[a], rows.count));
+          break;
       }
-      cols_[a].resize(rows.count);
-      args_[a]->EvalAsDouble(rows, cols_[a].data());
     }
     for (size_t i = 0; i < rows.count; ++i) {
-      for (size_t a = 0; a < arity; ++a) {
-        if (args_[a] != nullptr) row_args_[a] = cols_[a][i];
+      for (size_t a = 0; a < args_.size(); ++a) {
+        if (args_[a] == nullptr) continue;
+        const uint8_t* col = cols_[a].data();
+        switch (args_[a]->type()) {
+          case KernelType::kBool:
+            row_args_[a] = col[i] != 0;
+            break;
+          case KernelType::kInt64:
+            row_args_[a] = reinterpret_cast<const int64_t*>(col)[i];
+            break;
+          case KernelType::kDouble:
+            row_args_[a] = reinterpret_cast<const double*>(col)[i];
+            break;
+        }
       }
-      store(i, fn_(row_args_.data()));
+      store(i, fn_(row_args_));
     }
   }
 
-  std::function<double(const double*)> fn_;
+  BoxedFn fn_;
   std::vector<KernelPtr> args_;  ///< nullptr entries are constants
-  std::vector<double> const_args_;
-  mutable std::vector<std::vector<double>> cols_;
-  mutable std::vector<double> row_args_;
+  mutable std::vector<Value> row_args_;
+  /// Native-typed argument columns (bytes, retyped per argument).
+  mutable std::vector<std::vector<uint8_t>> cols_;
 };
 
 // --- Cross-stage computed-column cache (kernel-level CSE) -------------------
@@ -574,13 +757,34 @@ KernelPtr MakeNotKernel(KernelPtr inner) {
   return std::make_unique<NotKernel>(std::move(inner));
 }
 
-KernelPtr MakeScalarFnKernel(KernelType out_type,
-                             std::function<double(const double*)> fn,
+KernelPtr MakeTextLiteralCompareKernel(CompareOp op, size_t offset,
+                                       size_t width, std::string literal,
+                                       bool literal_on_left) {
+  return std::make_unique<TextLiteralCompareKernel>(
+      op, offset, width, std::move(literal), literal_on_left);
+}
+
+KernelPtr MakeTextFieldCompareKernel(CompareOp op, size_t lhs_offset,
+                                     size_t lhs_width, size_t rhs_offset,
+                                     size_t rhs_width) {
+  return std::make_unique<TextFieldCompareKernel>(op, lhs_offset, lhs_width,
+                                                  rhs_offset, rhs_width);
+}
+
+KernelPtr MakeScalarFnKernel(KernelType out_type, ColumnFn fn,
                              std::vector<KernelPtr> arg_kernels,
                              std::vector<double> const_args) {
   return std::make_unique<ScalarFnKernel>(out_type, std::move(fn),
                                           std::move(arg_kernels),
                                           std::move(const_args));
+}
+
+KernelPtr MakeBoxedFnKernel(KernelType out_type, BoxedFn fn,
+                            std::vector<KernelPtr> arg_kernels,
+                            std::vector<Value> const_args) {
+  return std::make_unique<BoxedFnKernel>(out_type, std::move(fn),
+                                         std::move(arg_kernels),
+                                         std::move(const_args));
 }
 
 }  // namespace nebulameos::nebula::exec

@@ -8,8 +8,10 @@
 /// (`Expression::CompileKernel`) into a tree of `ScalarKernel`s that
 /// evaluate over a whole run of rows at once: field leaves are raw
 /// offset-typed loads, operators are tight loops over primitive columns,
-/// and the only per-row indirection left is one call for registered
-/// extension functions (`FunctionExpression::EvalScalar`).
+/// and a registered extension function is one call per batch
+/// (`FunctionExpression::EvalColumn`). Text comparisons run over the
+/// fixed-width field bytes. Only runtime-registered lambdas, which are
+/// written over boxed `Value`s, still make one call per row.
 ///
 /// Kernels carry mutable per-node scratch columns, so one kernel instance
 /// is bound to one pipeline (single-threaded use), matching the engine's
@@ -96,19 +98,55 @@ KernelPtr MakeArithKernel(ArithOp op, bool int_result, KernelPtr lhs,
 /// Numeric comparison (both sides widened to double, like the interpreter).
 KernelPtr MakeCompareKernel(CompareOp op, KernelPtr lhs, KernelPtr rhs);
 
+/// \brief Text comparison of the fixed-width, NUL-padded field of \p width
+/// bytes at \p offset against \p literal, with the interpreter's
+/// `std::string::compare` semantics: the field's value is its bytes
+/// before the first NUL (all \p width bytes when there is none), ordered
+/// as `memcmp` orders them. \p literal_on_left evaluates
+/// `literal op field` instead of `field op literal`. A literal longer than
+/// the width or holding a NUL equals no field value.
+KernelPtr MakeTextLiteralCompareKernel(CompareOp op, size_t offset,
+                                       size_t width, std::string literal,
+                                       bool literal_on_left);
+
+/// Text comparison of two fixed-width, NUL-padded fields of one row
+/// (same semantics as `MakeTextLiteralCompareKernel`).
+KernelPtr MakeTextFieldCompareKernel(CompareOp op, size_t lhs_offset,
+                                     size_t lhs_width, size_t rhs_offset,
+                                     size_t rhs_width);
+
 KernelPtr MakeAndKernel(KernelPtr lhs, KernelPtr rhs);
 KernelPtr MakeOrKernel(KernelPtr lhs, KernelPtr rhs);
 KernelPtr MakeNotKernel(KernelPtr inner);
 
+/// Column-at-a-time body of a registered function: `args[i][r]` is
+/// argument i of row r; writes n results to `out`.
+using ColumnFn =
+    std::function<void(const double* const* args, size_t n, double* out)>;
+
 /// \brief Bridge for registered extension functions: evaluates every
-/// runtime argument kernel into a double column, then calls \p fn once per
-/// row over the widened argument values. `arg_kernels[i] == nullptr` marks
-/// a bind-time constant argument whose widened value is `const_args[i]`.
-/// One indirect call per row — no `Value` boxing, no per-row allocation.
-KernelPtr MakeScalarFnKernel(KernelType out_type,
-                             std::function<double(const double*)> fn,
+/// runtime argument kernel into a double column, fills a column with the
+/// widened value `const_args[i]` for each bind-time constant argument
+/// (`arg_kernels[i] == nullptr`), then calls \p fn once per batch. No
+/// `Value` boxing, no per-row call.
+KernelPtr MakeScalarFnKernel(KernelType out_type, ColumnFn fn,
                              std::vector<KernelPtr> arg_kernels,
                              std::vector<double> const_args);
+
+/// Body of a function written over boxed argument values.
+using BoxedFn = std::function<Value(const std::vector<Value>&)>;
+
+/// \brief Bridge for functions written over boxed `Value`s (runtime-
+/// registered lambdas): evaluates every runtime argument kernel in its
+/// own native type (int64 is never widened through double), boxes each
+/// row into one reused argument vector — `const_args[i]` for a constant
+/// argument (`arg_kernels[i] == nullptr`) — and calls \p fn once per
+/// row. The result converts with `ValueAsBool`/`ValueAsInt64`/
+/// `ValueAsDouble` for \p out_type, as the interpreted operators convert
+/// it.
+KernelPtr MakeBoxedFnKernel(KernelType out_type, BoxedFn fn,
+                            std::vector<KernelPtr> arg_kernels,
+                            std::vector<Value> const_args);
 
 // --- Cross-stage computed-column cache (kernel-level CSE) --------------------
 

@@ -14,9 +14,10 @@
 /// selective filter passes the input buffer through untouched (zero-copy).
 ///
 /// Compilation is best-effort: `BatchKernelCompiler::Add*` refuses any
-/// node whose expressions do not lower to kernels (text comparisons,
-/// extension functions without a scalar hook), and `CompilePlan` falls
-/// back to the interpreted operator for that node.
+/// node whose expressions do not lower to kernels (text-valued map specs
+/// and functions, functions over a runtime text argument, extension
+/// functions without a column hook), and `CompilePlan` falls back to the
+/// interpreted operator for that node.
 
 #pragma once
 

@@ -279,7 +279,7 @@ class CompareExpr : public Expression {
   }
 
   exec::KernelPtr CompileKernel(const Schema& schema) const override {
-    if (text_compare_) return nullptr;  // lexicographic stays interpreted
+    if (text_compare_) return CompileTextKernel(schema);
     return exec::MakeCompareKernel(op_, lhs_->CompileKernel(schema),
                                    rhs_->CompileKernel(schema));
   }
@@ -287,6 +287,43 @@ class CompareExpr : public Expression {
  private:
   static bool IsNumericish(DataType t) {
     return IsNumeric(t) || t == DataType::kBool;
+  }
+
+  // Lowers a text comparison of a field against a literal or another
+  // field to one kernel over the fixed-width field bytes; any other text
+  // operand (a text-valued function) stays interpreted.
+  exec::KernelPtr CompileTextKernel(const Schema& schema) const {
+    const auto lhs_lit = lhs_->ConstantValue();
+    const auto rhs_lit = rhs_->ConstantValue();
+    const auto text_field =
+        [&schema](const ExprPtr& side) -> std::optional<size_t> {
+      const auto* field = dynamic_cast<const FieldExpr*>(side.get());
+      if (field == nullptr) return std::nullopt;
+      auto idx = schema.IndexOf(field->field_name());
+      if (!idx.ok()) return std::nullopt;
+      return *idx;
+    };
+    const auto lhs_field = text_field(lhs_);
+    const auto rhs_field = text_field(rhs_);
+    const auto width = [&schema](size_t idx) {
+      return DataTypeSize(schema.field(idx).type);
+    };
+    if (lhs_field && rhs_field) {
+      return exec::MakeTextFieldCompareKernel(
+          op_, schema.offset(*lhs_field), width(*lhs_field),
+          schema.offset(*rhs_field), width(*rhs_field));
+    }
+    if (lhs_field && rhs_lit) {
+      return exec::MakeTextLiteralCompareKernel(
+          op_, schema.offset(*lhs_field), width(*lhs_field),
+          ValueToString(*rhs_lit), /*literal_on_left=*/false);
+    }
+    if (lhs_lit && rhs_field) {
+      return exec::MakeTextLiteralCompareKernel(
+          op_, schema.offset(*rhs_field), width(*rhs_field),
+          ValueToString(*lhs_lit), /*literal_on_left=*/true);
+    }
+    return nullptr;
   }
 
   bool EvalOrdered(int cmp) const {
@@ -423,7 +460,15 @@ class MathFn : public FunctionExpression {
   }
 
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override { return impl_(args); }
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override {
+    const size_t arity = this->args().size();
+    double row[3] = {0.0, 0.0, 0.0};
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t a = 0; a < arity; ++a) row[a] = args[a][r];
+      out[r] = impl_(row);
+    }
+  }
 
  private:
   Impl impl_;
@@ -547,24 +592,32 @@ bool FunctionExpression::ReferencedFields(std::vector<std::string>* out) const {
   return true;
 }
 
-exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
-  if (!ScalarEvaluable()) return nullptr;
-  exec::KernelType out_type;
-  switch (output_type_) {
+namespace {
+
+// The kernel type a function of declared type \p type produces; nullopt
+// for text.
+std::optional<exec::KernelType> KernelTypeOf(DataType type) {
+  switch (type) {
     case DataType::kBool:
-      out_type = exec::KernelType::kBool;
-      break;
+      return exec::KernelType::kBool;
     case DataType::kInt64:
     case DataType::kTimestamp:
-      out_type = exec::KernelType::kInt64;
-      break;
+      return exec::KernelType::kInt64;
     case DataType::kDouble:
-      out_type = exec::KernelType::kDouble;
-      break;
+      return exec::KernelType::kDouble;
     case DataType::kText16:
     case DataType::kText32:
-      return nullptr;
+      return std::nullopt;
   }
+  return std::nullopt;
+}
+
+}  // namespace
+
+exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
+  if (!ScalarEvaluable()) return nullptr;
+  const auto out_type = KernelTypeOf(output_type_);
+  if (!out_type) return nullptr;
   std::vector<exec::KernelPtr> arg_kernels;
   std::vector<double> const_args;
   arg_kernels.reserve(args_.size());
@@ -583,7 +636,10 @@ exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
     const_args.push_back(0.0);
   }
   return exec::MakeScalarFnKernel(
-      out_type, [this](const double* a) { return EvalScalar(a); },
+      *out_type,
+      [this](const double* const* a, size_t n, double* out) {
+        EvalColumn(a, n, out);
+      },
       std::move(arg_kernels), std::move(const_args));
 }
 
@@ -647,6 +703,29 @@ class LambdaFn : public FunctionExpression {
            Impl impl)
       : FunctionExpression(std::move(name), std::move(args), output_type),
         impl_(std::move(impl)) {}
+
+  // Compiles to a per-row call over boxed arguments. A text output or a
+  // text runtime argument (which has no kernel) stays interpreted;
+  // constant arguments, text ones included, pass through as literals.
+  exec::KernelPtr CompileKernel(const Schema& schema) const override {
+    const auto out_type = KernelTypeOf(output_type());
+    if (!out_type) return nullptr;
+    std::vector<exec::KernelPtr> arg_kernels;
+    std::vector<Value> const_args;
+    for (const ExprPtr& arg : args()) {
+      if (auto cv = arg->ConstantValue()) {
+        arg_kernels.push_back(nullptr);
+        const_args.push_back(std::move(*cv));
+        continue;
+      }
+      exec::KernelPtr k = arg->CompileKernel(schema);
+      if (k == nullptr) return nullptr;
+      arg_kernels.push_back(std::move(k));
+      const_args.emplace_back(false);
+    }
+    return exec::MakeBoxedFnKernel(*out_type, impl_, std::move(arg_kernels),
+                                   std::move(const_args));
+  }
 
  protected:
   Value EvalFn(const std::vector<Value>& args) const override {

@@ -84,8 +84,9 @@ class Expression {
   /// Lowers this expression to a type-specialized batch kernel whose field
   /// leaves read fixed offsets of \p schema's record layout
   /// (exec/compiled_expr.hpp). Returns nullptr when the node or any
-  /// subtree cannot be compiled (text comparisons, extension nodes without
-  /// a scalar hook) — callers fall back to interpreted `Eval`. Must be
+  /// subtree cannot be compiled (a text operand outside a field-or-literal
+  /// text comparison, a text-valued function, an extension node without a
+  /// column hook) — callers fall back to interpreted `Eval`. Must be
   /// called after `Bind(schema)` with the same schema, and the returned
   /// kernel may reference this expression: keep the tree alive for the
   /// kernel's lifetime.
@@ -160,9 +161,9 @@ class FunctionExpression : public Expression {
   bool ReferencedFields(std::vector<std::string>* out) const override;
 
   /// Generic batch compilation for registered functions: when the subclass
-  /// opts in (`ScalarEvaluable`), every runtime argument compiles to a
-  /// kernel column and `EvalScalar` runs once per row over unboxed
-  /// doubles — no `Value` boxing, no per-row vector allocation.
+  /// opts in (`ScalarEvaluable`), every argument becomes a double column
+  /// and `EvalColumn` runs once per batch over them — no `Value` boxing,
+  /// no per-row call through the kernel bridge.
   exec::KernelPtr CompileKernel(const Schema& schema) const override;
 
   const std::string& name() const { return name_; }
@@ -172,24 +173,27 @@ class FunctionExpression : public Expression {
   /// Implements the function over already-evaluated argument values.
   virtual Value EvalFn(const std::vector<Value>& args) const = 0;
 
-  /// Batch-compiler opt-in: true when `EvalScalar` implements this
+  /// Batch-compiler opt-in: true when `EvalColumn` implements this
   /// function over unboxed numeric arguments (bind-time configuration
   /// already resolved). Default false: the function only interprets.
   virtual bool ScalarEvaluable() const { return false; }
 
-  /// Unboxed per-record evaluation: `args[i]` is the i-th argument widened
-  /// to double (`ValueAsDouble` semantics; constant text arguments widen
-  /// to 0 — they are bind-time configuration, not runtime inputs).
-  /// Booleans return 0/1; integer results must be integral-valued.
+  /// Column-at-a-time evaluation over \p n rows: `args[i][r]` is the i-th
+  /// argument of row r widened to double (`ValueAsDouble` semantics;
+  /// constant arguments arrive as filled columns, and constant text
+  /// widens to 0 — it is bind-time configuration, not a runtime input).
+  /// Writes one result per row to `out[r]`: booleans as 0/1, integer
+  /// results integral-valued.
   ///
   /// Precision contract: integer/timestamp arguments round-trip through
   /// double, so they are exact only up to 2^53. Microsecond-epoch
   /// timestamps stay exact until the year 2255; a function whose integer
   /// arguments can exceed 2^53 must not opt in (leave `ScalarEvaluable`
   /// false — the interpreter keeps int64 exact).
-  virtual double EvalScalar(const double* args) const {
+  virtual void EvalColumn(const double* const* args, size_t n,
+                          double* out) const {
     (void)args;
-    return 0.0;
+    for (size_t r = 0; r < n; ++r) out[r] = 0.0;
   }
 
   /// Hook called at the end of `Bind` (argument types are known).
@@ -236,7 +240,10 @@ ExprPtr Fn(const std::string& name, std::vector<ExprPtr> args);
 
 /// \brief Builds a function expression from a plain callable — the
 /// lightweight path for runtime operator definition (no subclass needed).
-/// \p fn receives the evaluated argument values.
+/// \p fn receives the evaluated argument values. Unless the output or a
+/// runtime argument is text, the expression compiles to a batch kernel
+/// that calls \p fn once per row — also for rows a compiled AND/OR would
+/// have short-circuited — so \p fn must be pure.
 ExprPtr MakeLambdaExpr(std::string name, std::vector<ExprPtr> args,
                        DataType output_type,
                        std::function<Value(const std::vector<Value>&)> fn);

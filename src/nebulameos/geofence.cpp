@@ -1,9 +1,9 @@
 #include "nebulameos/geofence.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
 
 namespace nebulameos::integration {
 
@@ -114,70 +114,148 @@ const Poi* GeofenceRegistry::FindPoi(const std::string& name) const {
   return nullptr;
 }
 
-GeofenceRegistry::CellKey GeofenceRegistry::CellOf(double x, double y) const {
-  return CellKey{static_cast<int32_t>(std::floor(x / cell_deg_)),
-                 static_cast<int32_t>(std::floor(y / cell_deg_))};
+namespace {
+
+uint64_t PackCell(int32_t cx, int32_t cy) {
+  return (uint64_t{static_cast<uint32_t>(cx)} << 32) |
+         static_cast<uint32_t>(cy);
+}
+
+}  // namespace
+
+bool GeofenceRegistry::CellIndex(double v, int32_t* out) const {
+  const double c = std::floor(v / cell_deg_);
+  // Written so that NaN fails too: every comparison with NaN is false.
+  if (!(c >= static_cast<double>(std::numeric_limits<int32_t>::min()) &&
+        c <= static_cast<double>(std::numeric_limits<int32_t>::max()))) {
+    return false;
+  }
+  *out = static_cast<int32_t>(c);
+  return true;
+}
+
+size_t GeofenceRegistry::SlotOf(uint64_t key) const {
+  // Fibonacci hashing: the product's high bits depend on every bit of the
+  // key. Its low bits depend on the low bits of cy alone, so every cell
+  // sharing a cy would collide.
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> slot_shift_);
+}
+
+const GeofenceRegistry::Cell* GeofenceRegistry::FindCell(
+    const Point& p) const {
+  int32_t cx = 0;
+  int32_t cy = 0;
+  if (num_cells_ == 0 || !CellIndex(p.x, &cx) || !CellIndex(p.y, &cy)) {
+    return nullptr;
+  }
+  const uint64_t key = PackCell(cx, cy);
+  const size_t mask = cells_.size() - 1;
+  // Terminates: the table is at most half full.
+  for (size_t i = SlotOf(key);; i = (i + 1) & mask) {
+    const Cell& cell = cells_[i];
+    if (cell.zones.empty()) return nullptr;
+    if (cell.key == key) return &cell;
+  }
+}
+
+GeofenceRegistry::Cell& GeofenceRegistry::CellFor(uint64_t key) {
+  if (2 * (num_cells_ + 1) > cells_.size()) {
+    std::vector<Cell> old = std::move(cells_);
+    cells_ = std::vector<Cell>(std::max<size_t>(16, 2 * old.size()));
+    slot_shift_ = 64 - std::countr_zero(cells_.size());
+    const size_t mask = cells_.size() - 1;
+    for (Cell& cell : old) {
+      if (cell.zones.empty()) continue;
+      size_t i = SlotOf(cell.key);
+      while (!cells_[i].zones.empty()) i = (i + 1) & mask;
+      cells_[i] = std::move(cell);
+    }
+  }
+  const size_t mask = cells_.size() - 1;
+  size_t i = SlotOf(key);
+  while (!cells_[i].zones.empty() && cells_[i].key != key) i = (i + 1) & mask;
+  if (cells_[i].zones.empty()) {
+    cells_[i].key = key;
+    ++num_cells_;
+  }
+  return cells_[i];
 }
 
 void GeofenceRegistry::IndexZone(size_t zone_index) {
   const meos::GeoBox box = zones_[zone_index].BoundingBox();
-  const CellKey lo = CellOf(box.xmin, box.ymin);
-  const CellKey hi = CellOf(box.xmax, box.ymax);
-  for (int32_t cx = lo.cx; cx <= hi.cx; ++cx) {
-    for (int32_t cy = lo.cy; cy <= hi.cy; ++cy) {
-      grid_[CellKey{cx, cy}].push_back(zone_index);
+  int32_t x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+  // A box with a non-finite or out-of-range corner indexes nowhere.
+  if (!CellIndex(box.xmin, &x0) || !CellIndex(box.ymin, &y0) ||
+      !CellIndex(box.xmax, &x1) || !CellIndex(box.ymax, &y1)) {
+    return;
+  }
+  const CellZone entry{static_cast<uint32_t>(zone_index),
+                       zones_[zone_index].kind};
+  for (int64_t cx = x0; cx <= x1; ++cx) {
+    for (int64_t cy = y0; cy <= y1; ++cy) {
+      CellFor(PackCell(static_cast<int32_t>(cx), static_cast<int32_t>(cy)))
+          .zones.push_back(entry);
     }
   }
+}
+
+template <typename Visit>
+bool GeofenceRegistry::VisitCandidates(const Point& p,
+                                       std::optional<ZoneKind> kind,
+                                       const Visit& visit) const {
+  if (!index_enabled_) {
+    for (const Zone& z : zones_) {
+      if ((!kind || z.kind == *kind) && visit(z)) return true;
+    }
+    return false;
+  }
+  const Cell* cell = FindCell(p);
+  if (cell == nullptr) return false;
+  for (const CellZone& cz : cell->zones) {
+    if ((!kind || cz.kind == *kind) && visit(zones_[cz.index])) return true;
+  }
+  return false;
 }
 
 std::vector<const Zone*> GeofenceRegistry::ZonesContaining(
     const Point& p, std::optional<ZoneKind> kind) const {
   std::vector<const Zone*> out;
-  auto consider = [&](const Zone& z) {
-    if (kind && z.kind != *kind) return;
+  VisitCandidates(p, kind, [&](const Zone& z) {
     if (z.Contains(p)) out.push_back(&z);
-  };
-  if (index_enabled_) {
-    auto it = grid_.find(CellOf(p.x, p.y));
-    if (it == grid_.end()) return out;
-    for (size_t idx : it->second) consider(zones_[idx]);
-  } else {
-    for (const Zone& z : zones_) consider(z);
-  }
+    return false;
+  });
   return out;
 }
 
 bool GeofenceRegistry::InAnyZone(const Point& p,
                                  std::optional<ZoneKind> kind) const {
-  auto matches = [&](const Zone& z) {
-    return (!kind || z.kind == *kind) && z.Contains(p);
-  };
-  if (index_enabled_) {
-    auto it = grid_.find(CellOf(p.x, p.y));
-    if (it == grid_.end()) return false;
-    for (size_t idx : it->second) {
-      if (matches(zones_[idx])) return true;
-    }
-    return false;
-  }
-  for (const Zone& z : zones_) {
-    if (matches(z)) return true;
-  }
-  return false;
+  return VisitCandidates(p, kind,
+                         [&](const Zone& z) { return z.Contains(p); });
 }
 
 int64_t GeofenceRegistry::ZoneIdAt(const Point& p,
                                    std::optional<ZoneKind> kind) const {
-  const auto zones = ZonesContaining(p, kind);
-  return zones.empty() ? -1 : zones.front()->id;
+  int64_t id = -1;
+  VisitCandidates(p, kind, [&](const Zone& z) {
+    if (!z.Contains(p)) return false;
+    id = z.id;
+    return true;
+  });
+  return id;
 }
 
 double GeofenceRegistry::SpeedLimitAt(const Point& p,
                                       double default_kmh) const {
   double limit = default_kmh;
-  for (const Zone* z : ZonesContaining(p)) {
-    if (z->speed_limit_kmh > 0.0) limit = std::min(limit, z->speed_limit_kmh);
-  }
+  VisitCandidates(p, std::nullopt, [&](const Zone& z) {
+    // Only a positive limit below the current one can lower it, so the
+    // containment test runs for those zones alone.
+    if (z.speed_limit_kmh > 0.0 && z.speed_limit_kmh < limit &&
+        z.Contains(p)) {
+      limit = z.speed_limit_kmh;
+    }
+    return false;
+  });
   return limit;
 }
 

@@ -11,10 +11,23 @@
 /// containment lookups go through a uniform grid index over zone bounding
 /// boxes (MEOS-style box pruning before exact geometry tests), which the
 /// A1 ablation benchmark can disable.
+///
+/// The grid index is a flat open-addressing hash table over the *occupied*
+/// cells only, so a containment probe costs one hash of the packed cell
+/// coordinates and a short linear probe instead of a tree walk. Memory is
+/// proportional to the number of occupied cells (the power-of-two table
+/// is kept at most half full), never to the area between distant zones.
+/// Each cell lists its candidate zones with their kinds in registration
+/// order, so a kind-filtered probe reads no `Zone` it does not test, and
+/// the first match is the lowest id.
+///
+/// Probe coordinates come from the stream: a NaN, an infinity or a value
+/// whose cell index does not fit in `int32_t` maps to no cell, and the
+/// lookups answer as the linear scan does for a point inside no zone
+/// (false, -1, or the default speed limit).
 
 #pragma once
 
-#include <map>
 #include <optional>
 #include <variant>
 
@@ -104,7 +117,8 @@ class GeofenceRegistry {
   bool InAnyZone(const Point& p,
                  std::optional<ZoneKind> kind = std::nullopt) const;
 
-  /// Id of the first zone containing \p p (kind-filtered), or -1.
+  /// Id of the first (lowest-id) zone containing \p p (kind-filtered), or
+  /// -1.
   int64_t ZoneIdAt(const Point& p,
                    std::optional<ZoneKind> kind = std::nullopt) const;
 
@@ -129,23 +143,42 @@ class GeofenceRegistry {
   const std::vector<Poi>& pois() const { return pois_; }
 
  private:
-  struct CellKey {
-    int32_t cx;
-    int32_t cy;
-    bool operator<(const CellKey& o) const {
-      return cx != o.cx ? cx < o.cx : cy < o.cy;
-    }
+  /// One candidate zone of a cell: index into `zones_` and its kind.
+  struct CellZone {
+    uint32_t index;
+    ZoneKind kind;
+  };
+  /// One slot of the cell table; a slot with no zones is free.
+  struct Cell {
+    uint64_t key = 0;  ///< packed (cx, cy)
+    std::vector<CellZone> zones;
   };
 
   void IndexZone(size_t zone_index);
-  CellKey CellOf(double x, double y) const;
+  /// The cell index of coordinate \p v; false when it is not finite or
+  /// does not fit in int32.
+  bool CellIndex(double v, int32_t* out) const;
+  size_t SlotOf(uint64_t key) const;
+  /// The table cell holding \p p, or nullptr when no zone's box covers it.
+  const Cell* FindCell(const Point& p) const;
+  /// The cell for \p key, claimed (and the table grown) when absent.
+  Cell& CellFor(uint64_t key);
+  /// Calls \p visit on every zone (of \p kind, when given) that may hold
+  /// \p p, in registration order, until it returns true; returns whether
+  /// it did.
+  template <typename Visit>
+  bool VisitCandidates(const Point& p, std::optional<ZoneKind> kind,
+                       const Visit& visit) const;
 
   Metric metric_;
   double cell_deg_;
   bool index_enabled_ = true;
   std::vector<Zone> zones_;
   std::vector<Poi> pois_;
-  std::map<CellKey, std::vector<size_t>> grid_;
+  /// Open-addressing table, power-of-two sized, at most half full.
+  std::vector<Cell> cells_;
+  size_t num_cells_ = 0;
+  int slot_shift_ = 64;  ///< 64 - log2(cells_.size())
 };
 
 }  // namespace nebulameos::integration

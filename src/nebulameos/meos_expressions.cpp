@@ -110,12 +110,16 @@ Value EdwithinExpression::EvalFn(const std::vector<Value>& args) const {
   return meos::PointDistance(p, poi_->location, Metric::kWgs84) <= dist_m_;
 }
 
-double EdwithinExpression::EvalScalar(const double* args) const {
-  const Point p{args[0], args[1]};
-  if (zone_ != nullptr) return zone_->DistanceTo(p) <= dist_m_ ? 1.0 : 0.0;
-  return meos::PointDistance(p, poi_->location, Metric::kWgs84) <= dist_m_
-             ? 1.0
-             : 0.0;
+void EdwithinExpression::EvalColumn(const double* const* args, size_t n,
+                                    double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    const Point p{args[0][r], args[1][r]};
+    const double d = zone_ != nullptr
+                         ? zone_->DistanceTo(p)
+                         : meos::PointDistance(p, poi_->location,
+                                               Metric::kWgs84);
+    out[r] = d <= dist_m_ ? 1.0 : 0.0;
+  }
 }
 
 // --- MeosAtStboxExpression -------------------------------------------------
@@ -175,9 +179,12 @@ Value MeosAtStboxExpression::EvalFn(const std::vector<Value>& args) const {
   return box_.Contains(p, t);
 }
 
-double MeosAtStboxExpression::EvalScalar(const double* args) const {
-  const Point p{args[0], args[1]};
-  return box_.Contains(p, static_cast<Timestamp>(args[2])) ? 1.0 : 0.0;
+void MeosAtStboxExpression::EvalColumn(const double* const* args, size_t n,
+                                       double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    const Point p{args[0][r], args[1][r]};
+    out[r] = box_.Contains(p, static_cast<Timestamp>(args[2][r])) ? 1.0 : 0.0;
+  }
 }
 
 // --- InZoneExpression --------------------------------------------------------
@@ -204,8 +211,11 @@ Value InZoneExpression::EvalFn(const std::vector<Value>& args) const {
   return zone_->Contains(Point{ValueAsDouble(args[0]), ValueAsDouble(args[1])});
 }
 
-double InZoneExpression::EvalScalar(const double* args) const {
-  return zone_->Contains(Point{args[0], args[1]}) ? 1.0 : 0.0;
+void InZoneExpression::EvalColumn(const double* const* args, size_t n,
+                                  double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = zone_->Contains(Point{args[0][r], args[1][r]}) ? 1.0 : 0.0;
+  }
 }
 
 // --- InZoneKindExpression ------------------------------------------------------
@@ -230,8 +240,12 @@ Value InZoneKindExpression::EvalFn(const std::vector<Value>& args) const {
       Point{ValueAsDouble(args[0]), ValueAsDouble(args[1])}, kind_);
 }
 
-double InZoneKindExpression::EvalScalar(const double* args) const {
-  return registry_->InAnyZone(Point{args[0], args[1]}, kind_) ? 1.0 : 0.0;
+void InZoneKindExpression::EvalColumn(const double* const* args, size_t n,
+                                      double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] =
+        registry_->InAnyZone(Point{args[0][r], args[1][r]}, kind_) ? 1.0 : 0.0;
+  }
 }
 
 // --- ZoneIdExpression ----------------------------------------------------------
@@ -256,9 +270,12 @@ Value ZoneIdExpression::EvalFn(const std::vector<Value>& args) const {
       Point{ValueAsDouble(args[0]), ValueAsDouble(args[1])}, kind_);
 }
 
-double ZoneIdExpression::EvalScalar(const double* args) const {
-  return static_cast<double>(
-      registry_->ZoneIdAt(Point{args[0], args[1]}, kind_));
+void ZoneIdExpression::EvalColumn(const double* const* args, size_t n,
+                                  double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = static_cast<double>(
+        registry_->ZoneIdAt(Point{args[0][r], args[1][r]}, kind_));
+  }
 }
 
 // --- ZoneSpeedLimitExpression -----------------------------------------------------
@@ -284,8 +301,12 @@ Value ZoneSpeedLimitExpression::EvalFn(const std::vector<Value>& args) const {
       Point{ValueAsDouble(args[0]), ValueAsDouble(args[1])}, default_kmh_);
 }
 
-double ZoneSpeedLimitExpression::EvalScalar(const double* args) const {
-  return registry_->SpeedLimitAt(Point{args[0], args[1]}, default_kmh_);
+void ZoneSpeedLimitExpression::EvalColumn(const double* const* args,
+                                          size_t n, double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] =
+        registry_->SpeedLimitAt(Point{args[0][r], args[1][r]}, default_kmh_);
+  }
 }
 
 // --- NearestPoiDistanceExpression ----------------------------------------------------
@@ -315,10 +336,11 @@ Value NearestPoiDistanceExpression::EvalFn(
   return dist;
 }
 
-double NearestPoiDistanceExpression::EvalScalar(const double* args) const {
-  double dist = 0.0;
-  registry_->NearestPoi(Point{args[0], args[1]}, kind_, &dist);
-  return dist;
+void NearestPoiDistanceExpression::EvalColumn(const double* const* args,
+                                              size_t n, double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    registry_->NearestPoi(Point{args[0][r], args[1][r]}, kind_, &out[r]);
+  }
 }
 
 // --- NearestPoiIdExpression ---------------------------------------------------------
@@ -343,9 +365,13 @@ Value NearestPoiIdExpression::EvalFn(const std::vector<Value>& args) const {
   return poi == nullptr ? int64_t{-1} : poi->id;
 }
 
-double NearestPoiIdExpression::EvalScalar(const double* args) const {
-  const Poi* poi = registry_->NearestPoi(Point{args[0], args[1]}, kind_);
-  return poi == nullptr ? -1.0 : static_cast<double>(poi->id);
+void NearestPoiIdExpression::EvalColumn(const double* const* args, size_t n,
+                                        double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    const Poi* poi =
+        registry_->NearestPoi(Point{args[0][r], args[1][r]}, kind_);
+    out[r] = poi == nullptr ? -1.0 : static_cast<double>(poi->id);
+  }
 }
 
 // --- HaversineExpression -----------------------------------------------------------
@@ -364,9 +390,12 @@ Value HaversineExpression::EvalFn(const std::vector<Value>& args) const {
       Point{ValueAsDouble(args[2]), ValueAsDouble(args[3])});
 }
 
-double HaversineExpression::EvalScalar(const double* args) const {
-  return meos::HaversineMeters(Point{args[0], args[1]},
-                               Point{args[2], args[3]});
+void HaversineExpression::EvalColumn(const double* const* args, size_t n,
+                                     double* out) const {
+  for (size_t r = 0; r < n; ++r) {
+    out[r] = meos::HaversineMeters(Point{args[0][r], args[1][r]},
+                                   Point{args[2][r], args[3][r]});
+  }
 }
 
 }  // namespace nebulameos::integration

@@ -25,11 +25,12 @@
 /// filters over MEOS predicates participate in predicate pushdown and
 /// filter fusion like any built-in expression (see nebula/optimizer.hpp).
 ///
-/// Every class also implements the batch-compiler scalar hook
-/// (`FunctionExpression::EvalScalar`): positions arrive as unboxed
-/// doubles and configuration is already bind-resolved, so MEOS predicates
-/// compile into the engine's fused batch kernels (nebula/exec/) instead
-/// of paying per-record `Value` boxing.
+/// Every class also implements the batch-compiler column hook
+/// (`FunctionExpression::EvalColumn`): a batch's positions arrive as
+/// unboxed double columns and configuration is already bind-resolved, so
+/// MEOS predicates compile into the engine's fused batch kernels
+/// (nebula/exec/) with one call per batch instead of per-record `Value`
+/// boxing.
 
 #pragma once
 
@@ -64,7 +65,8 @@ class EdwithinExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   const Zone* zone_ = nullptr;
@@ -92,7 +94,8 @@ class MeosAtStboxExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   meos::STBox box_;
@@ -109,7 +112,8 @@ class InZoneExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   const Zone* zone_ = nullptr;
@@ -127,7 +131,8 @@ class InZoneKindExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   std::shared_ptr<const GeofenceRegistry> registry_;
@@ -145,7 +150,8 @@ class ZoneIdExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   std::shared_ptr<const GeofenceRegistry> registry_;
@@ -163,7 +169,8 @@ class ZoneSpeedLimitExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   std::shared_ptr<const GeofenceRegistry> registry_;
@@ -181,7 +188,8 @@ class NearestPoiDistanceExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   std::shared_ptr<const GeofenceRegistry> registry_;
@@ -198,7 +206,8 @@ class NearestPoiIdExpression : public nebula::FunctionExpression {
   Status OnBind(const nebula::Schema& schema) override;
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 
  private:
   std::shared_ptr<const GeofenceRegistry> registry_;
@@ -214,7 +223,8 @@ class HaversineExpression : public nebula::FunctionExpression {
  protected:
   nebula::Value EvalFn(const std::vector<nebula::Value>& args) const override;
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override;
 };
 
 /// Extracts a ZoneKind from its name; nullopt for "" (any).

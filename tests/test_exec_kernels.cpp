@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <utility>
 
 #include "nebula/engine.hpp"
 #include "nebula/exec/kernels.hpp"
@@ -107,25 +109,214 @@ TEST(CompiledExpr, KernelsHonorSelectionVectors) {
   }
 }
 
+// Runtime-registered lambdas the kernel tests compile. Each reads its
+// arguments with std::get, so a kernel that boxes an argument in the wrong
+// Value alternative throws instead of passing.
+void RegisterTestLambdas() {
+  static const bool registered = [] {
+    auto reg = [](const char* name, size_t arity, DataType out,
+                  std::function<Value(const std::vector<Value>&)> fn) {
+      return RegisterLambdaFunction(name, arity, out, std::move(fn)).ok();
+    };
+    bool ok = reg("test.int_identity", 1, DataType::kInt64,
+                  [](const std::vector<Value>& v) {
+                    return Value(std::get<int64_t>(v[0]));
+                  });
+    ok &= reg("test.typed_args", 4, DataType::kDouble,
+              [](const std::vector<Value>& v) {
+                const double sign = std::get<bool>(v[0]) ? 1.0 : -1.0;
+                return Value(
+                    sign * static_cast<double>(std::get<int64_t>(v[1]) % 1000) +
+                    static_cast<double>(std::get<int64_t>(v[2]) / 1000000) +
+                    std::get<double>(v[3]));
+              });
+    ok &= reg("test.longer_than", 2, DataType::kBool,
+              [](const std::vector<Value>& v) {
+                return Value(std::get<double>(v[0]) >
+                             static_cast<double>(
+                                 std::get<std::string>(v[1]).size()));
+              });
+    // Returns a double although declared int64: the kernel converts the
+    // result with ValueAsInt64, as the interpreted Map does.
+    ok &= reg("test.halve", 1, DataType::kInt64,
+              [](const std::vector<Value>& v) {
+                return Value(ValueAsDouble(v[0]) / 2.0);
+              });
+    ok &= reg("test.text_length", 1, DataType::kInt64,
+              [](const std::vector<Value>& v) {
+                return Value(static_cast<int64_t>(
+                    std::get<std::string>(v[0]).size()));
+              });
+    ok &= reg("test.key_label", 1, DataType::kText16,
+              [](const std::vector<Value>& v) {
+                return Value("k" + std::to_string(std::get<int64_t>(v[0])));
+              });
+    return ok;
+  }();
+  ASSERT_TRUE(registered);
+}
+
+// Binds and compiles \p expr, then checks its kernel against `Eval` on
+// every row of \p buf, over the full span and over a reversed selection of
+// every other row. The kernel runs in its native type, so int64 results
+// compare exactly.
+void ExpectKernelMatchesEval(const ExprPtr& expr, const Schema& schema,
+                             const TupleBuffer& buf) {
+  ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
+  exec::KernelPtr kernel = expr->CompileKernel(schema);
+  ASSERT_NE(kernel, nullptr) << expr->ToString();
+  exec::SelectionVector sel;
+  for (size_t i = 0; i < buf.size(); i += 2) {
+    sel.push_back(static_cast<uint32_t>(buf.size() - 1 - i));
+  }
+  const exec::SelectionVector* no_sel = nullptr;
+  for (const exec::SelectionVector* s : {no_sel, &std::as_const(sel)}) {
+    const exec::RowSpan span = exec::SpanOf(buf, s);
+    std::vector<uint8_t> flags(span.count);
+    std::vector<int64_t> ints(span.count);
+    std::vector<double> doubles(span.count);
+    switch (kernel->type()) {
+      case exec::KernelType::kBool:
+        kernel->EvalBool(span, flags.data());
+        break;
+      case exec::KernelType::kInt64:
+        kernel->EvalInt64(span, ints.data());
+        break;
+      case exec::KernelType::kDouble:
+        kernel->EvalDouble(span, doubles.data());
+        break;
+    }
+    for (size_t i = 0; i < span.count; ++i) {
+      const Value v = expr->Eval(buf.At(s != nullptr ? (*s)[i] : i));
+      const std::string where = expr->ToString() + " at span row " +
+                                std::to_string(i) +
+                                (s != nullptr ? " (selection)" : "");
+      switch (kernel->type()) {
+        case exec::KernelType::kBool:
+          EXPECT_EQ(flags[i] != 0, ValueAsBool(v)) << where;
+          break;
+        case exec::KernelType::kInt64:
+          EXPECT_EQ(ints[i], ValueAsInt64(v)) << where;
+          break;
+        case exec::KernelType::kDouble:
+          EXPECT_EQ(doubles[i], ValueAsDouble(v)) << where;
+          break;
+      }
+    }
+  }
+}
+
+TEST(CompiledExpr, TextComparisonKernelsMatchInterpreter) {
+  const Schema schema =
+      Schema::Build().AddText16("a").AddText32("b").AddInt64("n").Finish();
+  // Field contents as raw bytes (zero-filled to the width): values that
+  // are equal, prefixes, full-width with no NUL, bytes >= 0x80, and
+  // non-zero bytes after the first NUL.
+  const std::string nul(1, '\0');
+  const std::vector<std::string> a_values = {
+      "even", "", "odd", "eve", "evening", "even" + nul + "garbage",
+      "abcdefghijklmnop", "\xe9t\xe9"};
+  const std::vector<std::string> b_values = {
+      "even", "", "evening", "abcdefghijklmnop",
+      "abcdefghijklmnopabcdefghijklmnop", "z" + nul + "zzzz", "\xe9t"};
+  auto buf = std::make_shared<TupleBuffer>(schema,
+                                           a_values.size() * b_values.size());
+  for (const std::string& a : a_values) {
+    for (const std::string& b : b_values) {
+      RecordWriter w = buf->Append();
+      std::memcpy(w.data() + schema.offset(0), a.data(), a.size());
+      std::memcpy(w.data() + schema.offset(1), b.data(), b.size());
+      w.SetInt64(2, 0);
+    }
+  }
+  const std::vector<std::string> literals = {
+      "even",
+      "",
+      "abcdefghijklmnop",        // exactly Text16's width
+      "abcdefghijklmnopq",       // longer than Text16, within Text32
+      std::string(40, 'x'),      // longer than both widths
+      "ev" + nul + "en",         // embedded NUL: equals no field value
+      "\xe9t\xe9",
+  };
+  for (const CompareOp op :
+       {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+        CompareOp::kEq, CompareOp::kNe}) {
+    ExpectKernelMatchesEval(Compare(op, Attribute("a"), Attribute("b")),
+                            schema, *buf);
+    ExpectKernelMatchesEval(Compare(op, Attribute("b"), Attribute("a")),
+                            schema, *buf);
+    for (const std::string& lit : literals) {
+      for (const char* field : {"a", "b"}) {
+        ExpectKernelMatchesEval(Compare(op, Attribute(field), Lit(lit)),
+                                schema, *buf);
+        ExpectKernelMatchesEval(Compare(op, Lit(lit), Attribute(field)),
+                                schema, *buf);
+      }
+    }
+  }
+}
+
+TEST(CompiledExpr, LambdaKernelsMatchInterpreter) {
+  RegisterTestLambdas();
+  const Schema schema = Schema::Build()
+                            .AddInt64("big")
+                            .AddTimestamp("ts")
+                            .AddDouble("value")
+                            .AddBool("flag")
+                            .Finish();
+  const int64_t two53 = int64_t{1} << 53;
+  auto buf = std::make_shared<TupleBuffer>(schema, 32);
+  for (int i = 0; i < 32; ++i) {
+    RecordWriter w = buf->Append();
+    w.SetInt64(0, two53 + 1 + i);  // odd values are not doubles
+    w.SetInt64(1, Seconds(1'700'000'000) + Millis(i * 250));
+    w.SetDouble(2, (i % 9) * 0.75 - 2.0);
+    w.SetBool(3, i % 3 == 0);
+  }
+  const std::vector<ExprPtr> exprs = {
+      Fn("test.int_identity", {Attribute("big")}),
+      Add(Fn("test.int_identity", {Attribute("big")}), Lit(1)),
+      Fn("test.typed_args", {Attribute("flag"), Attribute("big"),
+                             Attribute("ts"), Attribute("value")}),
+      Fn("test.longer_than", {Attribute("value"), Lit(std::string("ab"))}),
+      And(Fn("test.longer_than", {Attribute("value"), Lit(std::string(""))}),
+          Attribute("flag")),
+      Fn("test.halve", {Attribute("value")}),
+      Fn("test.int_identity", {Lit(int64_t{7})}),  // every argument constant
+  };
+  for (const ExprPtr& expr : exprs) ExpectKernelMatchesEval(expr, schema, *buf);
+
+  // The identity is exact past 2^53: a kernel that widened its int64
+  // argument through double would return 2^53 for 2^53 + 1.
+  ExprPtr identity = Fn("test.int_identity", {Attribute("big")});
+  ASSERT_TRUE(identity->Bind(schema).ok());
+  exec::KernelPtr kernel = identity->CompileKernel(schema);
+  ASSERT_NE(kernel, nullptr);
+  ASSERT_EQ(kernel->type(), exec::KernelType::kInt64);
+  std::vector<int64_t> out(buf->size());
+  kernel->EvalInt64(exec::SpanOf(*buf, nullptr), out.data());
+  EXPECT_EQ(out[0], two53 + 1);
+}
+
 TEST(CompiledExpr, TextExpressionsRefuseToCompile) {
+  RegisterTestLambdas();
   const Schema schema = EventSchema();
-  ExprPtr text_eq = Eq(Attribute("label"), Lit(std::string("even")));
-  ASSERT_TRUE(text_eq->Bind(schema).ok());
-  EXPECT_EQ(text_eq->CompileKernel(schema), nullptr);
+  auto buf = MakeBuffer(4);
   // A numeric comparison over a text field widens through the interpreter
   // only: the field leaf refuses.
   ExprPtr mixed = Gt(Attribute("label"), Lit(1.0));
-  ASSERT_TRUE(mixed->Bind(schema).ok());
-  EXPECT_EQ(mixed->CompileKernel(schema), nullptr);
-  // And a lambda-registered function without a scalar hook refuses.
-  ASSERT_TRUE(RegisterLambdaFunction(
-                  "test_boxed_identity", 1, DataType::kDouble,
-                  [](const std::vector<Value>& v) { return v[0]; })
-                  .ok() ||
-              ExpressionRegistry::Global().Contains("test_boxed_identity"));
-  ExprPtr boxed = Fn("test_boxed_identity", {Attribute("value")});
-  ASSERT_TRUE(boxed->Bind(schema).ok());
-  EXPECT_EQ(boxed->CompileKernel(schema), nullptr);
+  // A lambda over a runtime text argument, and a text-valued lambda.
+  ExprPtr text_arg = Fn("test.text_length", {Attribute("label")});
+  ExprPtr text_out = Fn("test.key_label", {Attribute("key")});
+  for (const ExprPtr& expr : {mixed, text_arg, text_out}) {
+    ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
+    EXPECT_EQ(expr->CompileKernel(schema), nullptr) << expr->ToString();
+  }
+  // They still evaluate through the interpreter.
+  const RecordView row0 = buf->At(0);  // key -2, label "even"
+  EXPECT_EQ(mixed->Eval(row0), Value(false));
+  EXPECT_EQ(text_arg->Eval(row0), Value(int64_t{4}));
+  EXPECT_EQ(text_out->Eval(row0), Value(std::string("k-2")));
 }
 
 // --- Fusion shape -----------------------------------------------------------
@@ -173,17 +364,19 @@ TEST(CompilePlanFusion, FilterMapProjectFuseIntoOneBatchPass) {
 }
 
 TEST(CompilePlanFusion, NonCompilableNodeBreaksTheRunAndFallsBack) {
+  RegisterTestLambdas();
   auto sink = std::make_shared<CountingSink>(EventSchema());
   auto plan = Query::From(MakeSource(10))
                   .Filter(Ge(Attribute("value"), Lit(1.0)))
-                  .Filter(Eq(Attribute("label"), Lit(std::string("even"))))
+                  .Filter(Gt(Fn("test.text_length", {Attribute("label")}),
+                             Lit(3)))
                   .Filter(Ge(Attribute("value"), Lit(2.0)))
                   .To(sink)
                   .Build();
   ASSERT_TRUE(plan.ok());
   auto pipe = CompilePlan(plan->source()->schema(), *plan);
   ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
-  // compiled run | interpreted text filter | compiled run.
+  // compiled run | interpreted text-argument filter | compiled run.
   ASSERT_EQ(pipe->operators.size(), 3u);
   EXPECT_EQ(pipe->operators[0]->name(), "BatchKernels(Filter)");
   EXPECT_EQ(pipe->operators[1]->name(), "Filter");
@@ -311,7 +504,9 @@ TEST(EngineCompiled, CompiledAndInterpretedRowsAgree) {
 }
 
 TEST(EngineCompiled, FallbackExpressionsKeepResultsIdentical) {
-  // Text filter (interpreted) sandwiched between compilable stages.
+  // An interpreted filter over a text-argument lambda sandwiched between
+  // compiled stages, one of them a text comparison.
+  RegisterTestLambdas();
   auto run = [](bool compiled) {
     EngineOptions options;
     options.compiled_kernels = compiled;
@@ -320,6 +515,8 @@ TEST(EngineCompiled, FallbackExpressionsKeepResultsIdentical) {
     auto plan = Query::From(MakeSource(100))
                     .Filter(Ge(Attribute("value"), Lit(5.0)))
                     .Filter(Eq(Attribute("label"), Lit(std::string("even"))))
+                    .Filter(Ge(Fn("test.text_length", {Attribute("label")}),
+                               Lit(4)))
                     .Filter(Arith(ArithOp::kMod, Attribute("key"), Lit(2)))
                     .To(sink)
                     .Build();
@@ -517,9 +714,10 @@ class CseProbeFn final : public FunctionExpression {
     return Value(std::get<double>(args[0]) * 3.0);
   }
   bool ScalarEvaluable() const override { return true; }
-  double EvalScalar(const double* args) const override {
-    ProbeCalls().fetch_add(1);
-    return args[0] * 3.0;
+  void EvalColumn(const double* const* args, size_t n,
+                  double* out) const override {
+    ProbeCalls().fetch_add(n);
+    for (size_t r = 0; r < n; ++r) out[r] = args[0][r] * 3.0;
   }
 };
 

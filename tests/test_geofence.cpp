@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nebulameos/geofence.hpp"
 #include "sncb/network.hpp"
+#include "sncb/train_sim.hpp"
 
 namespace nebulameos::integration {
 namespace {
@@ -115,17 +118,82 @@ TEST_F(RegistryTest, NearestPoiByKind) {
 }
 
 TEST_F(RegistryTest, IndexAndLinearScanAgree) {
-  // Property: containment answers must not depend on the grid index.
+  // Property: containment answers must not depend on the grid index — for
+  // every lookup, every zone kind and no kind, on this fixture's registry
+  // and on the SNCB one.
+  const sncb::RailNetwork network = sncb::BuildBelgianNetwork();
+  GeofenceRegistry sncb_registry;
+  sncb::PopulateSncbGeofences(network, &sncb_registry);
+
+  std::vector<Point> points;
   for (int i = 0; i < 200; ++i) {
-    const Point p{3.9 + 0.002 * i, 49.95 + 0.0015 * i};
-    registry_.SetIndexEnabled(true);
-    const bool indexed = registry_.InAnyZone(p);
-    const int64_t id_indexed = registry_.ZoneIdAt(p);
-    registry_.SetIndexEnabled(false);
-    EXPECT_EQ(registry_.InAnyZone(p), indexed) << "i=" << i;
-    EXPECT_EQ(registry_.ZoneIdAt(p), id_indexed) << "i=" << i;
+    points.push_back({3.9 + 0.002 * i, 49.95 + 0.0015 * i});
   }
-  registry_.SetIndexEnabled(true);
+  sncb::FleetConfig fleet;
+  fleet.tick = Seconds(5);  // a few simulated hours across the network
+  sncb::FleetSimulator sim(&network, fleet);
+  for (int i = 0; i < 6000; ++i) {
+    const sncb::TrainEvent ev = sim.Next();
+    points.push_back({ev.lon, ev.lat});
+  }
+  // Inside no zone's cell: far from Belgium, and near the ends of the
+  // int32 cell-index range.
+  for (const Point& p : std::vector<Point>{{0.0, 0.0},
+                                           {-170.0, -80.0},
+                                           {4.35, -50.85},
+                                           {1e8, 50.85},
+                                           {-1e8, -1e8}}) {
+    points.push_back(p);
+  }
+  // Coordinates without a cell index: the lookups must answer as for a
+  // point inside no zone.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Point> no_cell;
+  for (const double bad : {nan, inf, -inf, 1e300, -1e300}) {
+    no_cell.push_back({bad, 50.85});
+    no_cell.push_back({4.35, bad});
+    no_cell.push_back({bad, bad});
+  }
+  points.insert(points.end(), no_cell.begin(), no_cell.end());
+
+  const std::vector<std::optional<ZoneKind>> kinds = {
+      std::nullopt,        ZoneKind::kMaintenance,    ZoneKind::kStation,
+      ZoneKind::kWorkshop, ZoneKind::kNoiseSensitive, ZoneKind::kHighRisk,
+      ZoneKind::kWeather};
+  for (GeofenceRegistry* registry : {&registry_, &sncb_registry}) {
+    size_t hits = 0;
+    for (size_t i = 0; i < points.size(); ++i) {
+      const Point& p = points[i];
+      for (const std::optional<ZoneKind>& kind : kinds) {
+        const std::string where =
+            "point " + std::to_string(i) + " kind " +
+            (kind ? ZoneKindName(*kind) : "any");
+        registry->SetIndexEnabled(true);
+        const bool indexed = registry->InAnyZone(p, kind);
+        const int64_t id_indexed = registry->ZoneIdAt(p, kind);
+        const auto zones_indexed = registry->ZonesContaining(p, kind);
+        registry->SetIndexEnabled(false);
+        EXPECT_EQ(registry->InAnyZone(p, kind), indexed) << where;
+        EXPECT_EQ(registry->ZoneIdAt(p, kind), id_indexed) << where;
+        EXPECT_EQ(registry->ZonesContaining(p, kind), zones_indexed) << where;
+        hits += indexed ? 1 : 0;
+      }
+      registry->SetIndexEnabled(true);
+      const double limit_indexed = registry->SpeedLimitAt(p, 120.0);
+      registry->SetIndexEnabled(false);
+      EXPECT_EQ(registry->SpeedLimitAt(p, 120.0), limit_indexed)
+          << "point " << i;
+    }
+    registry->SetIndexEnabled(true);
+    EXPECT_GT(hits, 0u);  // the probes do reach zones
+    for (const Point& p : no_cell) {
+      EXPECT_FALSE(registry->InAnyZone(p));
+      EXPECT_EQ(registry->ZoneIdAt(p), -1);
+      EXPECT_TRUE(registry->ZonesContaining(p).empty());
+      EXPECT_EQ(registry->SpeedLimitAt(p, 120.0), 120.0);
+    }
+  }
 }
 
 TEST(SncbGeofences, PopulatesAllKinds) {

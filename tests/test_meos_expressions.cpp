@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "nebula/exec/compiled_expr.hpp"
 #include "nebulameos/plugin.hpp"
 
 namespace nebulameos::integration {
@@ -182,6 +185,56 @@ TEST_F(MeosExprTest, ComposesWithNativeExpressions) {
       LonLat("edwithin", {Lit(std::string("poi-ws")), Lit(100'000.0)}));
   EXPECT_TRUE(ValueAsBool(Eval(expr, 4.35, 50.85)));
   EXPECT_FALSE(ValueAsBool(Eval(expr, 4.05, 50.05)));  // inside zone-a
+}
+
+TEST_F(MeosExprTest, ColumnKernelsMatchInterpreterOnEveryFunction) {
+  // Every MEOS function compiles to one column call per batch; the kernel
+  // must reproduce Eval exactly on positions inside, near and outside the
+  // zones, the POI and the box.
+  const Schema schema = PosSchema();
+  TupleBuffer buf(schema, 11 * 11);
+  for (int i = 0; i <= 10; ++i) {
+    for (int j = 0; j <= 10; ++j) {
+      RecordWriter w = buf.Append();
+      w.SetDouble(0, 3.95 + 0.05 * i);
+      w.SetDouble(1, 49.95 + 0.1 * j);
+      w.SetInt64(2, Seconds(20 * (i + j)));
+    }
+  }
+  // Each expression with the number of distinct values it takes over the
+  // grid at least (the registry holds one POI, so its id is constant).
+  const std::vector<std::pair<ExprPtr, size_t>> cases = {
+      {LonLat("edwithin", {Lit(std::string("poi-ws")), Lit(20'000.0)}), 2},
+      {LonLat("edwithin", {Lit(std::string("zone-a")), Lit(5'000.0)}), 2},
+      {Fn("tpoint_at_stbox",
+          {Attribute("lon"), Attribute("lat"), Attribute("ts"), Lit(4.0),
+           Lit(50.0), Lit(4.3), Lit(50.6), Lit(Seconds(60)),
+           Lit(Seconds(300))}),
+       2},
+      {LonLat("in_zone", {Lit(std::string("zone-b"))}), 2},
+      {LonLat("in_zone_kind", {Lit(std::string("maintenance"))}), 2},
+      {LonLat("in_zone_kind", {Lit(std::string(""))}), 2},
+      {LonLat("zone_id", {Lit(std::string("high_risk"))}), 2},
+      {LonLat("zone_speed_limit", {Lit(120.0)}), 3},
+      {LonLat("nearest_poi_distance", {Lit(std::string("workshop"))}), 2},
+      {LonLat("nearest_poi_id", {Lit(std::string("workshop"))}), 1},
+      {Fn("haversine_m",
+          {Attribute("lon"), Attribute("lat"), Lit(4.37), Lit(50.88)}),
+       2},
+  };
+  for (const auto& [expr, min_distinct] : cases) {
+    ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
+    nebula::exec::KernelPtr kernel = expr->CompileKernel(schema);
+    ASSERT_NE(kernel, nullptr) << expr->ToString();
+    std::vector<double> out(buf.size());
+    kernel->EvalAsDouble(nebula::exec::SpanOf(buf, nullptr), out.data());
+    for (size_t r = 0; r < buf.size(); ++r) {
+      EXPECT_EQ(out[r], ValueAsDouble(expr->Eval(buf.At(r))))
+          << expr->ToString() << " row " << r;
+    }
+    EXPECT_GE(std::set<double>(out.begin(), out.end()).size(), min_distinct)
+        << expr->ToString();
+  }
 }
 
 TEST_F(MeosExprTest, ParseZoneKindNames) {
