@@ -6,7 +6,9 @@
 #   CHECK_TSAN=1 scripts/check.sh
 # builds Debug + ThreadSanitizer into build-tsan/ and runs the full
 # suite with NM_WORKER_THREADS=4, forcing every engine test through the
-# morsel-driven multi-core path under the race detector.
+# morsel-driven multi-core path under the race detector, then repeats
+# test_buffer_manager 20 times to race the pools' on-demand buffer
+# creation.
 #
 # Opt-in fault-injection gate (mirrors the CI `fault-injection` job):
 #   CHECK_FAULTS=1 scripts/check.sh
@@ -95,6 +97,7 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
   cmake --build "$BUILD_DIR" -j
   cd "$BUILD_DIR" && NM_WORKER_THREADS=4 ctest --output-on-failure -j
+  ctest -R test_buffer_manager --repeat until-fail:20 --output-on-failure
   exit 0
 fi
 

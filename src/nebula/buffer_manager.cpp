@@ -15,17 +15,12 @@ BufferManager::BufferManager(Schema schema, size_t tuples_per_buffer,
       tuples_per_buffer_(tuples_per_buffer),
       pool_size_(pool_size) {
   free_.reserve(pool_size_);
-  for (size_t i = 0; i < pool_size_; ++i) {
-    free_.push_back(
-        std::make_unique<TupleBuffer>(schema_, tuples_per_buffer_));
-  }
 }
 
 TupleBufferPtr BufferManager::Acquire() {
   MutexLock lock(mutex_);
-  while (free_.empty()) cv_.Wait(mutex_);
-  auto buf = std::move(free_.back());
-  free_.pop_back();
+  while (free_.empty() && created_ == pool_size_) cv_.Wait(mutex_);
+  auto buf = TakeLocked();
   total_acquired_.fetch_add(1, std::memory_order_relaxed);
   lock.Unlock();
   return Wrap(std::move(buf));
@@ -33,9 +28,8 @@ TupleBufferPtr BufferManager::Acquire() {
 
 TupleBufferPtr BufferManager::TryAcquire() {
   MutexLock lock(mutex_);
-  if (free_.empty()) return nullptr;
-  auto buf = std::move(free_.back());
-  free_.pop_back();
+  if (free_.empty() && created_ == pool_size_) return nullptr;
+  auto buf = TakeLocked();
   total_acquired_.fetch_add(1, std::memory_order_relaxed);
   lock.Unlock();
   return Wrap(std::move(buf));
@@ -43,7 +37,23 @@ TupleBufferPtr BufferManager::TryAcquire() {
 
 size_t BufferManager::available() const {
   MutexLock lock(mutex_);
-  return free_.size();
+  return free_.size() + (pool_size_ - created_);
+}
+
+size_t BufferManager::created() const {
+  MutexLock lock(mutex_);
+  return created_;
+}
+
+std::unique_ptr<TupleBuffer> BufferManager::TakeLocked() {
+  if (free_.empty()) {
+    auto buf = std::make_unique<TupleBuffer>(schema_, tuples_per_buffer_);
+    ++created_;
+    return buf;
+  }
+  auto buf = std::move(free_.back());
+  free_.pop_back();
+  return buf;
 }
 
 TupleBufferPtr BufferManager::Wrap(std::unique_ptr<TupleBuffer> buf) {

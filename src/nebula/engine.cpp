@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "nebula/analysis/pipeline_verifier.hpp"
@@ -46,8 +47,22 @@ uint64_t HashKeyText(const std::string& s) {
   return h;
 }
 
-// Buffers per schema pool of a query's execution context.
+// Cap on the buffers each schema pool of a query's execution context
+// builds; pools start empty and build on demand up to it.
 constexpr size_t kBuffersPerPool = 128;
+
+// `EngineOptions::tuples_per_buffer` must be in [1, UINT32_MAX]: sources
+// fill a zero-capacity buffer with no rows and report more to come, so
+// the ingest loop spins, and selection vectors index rows as uint32_t.
+Status CheckTuplesPerBuffer(size_t tuples_per_buffer) {
+  if (tuples_per_buffer == 0 ||
+      tuples_per_buffer > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "EngineOptions::tuples_per_buffer must be in [1, 2^32 - 1], got " +
+        std::to_string(tuples_per_buffer));
+  }
+  return Status::OK();
+}
 
 // Morsels a strand queues before a post from the ingest thread blocks
 // (or sheds, under a degradation shed policy): the bounded morsel queue
@@ -553,6 +568,7 @@ NodeEngine::~NodeEngine() {
 }
 
 Result<int> NodeEngine::Submit(LogicalPlan plan) {
+  NM_RETURN_NOT_OK(CheckTuplesPerBuffer(options_.tuples_per_buffer));
   NM_RETURN_NOT_OK(plan.Validate());
   auto rq = std::make_unique<RunningQuery>();
   rq->plan_text.logical = plan.Explain();
@@ -612,6 +628,7 @@ Result<NodeEngine::RunningQuery*> NodeEngine::Find(int query_id) const {
 }
 
 Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
+  NM_RETURN_NOT_OK(CheckTuplesPerBuffer(options_.tuples_per_buffer));
   if (plan.source() == nullptr) {
     return Status::InvalidArgument("shared plan has no source");
   }
@@ -785,6 +802,7 @@ Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
     stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
   }
   stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
+  stats.buffers_created = rq->ctx->TotalBuffersCreated();
   stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
   const std::string prefix = br->pipeline->path + "/";
   for (const OperatorPtr& op : br->pipeline->operators) {
@@ -940,6 +958,7 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
     stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
   }
   stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
+  stats.buffers_created = rq->ctx->TotalBuffersCreated();
   stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
   // Depth-first over the pipeline tree: operators keyed by DAG path, one
   // SinkStats entry per leaf, emitted totals summed across sinks. Fused

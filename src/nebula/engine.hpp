@@ -60,6 +60,11 @@ struct QueryStats {
   /// scale with branch count, and selection-vector filtering means
   /// filters draw nothing at all.
   uint64_t buffers_acquired = 0;
+  /// Pooled buffers built across every schema pool of the query. Pools
+  /// build on demand up to their cap and reuse what they built, so this
+  /// is the query's in-flight high-water mark, summed over its pools —
+  /// the memory its buffers hold, in buffers.
+  uint64_t buffers_created = 0;
   /// Morsel tasks shed at saturated strand queues under a degradation
   /// shed policy (always 0 under the default `ShedPolicy::kBlock`).
   uint64_t tasks_shed = 0;
@@ -92,8 +97,11 @@ struct QueryStats {
 
 /// \brief Engine configuration.
 struct EngineOptions {
-  /// Records per buffer; each query's buffer pools hold 128 buffers per
-  /// schema.
+  /// Records per buffer, in [1, 2^32 - 1] (`Submit` and `SubmitShared`
+  /// reject other values: a zero-capacity buffer never fills, and
+  /// selection vectors index rows as `uint32_t`). Each query keeps one
+  /// buffer pool per schema, which builds buffers as the query draws them
+  /// and holds at most 128.
   size_t tuples_per_buffer = 1024;
   /// Workers in the morsel-driven pool. 1 executes every query inline on
   /// its ingest thread; N > 1 runs fan-out branches concurrently and

@@ -114,8 +114,9 @@ class FlowCounters {
 /// \brief Shared runtime services for one query execution.
 class ExecutionContext {
  public:
-  /// \p tuples_per_buffer and \p pool_size shape every pool this context
-  /// creates (one pool per distinct schema).
+  /// \p tuples_per_buffer shapes every pool this context creates (one pool
+  /// per distinct schema), and \p pool_size caps the buffers each builds.
+  /// Pools start empty and build buffers as queries draw them.
   explicit ExecutionContext(size_t tuples_per_buffer = 1024,
                             size_t pool_size = 128)
       : tuples_per_buffer_(tuples_per_buffer), pool_size_(pool_size) {}
@@ -131,6 +132,11 @@ class ExecutionContext {
   /// branch hand-off shares the batch instead of drawing a copy, so this
   /// must not scale with branch count.
   uint64_t TotalBuffersAcquired() const;
+
+  /// Total buffers built across every pool of this context: the query's
+  /// in-flight high-water mark per pool, summed (at most the cap per
+  /// pool), since pools build on demand and never free before they die.
+  uint64_t TotalBuffersCreated() const;
 
  private:
   size_t tuples_per_buffer_;

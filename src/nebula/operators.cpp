@@ -27,6 +27,13 @@ uint64_t ExecutionContext::TotalBuffersAcquired() const {
   return total;
 }
 
+uint64_t ExecutionContext::TotalBuffersCreated() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  uint64_t total = 0;
+  for (const auto& [key, pool] : pools_) total += pool->created();
+  return total;
+}
+
 // --- Operator batch bridge ----------------------------------------------------
 
 namespace {

@@ -5,15 +5,19 @@
 /// region holding `capacity` fixed-size records of one schema, plus stream
 /// metadata (sequence number, watermark). `RecordView` / `RecordWriter`
 /// provide typed, offset-computed access to one record. Buffers are pooled
-/// by `BufferManager` (see buffer_manager.hpp) so steady-state processing
-/// performs no allocation — the property that lets NebulaStream run on
-/// constrained edge devices.
+/// by `BufferManager` (see buffer_manager.hpp), which builds them on demand
+/// up to a cap and reuses them, so once a query's pools reach their
+/// in-flight high-water mark, steady-state processing performs no
+/// allocation — the property that lets NebulaStream run on constrained
+/// edge devices.
 
 #pragma once
 
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -117,10 +121,12 @@ class RecordWriter {
 class TupleBuffer {
  public:
   /// Creates a buffer for \p schema with room for \p capacity records.
+  /// Throws `std::length_error` when the byte size would not fit in a
+  /// `size_t`, as `std::vector` does above `max_size()`.
   TupleBuffer(Schema schema, size_t capacity)
       : schema_(std::move(schema)),
         capacity_(capacity),
-        bytes_(schema_.record_size() * capacity) {}
+        bytes_(ByteSize(schema_.record_size(), capacity)) {}
 
   const Schema& schema() const { return schema_; }
   size_t capacity() const { return capacity_; }
@@ -200,6 +206,14 @@ class TupleBuffer {
   void set_watermark(Timestamp w) { watermark_ = w; }
 
  private:
+  static size_t ByteSize(size_t record_size, size_t capacity) {
+    if (record_size != 0 &&
+        capacity > std::numeric_limits<size_t>::max() / record_size) {
+      throw std::length_error("TupleBuffer byte size overflows size_t");
+    }
+    return record_size * capacity;
+  }
+
   Schema schema_;
   size_t capacity_;
   std::vector<uint8_t> bytes_;

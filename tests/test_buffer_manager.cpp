@@ -1,18 +1,21 @@
 // Tier-2 tests of BufferManager under exhaustion: Acquire blocking until a
 // handle recycles, TryAcquire returning nullptr, handle-drop recycling with
 // state reset (including the immutability seal), and the pool-accounting
-// counter behind the zero-copy fan-out acceptance. The multi-threaded
+// counter behind the zero-copy fan-out acceptance. Pools build buffers on
+// demand: a new pool holds none, reuse builds nothing, the cap bounds
+// creation and a throwing build leaves the pool unchanged. The multi-threaded
 // torture tests at the bottom gate the pool's concurrency contract for
 // morsel-driven execution (run them under TSan via scripts/check.sh tsan
 // mode): no buffer is ever handed to two owners at once, `total_acquired`
-// is exact under contention, and Acquire never deadlocks while recyclers
-// make progress.
+// is exact under contention, creation never passes the cap, and Acquire
+// never deadlocks while recyclers make progress.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -78,6 +81,66 @@ TEST(BufferManager, HandleDropRecyclesAndResetsState) {
   again->Append().SetInt64(0, 1);  // must not assert
 }
 
+TEST(BufferManager, NewPoolBuildsNothing) {
+  auto pool = BufferManager::Create(EventSchema(), 4, 3);
+  EXPECT_EQ(pool->created(), 0u);
+  EXPECT_EQ(pool->available(), pool->pool_size());
+  EXPECT_EQ(pool->pool_size(), 3u);
+}
+
+TEST(BufferManager, ReuseBuildsNoSecondBuffer) {
+  auto pool = BufferManager::Create(EventSchema(), 4, 3);
+  { TupleBufferPtr a = pool->Acquire(); }
+  EXPECT_EQ(pool->created(), 1u);
+  EXPECT_EQ(pool->available(), 3u);
+  TupleBufferPtr again = pool->Acquire();
+  EXPECT_EQ(pool->created(), 1u);
+  EXPECT_EQ(pool->available(), 2u);
+  EXPECT_EQ(pool->total_acquired(), 2u);
+  // Only a second buffer in flight needs a second build.
+  TupleBufferPtr second = pool->TryAcquire();
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second.get(), again.get());
+  EXPECT_EQ(pool->created(), 2u);
+}
+
+TEST(BufferManager, TryAcquireAtCapBuildsNothing) {
+  auto pool = BufferManager::Create(EventSchema(), 4, 2);
+  TupleBufferPtr a = pool->Acquire();
+  TupleBufferPtr b = pool->Acquire();
+  EXPECT_EQ(pool->created(), 2u);
+  EXPECT_EQ(pool->TryAcquire(), nullptr);
+  EXPECT_EQ(pool->created(), 2u);
+  EXPECT_EQ(pool->available(), 0u);
+  EXPECT_EQ(pool->total_acquired(), 2u);
+}
+
+// 16-byte records at SIZE_MAX / 16 per buffer: the byte size fits in a
+// size_t but exceeds std::vector's max_size(), so building the buffer
+// throws length_error before allocating. The failed build must leave the
+// pool as it was: nothing counted as built or handed out, and the whole
+// cap still available.
+TEST(BufferManager, ThrowingBuildLeavesThePoolUnchanged) {
+  const size_t capacity = SIZE_MAX / 16;
+  auto pool = BufferManager::Create(EventSchema(), capacity, 2);
+  ASSERT_EQ(EventSchema().record_size(), 16u);
+  EXPECT_THROW(pool->Acquire(), std::length_error);
+  EXPECT_THROW(pool->TryAcquire(), std::length_error);
+  EXPECT_EQ(pool->created(), 0u);
+  EXPECT_EQ(pool->available(), 2u);
+  EXPECT_EQ(pool->total_acquired(), 0u);
+}
+
+// A 16-byte schema at SIZE_MAX / 16 + 2 records would need 2^64 + 16
+// bytes: the product wraps to 16, and a buffer that size behind a
+// capacity of 2^60 + 1 would let its second Append write past the heap
+// block. The constructor refuses instead, allocating nothing.
+TEST(TupleBuffer, ByteSizeOverflowThrows) {
+  ASSERT_EQ(EventSchema().record_size(), 16u);
+  EXPECT_THROW(TupleBuffer(EventSchema(), SIZE_MAX / 16 + 2),
+               std::length_error);
+}
+
 TEST(BufferManager, TotalAcquiredCountsEveryHandOut) {
   auto pool = BufferManager::Create(EventSchema(), 4, 2);
   EXPECT_EQ(pool->total_acquired(), 0u);
@@ -126,6 +189,7 @@ TEST(BufferManagerTorture, ConcurrentAcquireNeverDoubleHandsOut) {
   EXPECT_EQ(overlaps.load(), 0u);
   EXPECT_EQ(pool->total_acquired(), kThreads * kRounds);
   EXPECT_EQ(pool->available(), kPoolSize);
+  EXPECT_LE(pool->created(), pool->pool_size());
 }
 
 // Mixed Acquire/TryAcquire contention: TryAcquire may fail (exhaustion)
@@ -154,6 +218,7 @@ TEST(BufferManagerTorture, TotalAcquiredExactUnderMixedContention) {
   EXPECT_EQ(pool->total_acquired(), successes.load());
   EXPECT_GE(successes.load(), kThreads * kRounds / 2);  // Acquire half
   EXPECT_EQ(pool->available(), 2u);
+  EXPECT_LE(pool->created(), pool->pool_size());
 }
 
 // Handles recycled from a dedicated dropper thread while acquirers block:
@@ -196,6 +261,7 @@ TEST(BufferManagerTorture, CrossThreadDropUnblocksAcquirers) {
   handoff.clear();  // any stragglers the dropper missed
   EXPECT_EQ(pool->total_acquired(), kAcquirers * kPerThread);
   EXPECT_EQ(pool->available(), 1u);
+  EXPECT_LE(pool->created(), pool->pool_size());
 }
 
 }  // namespace

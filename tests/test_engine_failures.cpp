@@ -363,6 +363,43 @@ TEST(EngineFailures, SharedHostClientsWaitConcurrently) {
   EXPECT_EQ(sink_b->events(), 2000u);
 }
 
+// EngineOptions::tuples_per_buffer outside [1, 2^32 - 1] is refused by
+// Submit and SubmitShared before anything compiles or allocates: at 0 the
+// ingest loop would spin on zero-row buffers, and above UINT32_MAX
+// selection-vector row indices would truncate.
+TEST(EngineFailures, OutOfRangeTuplesPerBufferRejected) {
+  for (const size_t tuples : {size_t{0}, size_t{1} << 32}) {
+    EngineOptions options;
+    options.tuples_per_buffer = tuples;
+    NodeEngine engine(options);
+    auto sink = std::make_shared<CountingSink>(EventSchema());
+    auto plain = engine.Submit(Query::From(SharedNamedSource(10)).To(sink));
+    ASSERT_FALSE(plain.ok()) << tuples;
+    EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plain.status().message().find("tuples_per_buffer"),
+              std::string::npos)
+        << plain.status().ToString();
+
+    LogicalPlan prefix;
+    prefix.SetSource(SharedNamedSource(10));
+    auto shared = engine.SubmitShared(std::move(prefix));
+    ASSERT_FALSE(shared.ok()) << tuples;
+    EXPECT_EQ(shared.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(shared.status().message().find("tuples_per_buffer"),
+              std::string::npos)
+        << shared.status().ToString();
+  }
+  // One record per buffer is in range and runs.
+  EngineOptions one;
+  one.tuples_per_buffer = 1;
+  NodeEngine engine(one);
+  auto sink = std::make_shared<CountingSink>(EventSchema());
+  auto id = engine.Submit(Query::From(SharedNamedSource(10)).To(sink));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_TRUE(engine.RunToCompletion(*id).ok());
+  EXPECT_EQ(sink->events(), 10u);
+}
+
 TEST(EngineFailures, DoubleStartRejected) {
   NodeEngine engine;
   auto source = std::make_unique<MemorySource>(

@@ -327,7 +327,8 @@ TEST_F(QueriesTest, SharedIngestFanOutServesAlertsAndArchiveFromOneStream) {
 
 // The paper's plans return the same row sets compiled and interpreted, at
 // 1 and at 4 workers: Q1-Q8, the Q4 join variant and the shared-ingest
-// fan-out. Every Filter and Map in them compiles to a batch kernel.
+// fan-out. Every Filter and Map in them compiles to a batch kernel, and
+// every run builds only the pool buffers it keeps in flight.
 TEST_F(QueriesTest, PaperPlansCompileAndMatchInterpretedRowSets) {
   using Rows = std::vector<std::vector<Value>>;
   QueryOptions options = SmallRun(200'000);
@@ -363,6 +364,21 @@ TEST_F(QueriesTest, PaperPlansCompileAndMatchInterpretedRowSets) {
     auto id = engine.Submit(std::move(built.plan));
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_TRUE(engine.RunToCompletion(*id).ok());
+    // Pools build buffers on demand, so a query holds the buffers it keeps
+    // in flight: hundreds drawn, a handful built at 1 worker, and far
+    // below one full 128-buffer pool at 4. The engine guarantees only the
+    // 128-per-pool cap (hand-offs from workers never block); 8 and 64 are
+    // margins over the peaks seen, 6 at 1 worker and 15 at 4.
+    auto stats = engine.Stats(*id);
+    if (!stats.ok()) {
+      ADD_FAILURE() << "plan " << q << ": " << stats.status().ToString();
+      return std::vector<Rows>{};
+    }
+    EXPECT_GT(stats->buffers_created, 0u) << "plan " << q;
+    EXPECT_LE(stats->buffers_created, workers == 1 ? 8u : 64u)
+        << "plan " << q << " compiled=" << compiled << " workers=" << workers;
+    EXPECT_LT(stats->buffers_created, stats->buffers_acquired)
+        << "plan " << q << " compiled=" << compiled << " workers=" << workers;
     std::vector<Rows> per_sink;
     for (const auto& sink : built.sinks) {
       Rows rows = sink->Rows();
