@@ -47,8 +47,8 @@ void RunWindowBench(benchmark::State& state, const WindowSpec& spec) {
     (void)(*op)->Open(&ctx);
     auto input = MakeInput(8192, keys, 0);
     state.ResumeTiming();
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
-    (void)(*op)->Finish([](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
+    (void)(*op)->Finish([](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }
@@ -80,8 +80,8 @@ void BM_ThresholdWindow(benchmark::State& state) {
     (void)(*op)->Open(&ctx);
     auto input = MakeInput(8192, keys, 0);
     state.ResumeTiming();
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
-    (void)(*op)->Finish([](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
+    (void)(*op)->Finish([](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }

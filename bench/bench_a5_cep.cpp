@@ -59,7 +59,7 @@ void BM_CepPatternLength(benchmark::State& state) {
     (void)(*op)->Open(&ctx);
     auto input = MakeInput(8192, 6, steps);
     state.ResumeTiming();
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }
@@ -75,7 +75,7 @@ void BM_CepKeyCount(benchmark::State& state) {
     (void)(*op)->Open(&ctx);
     auto input = MakeInput(8192, keys, 3);
     state.ResumeTiming();
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }
@@ -99,7 +99,7 @@ void BM_CepKleene(benchmark::State& state) {
     (void)(*op)->Open(&ctx);
     auto input = MakeInput(8192, 6, 2);
     state.ResumeTiming();
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }

@@ -64,7 +64,7 @@ void BM_LookupJoin(benchmark::State& state) {
     w.SetDouble(2, static_cast<double>(i));
   }
   for (auto _ : state) {
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
   state.SetLabel(std::to_string(cells) + " keys x " +
@@ -96,7 +96,7 @@ void BM_LookupJoinMissHeavy(benchmark::State& state) {
     w.SetDouble(2, 0.0);
   }
   for (auto _ : state) {
-    (void)(*op)->Process(input, [](const TupleBufferPtr&) {});
+    (void)(*op)->ProcessBatch(exec::Batch(input), [](const exec::Batch&) {});
   }
   state.SetItemsProcessed(state.iterations() * 8192);
 }

@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
   // the last fired window per train.
   std::map<int64_t, std::vector<std::string>> latest;
   Timestamp last_window = 0;
-  auto collect = [&](const TupleBufferPtr& out) {
-    for (size_t i = 0; i < out->size(); ++i) {
-      const RecordView rec = out->At(i);
+  auto collect = [&](const exec::Batch& out) {
+    for (size_t i = 0; i < out.NumRows(); ++i) {
+      const RecordView rec = out.data->At(out.RowAt(i));
       if (rec.GetInt64(1) != last_window) {
         last_window = rec.GetInt64(1);
         latest.clear();
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     }
     if (!buf->empty()) {
       const Timestamp before = last_window;
-      (void)(*op)->Process(buf, collect);
+      (void)(*op)->ProcessBatch(exec::SealedBatch(buf), collect);
       if (last_window != before) ++windows_seen;
     }
     if (!*more) break;

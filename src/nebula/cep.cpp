@@ -205,14 +205,13 @@ bool CepOperator::AdvanceRun(Run* run, const RecordView& rec, Timestamp t,
   return true;
 }
 
-Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
-  CountIn(input);
+Status CepOperator::ProcessBatch(const exec::Batch& input,
+                                 const BatchEmitFn& emit) {
   TupleBufferPtr out;
   auto ensure_out = [&]() {
     if (!out) out = ctx_->Allocate(output_schema_);
     if (out->full()) {
-      CountOut(*out);
-      emit(out);
+      emit(exec::SealedBatch(out));
       out = ctx_->Allocate(output_schema_);
     }
   };
@@ -291,24 +290,8 @@ Status CepOperator::DoProcess(const exec::Batch& input, const EmitFn& emit) {
     }
   }
   if (shed > 0) CountShed(shed);
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (out && !out->empty()) emit(exec::SealedBatch(std::move(out)));
   return Status::OK();
-}
-
-Status CepOperator::Process(const TupleBufferPtr& input, const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status CepOperator::ProcessBatch(const exec::Batch& input,
-                                 const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
 }
 
 size_t CepOperator::ActiveRuns() const {

@@ -97,17 +97,9 @@ class CepOperator : public Operator {
 
   std::string name() const override { return "CEP"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware: feeds selected rows straight through the NFA —
-  /// a hash-partitioned CEP input (engine worker strands) draws no extra
-  /// pool buffers for materialization.
+  /// Feeds the selected rows straight through the NFA.
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
-  void BindMetrics(metrics::MetricsRegistry* registry,
-                   const std::string& prefix) override {
-    Operator::BindMetrics(registry, prefix);
-    BindLateShed(registry, prefix);
-  }
 
   /// Currently active partial runs (all keys) — exposed for tests and
   /// capacity monitoring.
@@ -149,7 +141,8 @@ class CepOperator : public Operator {
 
   CepOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
+  bool ShedsLateRecords() const override { return true; }
+
   KeyValue KeyOf(const RecordView& rec) const;
   void EmitMatch(const KeyValue& key, const Run& run, TupleBuffer* out) const;
   // Advances `run` with event `rec` at time `t`; returns true when the run

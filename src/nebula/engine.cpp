@@ -75,6 +75,36 @@ std::string PathKey(const CompiledPipeline& seg) {
   return seg.path.empty() ? "root" : seg.path;
 }
 
+// A segment's DAG path as operator instruments and `operator_stats` keys
+// prefix it: "" at the root, "<path>/" elsewhere.
+std::string PathPrefix(const CompiledPipeline& seg) {
+  return seg.path.empty() ? "" : seg.path + "/";
+}
+
+// Appends `seg`'s sink entry to `stats`: its flow under the segment's
+// path, one `SinkStats` row, and its rows in the emitted totals.
+void AppendSinkStats(const CompiledPipeline& seg, QueryStats* stats) {
+  const OperatorStats flow = seg.sink->stats();
+  stats->operator_stats.emplace_back(PathPrefix(seg) + seg.sink->name(), flow);
+  SinkStats sink_stats;
+  sink_stats.path = seg.path;
+  sink_stats.name = seg.sink->name();
+  sink_stats.events_emitted = flow.events_in;
+  sink_stats.bytes_emitted = flow.bytes_in;
+  stats->events_emitted += sink_stats.events_emitted;
+  stats->bytes_emitted += sink_stats.bytes_emitted;
+  stats->sink_stats.push_back(std::move(sink_stats));
+}
+
+// Appends a linear segment's operator entries, then its sink's (if any).
+void AppendLinearSegmentStats(const CompiledPipeline& seg, QueryStats* stats) {
+  const std::string prefix = PathPrefix(seg);
+  for (const OperatorPtr& op : seg.operators) {
+    op->AppendStats(prefix, &stats->operator_stats);
+  }
+  if (seg.sink) AppendSinkStats(seg, stats);
+}
+
 /// Depth-first visit of every segment of a compiled pipeline tree.
 template <typename Fn>
 void ForEachSegment(const CompiledPipeline& seg, const Fn& fn) {
@@ -101,9 +131,6 @@ struct NodeEngine::RunningQuery {
   std::atomic<bool> finished{false};
   Status run_status;  // written by `worker` before it exits
 
-  // Ingest-side counters (source output).
-  std::atomic<uint64_t> events_ingested{0};
-  std::atomic<uint64_t> bytes_ingested{0};
   std::atomic<int64_t> started_at{0};
   std::atomic<int64_t> finished_at{0};
 
@@ -183,15 +210,15 @@ struct NodeEngine::RunningQuery {
   int next_branch_id NM_GUARDED_BY(dyn_mutex) = 1;
 
   // Resolves the instruments of `seg`'s own operators, sink and channels
-  // under its DAG-path prefix (fused kernels expanding per stage), and
-  // points `sm` at the strand gauge/histogram pair of its path. Binding a
-  // name twice returns the same instrument, so partition clones and their
-  // shared sink re-bind harmlessly.
-  void BindSegment(CompiledPipeline* seg, StrandMetrics* sm) {
-    const std::string prefix = seg->path.empty() ? "" : seg->path + "/";
+  // under the names `names` hands out along its DAG path (fused kernels
+  // expanding per stage), and points `sm` at the strand gauge/histogram
+  // pair of its path. Binding a name twice returns the same instrument,
+  // so partition clones and their shared sink re-bind harmlessly.
+  void BindSegment(CompiledPipeline* seg, StrandMetrics* sm,
+                   InstrumentNamer* names) {
     const std::string path_key = PathKey(*seg);
-    for (OperatorPtr& op : seg->operators) op->BindMetrics(&metrics, prefix);
-    if (seg->sink) seg->sink->BindMetrics(&metrics, prefix);
+    for (OperatorPtr& op : seg->operators) op->BindMetrics(&metrics, names);
+    if (seg->sink) seg->sink->BindMetrics(&metrics, names);
     for (size_t i = 0; i < seg->channels.size(); ++i) {
       const std::shared_ptr<NetworkChannel>& ch = seg->channels[i];
       const std::string base = "channel." + path_key + "." +
@@ -213,14 +240,21 @@ struct NodeEngine::RunningQuery {
   }
 
   // Binds every segment of the pipeline tree, one strand instrument pair
-  // per segment path.
-  void BindMetricsTree(CompiledPipeline* seg) {
+  // per segment path. Each branch numbers its repeated operator names
+  // afresh; each key-partition clone continues from a copy of its parent
+  // segment's numbering (they share its path), so all clones of one
+  // operator bind the same instruments.
+  void BindMetricsTree(CompiledPipeline* seg, InstrumentNamer names) {
     std::unique_ptr<StrandMetrics>& sm = strand_metrics_by_path[PathKey(*seg)];
     if (!sm) sm = std::make_unique<StrandMetrics>();
-    BindSegment(seg, sm.get());
+    BindSegment(seg, sm.get(), &names);
     strand_metrics[seg] = sm.get();
-    for (CompiledPipeline& branch : seg->branches) BindMetricsTree(&branch);
-    for (CompiledPipeline& part : seg->partitions) BindMetricsTree(&part);
+    for (CompiledPipeline& branch : seg->branches) {
+      BindMetricsTree(&branch, InstrumentNamer(PathPrefix(branch)));
+    }
+    for (CompiledPipeline& part : seg->partitions) {
+      BindMetricsTree(&part, names);
+    }
   }
 
   // Morsel execution (worker_threads > 1): one strand per dispatch target
@@ -415,14 +449,12 @@ struct NodeEngine::RunningQuery {
     }
     if (seg->sink == nullptr) return HandOffToBranches(Push(batch));
     const uint64_t rows = batch.NumRows();
+    seg->sink->CountIn(batch);
     const int64_t start = MonotonicNowMicros();
     const Status st = seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
     seg->sink->RecordProcess(MonotonicNowMicros() - start, rows);
     m_events_emitted->Add(rows);
-    const size_t buffer_rows = batch.data->size();
-    if (buffer_rows > 0) {
-      m_bytes_emitted->Add(rows * (batch.data->SizeBytes() / buffer_rows));
-    }
+    m_bytes_emitted->Add(batch.SizeBytes());
     return st;
   }
 
@@ -467,7 +499,9 @@ struct NodeEngine::RunningQuery {
   }
 
   // Pushes a batch through segment operators [from..] and onward via
-  // `DispatchTail`. Each operator's process-latency histogram records its
+  // `DispatchTail`. The engine is the one place that counts flow: each
+  // operator's input batch and every batch it forwards land in its
+  // counters here. Each operator's process-latency histogram records its
   // *self* time: wall time of ProcessBatch minus the time spent inside
   // the forward continuation (which runs the rest of the chain). Fused
   // batch-kernel operators time their stages internally instead and
@@ -483,10 +517,12 @@ struct NodeEngine::RunningQuery {
     }
     Operator* op = seg->operators[from].get();
     const uint64_t rows_in = batch.NumRows();
+    op->CountIn(batch);
     int64_t child_micros = 0;
     Status inner = Status::OK();
-    auto forward = [this, seg, from, &inner,
+    auto forward = [this, seg, from, op, &inner,
                     &child_micros](const exec::Batch& out) {
+      op->CountOut(out);
       const int64_t t0 = MonotonicNowMicros();
       Status st = PushThrough(seg, from + 1, out);
       child_micros += MonotonicNowMicros() - t0;
@@ -505,13 +541,14 @@ struct NodeEngine::RunningQuery {
   // shared host's sink-less leaf, whatever dynamic branches are attached.
   Status FinishSegment(CompiledPipeline* seg) {
     for (size_t i = 0; i < seg->operators.size(); ++i) {
+      Operator* op = seg->operators[i].get();
       Status inner = Status::OK();
-      auto forward = [this, seg, i, &inner](const TupleBufferPtr& out) {
-        out->Seal();
-        Status st = PushThrough(seg, i + 1, exec::Batch(out));
+      auto forward = [this, seg, i, op, &inner](const exec::Batch& out) {
+        op->CountOut(out);
+        Status st = PushThrough(seg, i + 1, out);
         if (!st.ok() && inner.ok()) inner = st;
       };
-      Status s = seg->operators[i]->Finish(forward);
+      Status s = op->Finish(forward);
       if (!s.ok()) return s;
       if (!inner.ok()) return inner;
     }
@@ -529,6 +566,23 @@ struct NodeEngine::RunningQuery {
   }
 
   Status FinishAll() { return FinishSegment(&pipeline); }
+
+  // The run-wide part of `Stats` and `BranchStats`: ingest (the
+  // registry's engine counters), elapsed time, pool and shed counts.
+  QueryStats RunStats() const {
+    QueryStats stats;
+    stats.events_ingested = m_events_ingested->value();
+    stats.bytes_ingested = m_bytes_ingested->value();
+    if (finished.load()) {
+      stats.elapsed_micros = finished_at.load() - started_at.load();
+    } else if (started.load()) {
+      stats.elapsed_micros = MonotonicNowMicros() - started_at.load();
+    }
+    stats.buffers_acquired = ctx->TotalBuffersAcquired();
+    stats.buffers_created = ctx->TotalBuffersCreated();
+    stats.tasks_shed = pool ? pool->tasks_shed() : 0;
+    return stats;
+  }
 
   // Opens every operator and sink in the tree. Partition clones share
   // their leaf sink, so it is opened once per clone — Open only stores
@@ -612,7 +666,8 @@ Result<int> NodeEngine::Register(std::unique_ptr<RunningQuery> rq,
   rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
                                                kBuffersPerPool);
   NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->BindMetricsTree(&rq->pipeline);
+  rq->BindMetricsTree(&rq->pipeline,
+                      InstrumentNamer(PathPrefix(rq->pipeline)));
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -743,7 +798,8 @@ Result<int> NodeEngine::AttachBranch(
     NM_RETURN_NOT_OK(analysis::VerifyPipeline(*br->pipeline, pctx));
   }
   NM_RETURN_NOT_OK(rq->OpenAll(br->pipeline.get()));
-  rq->BindSegment(br->pipeline.get(), &br->sm);
+  InstrumentNamer names(PathPrefix(*br->pipeline));
+  rq->BindSegment(br->pipeline.get(), &br->sm, &names);
   // Publication point: the next HandOffToBranches snapshot sees the
   // branch, so it joins the stream at a buffer boundary.
   MutexLock lock(rq->dyn_mutex);
@@ -792,33 +848,9 @@ Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
   const std::shared_ptr<RunningQuery::DynamicBranch> br =
       rq->FindBranch(branch_id);
   if (!br) return Status::NotFound("unknown branch id");
-  QueryStats stats;
   // Shared ingest: every branch of the host rides the same source stream.
-  stats.events_ingested = rq->events_ingested.load();
-  stats.bytes_ingested = rq->bytes_ingested.load();
-  if (rq->finished.load()) {
-    stats.elapsed_micros = rq->finished_at.load() - rq->started_at.load();
-  } else if (rq->started.load()) {
-    stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
-  }
-  stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
-  stats.buffers_created = rq->ctx->TotalBuffersCreated();
-  stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
-  const std::string prefix = br->pipeline->path + "/";
-  for (const OperatorPtr& op : br->pipeline->operators) {
-    op->AppendStats(prefix, &stats.operator_stats);
-  }
-  const OperatorStats sink_flow = br->pipeline->sink->stats();
-  stats.operator_stats.emplace_back(prefix + br->pipeline->sink->name(),
-                                    sink_flow);
-  SinkStats sink_stats;
-  sink_stats.path = br->pipeline->path;
-  sink_stats.name = br->pipeline->sink->name();
-  sink_stats.events_emitted = sink_flow.events_in;
-  sink_stats.bytes_emitted = sink_flow.bytes_in;
-  stats.events_emitted = sink_stats.events_emitted;
-  stats.bytes_emitted = sink_stats.bytes_emitted;
-  stats.sink_stats.push_back(std::move(sink_stats));
+  QueryStats stats = rq->RunStats();
+  AppendLinearSegmentStats(*br->pipeline, &stats);
   return stats;
 }
 
@@ -836,8 +868,6 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
       status = more.status();
       break;
     }
-    rq->events_ingested.fetch_add(buf->size());
-    rq->bytes_ingested.fetch_add(buf->SizeBytes());
     rq->m_events_ingested->Add(buf->size());
     rq->m_bytes_ingested->Add(buf->SizeBytes());
     if (!buf->empty()) {
@@ -949,17 +979,7 @@ Status NodeEngine::RunToCompletion(int query_id) {
 
 Result<QueryStats> NodeEngine::Stats(int query_id) const {
   NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
-  QueryStats stats;
-  stats.events_ingested = rq->events_ingested.load();
-  stats.bytes_ingested = rq->bytes_ingested.load();
-  if (rq->finished.load()) {
-    stats.elapsed_micros = rq->finished_at.load() - rq->started_at.load();
-  } else if (rq->started.load()) {
-    stats.elapsed_micros = MonotonicNowMicros() - rq->started_at.load();
-  }
-  stats.buffers_acquired = rq->ctx->TotalBuffersAcquired();
-  stats.buffers_created = rq->ctx->TotalBuffersCreated();
-  stats.tasks_shed = rq->pool ? rq->pool->tasks_shed() : 0;
+  QueryStats stats = rq->RunStats();
   // Depth-first over the pipeline tree: operators keyed by DAG path, one
   // SinkStats entry per leaf, emitted totals summed across sinks. Fused
   // batch-kernel operators expand to one entry per fused stage, so the
@@ -967,50 +987,37 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
   // carry their segment's path and identical operator sequences, so their
   // entries sum element-wise into one per-path sequence — and they share
   // one sink, counted once.
-  const auto append_sink = [&stats](const CompiledPipeline& seg,
-                                    const std::string& prefix) {
-    const OperatorStats sink_flow = seg.sink->stats();
-    stats.operator_stats.emplace_back(prefix + seg.sink->name(), sink_flow);
-    SinkStats sink_stats;
-    sink_stats.path = seg.path;
-    sink_stats.name = seg.sink->name();
-    sink_stats.events_emitted = sink_flow.events_in;
-    sink_stats.bytes_emitted = sink_flow.bytes_in;
-    stats.events_emitted += sink_stats.events_emitted;
-    stats.bytes_emitted += sink_stats.bytes_emitted;
-    stats.sink_stats.push_back(std::move(sink_stats));
-  };
   const std::function<void(const CompiledPipeline&)> visit =
       [&](const CompiledPipeline& seg) {
-        const std::string prefix = seg.path.empty() ? "" : seg.path + "/";
+        if (seg.partitions.empty()) {
+          AppendLinearSegmentStats(seg, &stats);
+          for (const CompiledPipeline& branch : seg.branches) visit(branch);
+          return;
+        }
+        const std::string prefix = PathPrefix(seg);
         for (const OperatorPtr& op : seg.operators) {
           op->AppendStats(prefix, &stats.operator_stats);
         }
-        if (!seg.partitions.empty()) {
-          std::vector<std::pair<std::string, OperatorStats>> summed;
-          for (const CompiledPipeline& part : seg.partitions) {
-            std::vector<std::pair<std::string, OperatorStats>> one;
-            for (const OperatorPtr& op : part.operators) {
-              op->AppendStats(prefix, &one);
-            }
-            if (summed.empty()) {
-              summed = std::move(one);
-            } else {
-              for (size_t i = 0; i < summed.size() && i < one.size(); ++i) {
-                summed[i].second.Add(one[i].second);
-              }
+        std::vector<std::pair<std::string, OperatorStats>> summed;
+        for (const CompiledPipeline& part : seg.partitions) {
+          std::vector<std::pair<std::string, OperatorStats>> one;
+          for (const OperatorPtr& op : part.operators) {
+            op->AppendStats(prefix, &one);
+          }
+          if (summed.empty()) {
+            summed = std::move(one);
+          } else {
+            for (size_t i = 0; i < summed.size() && i < one.size(); ++i) {
+              summed[i].second.Add(one[i].second);
             }
           }
-          for (auto& entry : summed) {
-            stats.operator_stats.push_back(std::move(entry));
-          }
-          if (seg.partitions.front().sink) {
-            append_sink(seg.partitions.front(), prefix);
-          }
-          return;
         }
-        if (seg.sink) append_sink(seg, prefix);
-        for (const CompiledPipeline& branch : seg.branches) visit(branch);
+        for (auto& entry : summed) {
+          stats.operator_stats.push_back(std::move(entry));
+        }
+        if (seg.partitions.front().sink) {
+          AppendSinkStats(seg.partitions.front(), &stats);
+        }
       };
   visit(rq->pipeline);
   // Shared hosts carry their attached branches' flow too, so the host
@@ -1022,11 +1029,7 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
       branches = rq->dyn_branches;
     }
     for (const auto& br : branches) {
-      const std::string prefix = br->pipeline->path + "/";
-      for (const OperatorPtr& op : br->pipeline->operators) {
-        op->AppendStats(prefix, &stats.operator_stats);
-      }
-      append_sink(*br->pipeline, prefix);
+      AppendLinearSegmentStats(*br->pipeline, &stats);
     }
   }
   return stats;

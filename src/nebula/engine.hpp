@@ -248,9 +248,10 @@ class NodeEngine {
   /// and batch-size histograms, per-channel wire counters, per-strand
   /// queue depth/task-wait instruments and engine-level flow counters.
   /// Metric names are identical across worker counts: operators key by
-  /// DAG path (fused kernel stages under their original chained names),
-  /// strand instruments by dispatch-target path (partition clones share
-  /// their segment's path and its instruments).
+  /// DAG path (fused kernel stages under their original chained names,
+  /// the k-th same-named one on a path as `<Name>#k`), strand instruments
+  /// by dispatch-target path (partition clones share their segment's path
+  /// and its instruments).
   Result<metrics::MetricsSnapshot> Metrics(int query_id) const;
 
   /// The query's plan renderings (pre- and post-optimization), captured at

@@ -9,10 +9,10 @@
 /// immutable-after-seal buffer contract (tuple_buffer.hpp) is what makes
 /// that sharing safe without copies.
 ///
-/// Selection-aware operators consume batches natively; legacy operators
-/// fall back to `Operator::ProcessBatch`'s default, which materializes a
-/// partial selection into a pooled buffer first (one gather, the same cost
-/// the old copy-per-operator path paid on every hop).
+/// It is also the only unit of the operator contract (operator.hpp):
+/// every operator reads the selected rows of its input batch directly, and
+/// every buffer an operator writes is sealed before it is emitted, so no
+/// hop ever gathers a partial selection just to hand it on.
 
 #pragma once
 
@@ -83,10 +83,11 @@ Result<TupleBufferPtr> AllocateOutputFor(const Batch& batch,
                                          const Schema& out_schema,
                                          ExecutionContext* ctx);
 
-/// Gathers \p batch's selected rows into a fresh pooled buffer of the same
-/// schema (metadata copied, buffer sealed) — the bridge legacy operators
-/// pay when a partial selection reaches them.
-Result<TupleBufferPtr> MaterializeBatch(const Batch& batch,
-                                        ExecutionContext* ctx);
+/// Seals a buffer an operator has finished writing and wraps it as a full
+/// batch — the one way operator-built buffers leave an operator.
+inline Batch SealedBatch(TupleBufferPtr buffer) {
+  buffer->Seal();
+  return Batch(std::move(buffer));
+}
 
 }  // namespace nebulameos::nebula::exec

@@ -22,20 +22,6 @@ Result<TupleBufferPtr> AllocateOutputFor(const Batch& batch,
   return out;
 }
 
-Result<TupleBufferPtr> MaterializeBatch(const Batch& batch,
-                                        ExecutionContext* ctx) {
-  NM_ASSIGN_OR_RETURN(TupleBufferPtr out,
-                      AllocateOutputFor(batch, batch.data->schema(), ctx));
-  const size_t n = batch.NumRows();
-  const size_t stride = batch.data->schema().record_size();
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(out->Append().data(),
-                batch.data->At(batch.RowAt(i)).data(), stride);
-  }
-  out->Seal();
-  return out;
-}
-
 // --- CompiledPredicate ------------------------------------------------------
 
 Result<CompiledPredicate> CompiledPredicate::Make(const Schema& input,
@@ -229,7 +215,6 @@ std::string BatchKernelOperator::name() const {
 
 Status BatchKernelOperator::ProcessBatch(const Batch& input,
                                          const BatchEmitFn& emit) {
-  CountIn(input);
   // New input buffer: any kernel-CSE columns cached from the previous
   // batch are stale.
   if (cse_cache_ != nullptr) cse_cache_->Invalidate();
@@ -276,31 +261,8 @@ Status BatchKernelOperator::ProcessBatch(const Batch& input,
       stage_start = now;
     }
   }
-  if (!alive) return Status::OK();
-  CountOut(cur);
-  emit(cur);
+  if (alive) emit(cur);
   return Status::OK();
-}
-
-Status BatchKernelOperator::Process(const TupleBufferPtr& input,
-                                    const EmitFn& emit) {
-  // Bridge for record-at-a-time callers: batch outputs that still carry a
-  // selection materialize before crossing back into the buffer API.
-  Status inner = Status::OK();
-  auto forward = [this, &emit, &inner](const Batch& out) {
-    if (out.IsFull()) {
-      emit(out.data);
-      return;
-    }
-    auto materialized = MaterializeBatch(out, ctx_);
-    if (!materialized.ok()) {
-      if (inner.ok()) inner = materialized.status();
-      return;
-    }
-    emit(*materialized);
-  };
-  Status s = ProcessBatch(Batch(input), forward);
-  return s.ok() ? inner : s;
 }
 
 void BatchKernelOperator::AppendStats(
@@ -312,12 +274,11 @@ void BatchKernelOperator::AppendStats(
 }
 
 void BatchKernelOperator::BindMetrics(metrics::MetricsRegistry* registry,
-                                      const std::string& prefix) {
+                                      InstrumentNamer* names) {
   for (Stage& stage : stages_) {
-    stage.process_micros = registry->GetHistogram(
-        "op." + prefix + stage.name + ".process_micros");
-    stage.batch_rows =
-        registry->GetHistogram("op." + prefix + stage.name + ".batch_rows");
+    const std::string base = names->Next(stage.name);
+    stage.process_micros = registry->GetHistogram(base + ".process_micros");
+    stage.batch_rows = registry->GetHistogram(base + ".batch_rows");
   }
 }
 

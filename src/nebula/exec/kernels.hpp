@@ -12,6 +12,9 @@
 /// column. A maximal run of Filter/Map/Project nodes within one placement
 /// segment fuses into a single `BatchKernelOperator` pass, and a fully
 /// selective filter passes the input buffer through untouched (zero-copy).
+/// `BatchKernelOperator` keeps to the one operator contract (operator.hpp):
+/// it reads its input batch's selection and emits either a refined
+/// selection over that buffer or a sealed buffer it materialized.
 ///
 /// Compilation is best-effort: `BatchKernelCompiler::Add*` refuses any
 /// node whose expressions do not lower to kernels (text-valued map specs
@@ -120,26 +123,27 @@ class BatchKernelCompiler;
 /// names ("Filter", "Map", "Project"), so `QueryStats::operator_stats` —
 /// and the placement pass consuming it — see the same entry sequence as
 /// the unfused chain. The base `stats()` accessor reports the fused run
-/// as a whole (batch in / batch out), not any single stage.
+/// as a whole (batch in / batch out, counted by the engine), not any
+/// single stage.
 class BatchKernelOperator final : public Operator {
  public:
   std::string name() const override;
   const Schema& output_schema() const override { return output_schema_; }
 
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
   Status ProcessBatch(const Batch& input, const BatchEmitFn& emit) override;
   void AppendStats(
       const std::string& prefix,
       std::vector<std::pair<std::string, OperatorStats>>* out) const override;
 
   /// Binds one latency/batch-size histogram pair *per fused stage* under
-  /// the stage's original operator name (`op.<prefix>Filter.process_micros`
-  /// ...), matching the unfused chain's metric names — the same parity
-  /// `AppendStats` keeps for flow counters. The base-class whole-operator
-  /// histograms stay unbound: stages time themselves inside
-  /// `ProcessBatch`, and the engine's outer timing hook no-ops.
+  /// the stage's original operator name (`op.<path/>Filter.process_micros`
+  /// ..., `#k` on a name repeated along the path), matching the unfused
+  /// chain's metric names — the same parity `AppendStats` keeps for flow
+  /// counters. The base-class whole-operator histograms stay unbound:
+  /// stages time themselves inside `ProcessBatch`, and the engine's outer
+  /// timing hook no-ops.
   void BindMetrics(metrics::MetricsRegistry* registry,
-                   const std::string& prefix) override;
+                   InstrumentNamer* names) override;
 
   size_t num_stages() const { return stages_.size(); }
 

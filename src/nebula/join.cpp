@@ -1,6 +1,7 @@
 #include "nebula/join.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace nebulameos::nebula {
 
@@ -94,13 +95,13 @@ TemporalLookupJoinOperator::FindNearest(int64_t key, Timestamp ts) const {
   return best;
 }
 
-Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
-                                           const EmitFn& emit) {
-  CountIn(*input);
+Status TemporalLookupJoinOperator::ProcessBatch(const exec::Batch& input,
+                                                const BatchEmitFn& emit) {
+  const TupleBuffer& in = *input.data;
   TupleBufferPtr out;  // allocated on the first match only
   const size_t left_fields = input_schema_.num_fields();
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
+  for (size_t i = 0; i < input.NumRows(); ++i) {
+    const RecordView rec = in.At(input.RowAt(i));
     const RightRow* match =
         FindNearest(rec.GetInt64(left_key_index_),
                     rec.GetInt64(left_time_index_));
@@ -108,16 +109,11 @@ Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
       ++unmatched_;
       continue;
     }
+    if (out && out->full()) emit(exec::SealedBatch(std::exchange(out, {})));
     if (!out) {
       out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
+      out->set_watermark(in.watermark());
+      out->set_sequence_number(in.sequence_number());
     }
     RecordWriter w = out->Append();
     // Left fields verbatim, then right payload.
@@ -146,10 +142,7 @@ Status TemporalLookupJoinOperator::Process(const TupleBufferPtr& input,
   }
   // No matches → no emit: a watermark-only advance must not draw a pooled
   // buffer (windows fire on event times, not buffer watermarks).
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (out) emit(exec::SealedBatch(std::move(out)));
   return Status::OK();
 }
 

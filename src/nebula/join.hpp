@@ -45,7 +45,8 @@ class TemporalLookupJoinOperator : public Operator {
   std::string name() const override { return "TemporalLookupJoin"; }
   const Schema& output_schema() const override { return output_schema_; }
   Status Open(ExecutionContext* ctx) override;
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input,
+                      const BatchEmitFn& emit) override;
 
   /// Left records dropped because no right record matched.
   uint64_t unmatched() const { return unmatched_; }

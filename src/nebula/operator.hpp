@@ -55,10 +55,11 @@ struct OperatorStats {
 };
 
 /// \brief The live, updatable form of `OperatorStats`: relaxed atomics so
-/// an operator owned by one worker strand can count flow while another
-/// thread snapshots `Stats()` mid-run without a data race. Each counter is
-/// written by at most one thread at a time (the strand guarantee), so
-/// relaxed increments are exact; readers see a near-current snapshot.
+/// the engine can count an operator's flow on a worker strand while
+/// another thread snapshots `Stats()` mid-run without a data race.
+/// Increments are atomic, so they stay exact even where strands share an
+/// operator (key-partition clones share their leaf sink); readers see a
+/// near-current snapshot.
 class FlowCounters {
  public:
   void AddIn(uint64_t events, uint64_t bytes) {
@@ -145,18 +146,49 @@ class ExecutionContext {
   std::map<std::string, std::shared_ptr<BufferManager>> pools_;
 };
 
+/// \brief Hands out the instrument names of the operators along one DAG
+/// path: the first operator (or fused stage) named N binds
+/// `op.<path/>N.*`, the k-th one (k >= 2) `op.<path/>N#k.*`, so two
+/// same-named operators on a path never share an instrument. Copyable: a
+/// segment's key-partition clones each continue from a copy of their
+/// parent segment's names, so the clones of one operator bind one name.
+class InstrumentNamer {
+ public:
+  /// \p path_prefix is the DAG path plus '/' ("" at the root).
+  explicit InstrumentNamer(std::string path_prefix)
+      : prefix_(std::move(path_prefix)) {}
+
+  /// Instrument base name (`op.<path/>N` or `op.<path/>N#k`) of the next
+  /// operator named \p name on this path.
+  std::string Next(const std::string& name) {
+    const int k = ++seen_[name];
+    std::string base = "op." + prefix_ + name;
+    if (k >= 2) base += "#" + std::to_string(k);
+    return base;
+  }
+
+ private:
+  std::string prefix_;
+  std::map<std::string, int> seen_;
+};
+
 /// \brief Base class of all physical operators.
+///
+/// One contract: batches in, sealed batches out. The engine is the only
+/// caller — it pushes each batch through `ProcessBatch`, flushes with
+/// `Finish` at end of stream, and records every operator's flow (events
+/// and bytes in and out) around those calls. Operators count only the
+/// records they shed (`CountShed`).
 class Operator {
  public:
-  /// Downstream hand-off: the operator calls this for each output buffer.
-  /// A non-owning `FunctionRef` (not `std::function`): the emit callable
-  /// lives on the caller's stack for the duration of `Process`, and the
-  /// compiled pipeline's inner loop crosses this hop once per buffer per
-  /// operator — it must not pay a type-erased copy each time.
-  using EmitFn = FunctionRef<void(const TupleBufferPtr&)>;
-
-  /// Batch-path hand-off: output batches may share the input buffer with
-  /// a selection vector (zero-copy).
+  /// Downstream hand-off: the operator calls this once per output batch.
+  /// A batch may share the input buffer under a selection vector
+  /// (zero-copy); a buffer the operator wrote itself is sealed before it
+  /// is emitted (`exec::SealedBatch`). A non-owning `FunctionRef` (not
+  /// `std::function`): the emit callable lives on the caller's stack for
+  /// the duration of the call, and the compiled pipeline's inner loop
+  /// crosses this hop once per batch per operator — it must not pay a
+  /// type-erased copy each time.
   using BatchEmitFn = FunctionRef<void(const exec::Batch&)>;
 
   virtual ~Operator() = default;
@@ -173,24 +205,28 @@ class Operator {
     return Status::OK();
   }
 
-  /// Processes one input buffer, emitting zero or more output buffers.
-  virtual Status Process(const TupleBufferPtr& input, const EmitFn& emit) = 0;
-
-  /// Batch-at-a-time path driven by the engine: \p input may carry a
-  /// selection vector over a shared, sealed buffer. The default bridges to
-  /// `Process` — a partial selection is first materialized into a pooled
-  /// buffer (one gather), a full batch passes its buffer straight through.
-  /// Selection-aware operators (filters, compiled kernel runs, sinks)
-  /// override this to consume or refine the selection without the copy.
+  /// Processes one input batch, emitting zero or more output batches.
+  /// \p input is a sealed buffer plus an optional selection vector; the
+  /// operator reads only the selected rows (`input.RowAt(i)`).
   virtual Status ProcessBatch(const exec::Batch& input,
-                              const BatchEmitFn& emit);
+                              const BatchEmitFn& emit) = 0;
 
   /// End-of-stream: flush any remaining state (window panes, open runs).
-  virtual Status Finish(const EmitFn& /*emit*/) { return Status::OK(); }
+  virtual Status Finish(const BatchEmitFn& /*emit*/) { return Status::OK(); }
 
   /// Flow counters snapshot (safe to call while the operator runs on a
   /// different thread; see `FlowCounters`).
   OperatorStats stats() const { return stats_.Snapshot(); }
+
+  /// Engine-side flow accounting: records one batch (selected rows only)
+  /// into or out of this operator. The engine calls these where it times
+  /// the operator; operators never do.
+  void CountIn(const exec::Batch& batch) {
+    stats_.AddIn(batch.NumRows(), batch.SizeBytes());
+  }
+  void CountOut(const exec::Batch& batch) {
+    stats_.AddOut(batch.NumRows(), batch.SizeBytes());
+  }
 
   /// Appends this operator's flow counters to \p out keyed by
   /// `prefix + name()`. Fused batch-kernel operators expand to one entry
@@ -204,23 +240,26 @@ class Operator {
     out->emplace_back(prefix + name(), stats_.Snapshot());
   }
 
-  /// Resolves this operator's instruments from \p registry under the DAG
-  /// prefix the engine also uses for `AppendStats` keys: the default binds
-  /// the process-latency and batch-size histograms
-  /// `op.<prefix><name()>.process_micros` / `.batch_rows` that the engine
-  /// records into around each `ProcessBatch` call (self-time: downstream
-  /// time is subtracted). Fused batch-kernel operators override this to
-  /// bind one histogram pair per fused stage under the original chained
-  /// names ("Filter", "Map", ...) and time stages themselves — metric
-  /// names then match the unfused chain, the same parity contract
-  /// `AppendStats` keeps. Called once before the query starts; instrument
-  /// pointers stay valid as long as the registry (the running query).
+  /// Resolves this operator's instruments from \p registry under the next
+  /// name \p names hands out for `name()`: the process-latency and
+  /// batch-size histograms `<base>.process_micros` / `.batch_rows` that
+  /// the engine records into around each `ProcessBatch` call (self-time:
+  /// downstream time is subtracted), plus `<base>.late_shed` for
+  /// operators that shed late records. Fused batch-kernel operators
+  /// override this to bind one histogram pair per fused stage under the
+  /// original chained names ("Filter", "Map", ...) and time stages
+  /// themselves — metric names then match the unfused chain, the same
+  /// parity contract `AppendStats` keeps. Called once before the query
+  /// starts; instrument pointers stay valid as long as the registry (the
+  /// running query).
   virtual void BindMetrics(metrics::MetricsRegistry* registry,
-                           const std::string& prefix) {
-    process_micros_ =
-        registry->GetHistogram("op." + prefix + name() + ".process_micros");
-    batch_rows_ =
-        registry->GetHistogram("op." + prefix + name() + ".batch_rows");
+                           InstrumentNamer* names) {
+    const std::string base = names->Next(name());
+    process_micros_ = registry->GetHistogram(base + ".process_micros");
+    batch_rows_ = registry->GetHistogram(base + ".batch_rows");
+    if (ShedsLateRecords()) {
+      late_shed_counter_ = registry->GetCounter(base + ".late_shed");
+    }
   }
 
   /// Records one timed `ProcessBatch` call (engine-side; no-op until
@@ -232,40 +271,16 @@ class Operator {
   }
 
  protected:
-  /// Records an input buffer in the stats.
-  void CountIn(const TupleBuffer& buf) {
-    stats_.AddIn(buf.size(), buf.SizeBytes());
-  }
-
-  /// Records an input batch (selected rows only) in the stats.
-  void CountIn(const exec::Batch& batch) {
-    stats_.AddIn(batch.NumRows(), batch.SizeBytes());
-  }
-
-  /// Records an output buffer in the stats.
-  void CountOut(const TupleBuffer& buf) {
-    stats_.AddOut(buf.size(), buf.SizeBytes());
-  }
-
-  /// Records an output batch (selected rows only) in the stats.
-  void CountOut(const exec::Batch& batch) {
-    stats_.AddOut(batch.NumRows(), batch.SizeBytes());
-  }
+  /// Stateful operators with a monotonicity guard return true, so
+  /// `BindMetrics` surfaces their `<base>.late_shed` counter.
+  virtual bool ShedsLateRecords() const { return false; }
 
   /// Records \p events records shed by a monotonicity guard or
   /// degradation policy, mirroring into the `late_shed` instrument when
-  /// one is bound (`BindLateShed`).
+  /// one is bound.
   void CountShed(uint64_t events) {
     stats_.AddShed(events);
     if (late_shed_counter_ != nullptr) late_shed_counter_->Add(events);
-  }
-
-  /// Stateful operators with a monotonicity guard call this from their
-  /// `BindMetrics` override to surface `op.<prefix><name>.late_shed`.
-  void BindLateShed(metrics::MetricsRegistry* registry,
-                    const std::string& prefix) {
-    late_shed_counter_ =
-        registry->GetCounter("op." + prefix + name() + ".late_shed");
   }
 
   ExecutionContext* ctx_ = nullptr;

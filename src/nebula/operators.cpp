@@ -34,7 +34,7 @@ uint64_t ExecutionContext::TotalBuffersCreated() const {
   return total;
 }
 
-// --- Operator batch bridge ----------------------------------------------------
+// --- Interpreted materialization ---------------------------------------------
 
 namespace {
 
@@ -59,21 +59,6 @@ Result<exec::Batch> MaterializeRows(ExecutionContext* ctx,
 
 }  // namespace
 
-Status Operator::ProcessBatch(const exec::Batch& input,
-                              const BatchEmitFn& emit) {
-  TupleBufferPtr buf = input.data;
-  if (!input.IsFull()) {
-    // Legacy operator fed a partial selection: one gather, then the
-    // record-at-a-time path runs unchanged.
-    NM_ASSIGN_OR_RETURN(buf, exec::MaterializeBatch(input, ctx_));
-  }
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return Process(buf, forward);
-}
-
 // --- Filter -------------------------------------------------------------------
 
 Result<OperatorPtr> FilterOperator::Make(const Schema& input,
@@ -89,39 +74,8 @@ Result<OperatorPtr> FilterOperator::Make(const Schema& input,
       new FilterOperator(input, std::move(predicate), std::move(cse.cache)));
 }
 
-Status FilterOperator::Process(const TupleBufferPtr& input,
-                               const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first survivor only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (cse_cache_) cse_cache_->BeginRecord();
-    if (!ValueAsBool(predicate_->Eval(rec))) continue;
-    if (!out) {
-      out = ctx_->Allocate(schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    out->Append().CopyFrom(rec);
-  }
-  // No survivors → no emit: watermark-only advance must not draw a pooled
-  // buffer (windows fire on event times, not buffer watermarks).
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status FilterOperator::ProcessBatch(const exec::Batch& input,
                                     const BatchEmitFn& emit) {
-  CountIn(input);
   const size_t n = input.NumRows();
   if (n == 0) return Status::OK();
   scratch_sel_.clear();
@@ -134,14 +88,11 @@ Status FilterOperator::ProcessBatch(const exec::Batch& input,
   }
   if (scratch_sel_.size() == n) {
     // Fully selective: the input batch passes through untouched.
-    CountOut(input);
     emit(input);
     return Status::OK();
   }
   if (scratch_sel_.empty()) return Status::OK();
-  const exec::Batch out = exec::TakePartialSelection(&scratch_sel_, input);
-  CountOut(out);
-  emit(out);
+  emit(exec::TakePartialSelection(&scratch_sel_, input));
   return Status::OK();
 }
 
@@ -250,35 +201,8 @@ void MapOperator::WriteRecord(const RecordView& rec, RecordWriter* w) const {
   }
 }
 
-Status MapOperator::Process(const TupleBufferPtr& input, const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first record only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (!out) {
-      out = ctx_->Allocate(layout_.output_schema);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(layout_.output_schema);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    RecordWriter w = out->Append();
-    WriteRecord(rec, &w);
-  }
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status MapOperator::ProcessBatch(const exec::Batch& input,
                                  const BatchEmitFn& emit) {
-  CountIn(input);
   if (input.NumRows() == 0) return Status::OK();
   // Interpreted map over the selection: computes only surviving rows, no
   // intermediate materialization of the input.
@@ -288,7 +212,6 @@ Status MapOperator::ProcessBatch(const exec::Batch& input,
                       [this](const RecordView& rec, RecordWriter* w) {
                         WriteRecord(rec, w);
                       }));
-  CountOut(result);
   emit(result);
   return Status::OK();
 }
@@ -332,36 +255,8 @@ void ProjectOperator::WriteRecord(const RecordView& rec,
   }
 }
 
-Status ProjectOperator::Process(const TupleBufferPtr& input,
-                                const EmitFn& emit) {
-  CountIn(*input);
-  TupleBufferPtr out;  // allocated on the first record only
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
-    if (!out) {
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    } else if (out->full()) {
-      CountOut(*out);
-      emit(out);
-      out = ctx_->Allocate(output_schema_);
-      out->set_watermark(input->watermark());
-      out->set_sequence_number(input->sequence_number());
-    }
-    RecordWriter w = out->Append();
-    WriteRecord(rec, &w);
-  }
-  if (out) {
-    CountOut(*out);
-    emit(out);
-  }
-  return Status::OK();
-}
-
 Status ProjectOperator::ProcessBatch(const exec::Batch& input,
                                      const BatchEmitFn& emit) {
-  CountIn(input);
   if (input.NumRows() == 0) return Status::OK();
   NM_ASSIGN_OR_RETURN(
       exec::Batch result,
@@ -369,7 +264,6 @@ Status ProjectOperator::ProcessBatch(const exec::Batch& input,
                       [this](const RecordView& rec, RecordWriter* w) {
                         WriteRecord(rec, w);
                       }));
-  CountOut(result);
   emit(result);
   return Status::OK();
 }
@@ -518,7 +412,8 @@ void WindowAggOperator::WritePane(const PaneKey& key, Pane& pane,
   }
 }
 
-Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
+Status WindowAggOperator::FireUpTo(Timestamp watermark,
+                                   const BatchEmitFn& emit) {
   fired_through_ = std::max(fired_through_, watermark);
   TupleBufferPtr out;
   auto it = panes_.begin();
@@ -533,23 +428,18 @@ Status WindowAggOperator::FireUpTo(Timestamp watermark, const EmitFn& emit) {
     }
     if (!out) out = ctx_->Allocate(output_schema_);
     if (out->full()) {
-      CountOut(*out);
-      emit(out);
+      emit(exec::SealedBatch(out));
       out = ctx_->Allocate(output_schema_);
     }
     WritePane(it->first, it->second, out.get());
     it = panes_.erase(it);
   }
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (out && !out->empty()) emit(exec::SealedBatch(std::move(out)));
   return Status::OK();
 }
 
-Status WindowAggOperator::DoProcess(const exec::Batch& input,
-                                    const EmitFn& emit) {
-  CountIn(input);
+Status WindowAggOperator::ProcessBatch(const exec::Batch& input,
+                                       const BatchEmitFn& emit) {
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
@@ -581,21 +471,7 @@ Status WindowAggOperator::DoProcess(const exec::Batch& input,
   return Status::OK();
 }
 
-Status WindowAggOperator::Process(const TupleBufferPtr& input,
-                                  const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status WindowAggOperator::ProcessBatch(const exec::Batch& input,
-                                       const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
-}
-
-Status WindowAggOperator::Finish(const EmitFn& emit) {
+Status WindowAggOperator::Finish(const BatchEmitFn& emit) {
   return FireUpTo(std::numeric_limits<Timestamp>::max(), emit);
 }
 
@@ -672,9 +548,8 @@ void ThresholdWindowOperator::CloseInto(const KeyValue& key, OpenWindow& win,
   }
 }
 
-Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
-                                          const EmitFn& emit) {
-  CountIn(input);
+Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
+                                             const BatchEmitFn& emit) {
   TupleBufferPtr out;
   uint64_t shed = 0;
   for (size_t i = 0; i < input.NumRows(); ++i) {
@@ -712,8 +587,7 @@ Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
       if (it->second.last - it->second.start >= options_.min_duration) {
         if (!out) out = ctx_->Allocate(output_schema_);
         if (out->full()) {
-          CountOut(*out);
-          emit(out);
+          emit(exec::SealedBatch(out));
           out = ctx_->Allocate(output_schema_);
         }
         CloseInto(it->first, it->second, out.get());
@@ -725,44 +599,23 @@ Status ThresholdWindowOperator::DoProcess(const exec::Batch& input,
     }
   }
   if (shed > 0) CountShed(shed);
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (out && !out->empty()) emit(exec::SealedBatch(std::move(out)));
   return Status::OK();
 }
 
-Status ThresholdWindowOperator::Process(const TupleBufferPtr& input,
-                                        const EmitFn& emit) {
-  return DoProcess(exec::Batch(input), emit);
-}
-
-Status ThresholdWindowOperator::ProcessBatch(const exec::Batch& input,
-                                             const BatchEmitFn& emit) {
-  auto forward = [&emit](const TupleBufferPtr& out) {
-    out->Seal();
-    emit(exec::Batch(out));
-  };
-  return DoProcess(input, forward);
-}
-
-Status ThresholdWindowOperator::Finish(const EmitFn& emit) {
+Status ThresholdWindowOperator::Finish(const BatchEmitFn& emit) {
   TupleBufferPtr out;
   for (auto& [key, win] : open_) {
     if (win.last - win.start < options_.min_duration) continue;
     if (!out) out = ctx_->Allocate(output_schema_);
     if (out->full()) {
-      CountOut(*out);
-      emit(out);
+      emit(exec::SealedBatch(out));
       out = ctx_->Allocate(output_schema_);
     }
     CloseInto(key, win, out.get());
   }
   open_.clear();
-  if (out && !out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (out && !out->empty()) emit(exec::SealedBatch(std::move(out)));
   return Status::OK();
 }
 
@@ -773,22 +626,29 @@ namespace {
 // Wire frame layout: [record_count u64][buffer_seq u64][watermark i64]
 // [channel_seq u64] then `record_count * record_size` raw record bytes
 // (see `kWireFrameHeaderBytes`). Records are fixed-size (text fields
-// NUL-padded), so the payload is a straight memcpy of the buffer's record
-// region.
-std::vector<uint8_t> SerializeFrame(const TupleBuffer& buffer,
+// NUL-padded), so a full batch's payload is a straight memcpy of the
+// buffer's record region and a partial one gathers its selected rows.
+std::vector<uint8_t> SerializeFrame(const exec::Batch& batch,
                                     uint64_t channel_seq) {
-  const size_t payload = buffer.SizeBytes();
+  const TupleBuffer& buffer = *batch.data;
+  const size_t payload = batch.SizeBytes();
   std::vector<uint8_t> frame(kWireFrameHeaderBytes + payload);
-  const uint64_t count = buffer.size();
+  const uint64_t count = batch.NumRows();
   const uint64_t buffer_seq = buffer.sequence_number();
   const int64_t watermark = buffer.watermark();
   std::memcpy(frame.data(), &count, sizeof(count));
   std::memcpy(frame.data() + 8, &buffer_seq, sizeof(buffer_seq));
   std::memcpy(frame.data() + 16, &watermark, sizeof(watermark));
   std::memcpy(frame.data() + 24, &channel_seq, sizeof(channel_seq));
-  if (payload > 0) {
-    std::memcpy(frame.data() + kWireFrameHeaderBytes, buffer.At(0).data(),
-                payload);
+  if (payload == 0) return frame;
+  uint8_t* dst = frame.data() + kWireFrameHeaderBytes;
+  if (batch.IsFull()) {
+    std::memcpy(dst, buffer.At(0).data(), payload);
+    return frame;
+  }
+  const size_t stride = buffer.schema().record_size();
+  for (size_t i = 0; i < count; ++i, dst += stride) {
+    std::memcpy(dst, buffer.At(batch.RowAt(i)).data(), stride);
   }
   return frame;
 }
@@ -803,23 +663,18 @@ Result<OperatorPtr> NetworkChannelSink::Make(
   return OperatorPtr(new NetworkChannelSink(input, std::move(channel)));
 }
 
-Status NetworkChannelSink::Process(const TupleBufferPtr& input,
-                                   const EmitFn& emit) {
-  CountIn(*input);
-  std::vector<uint8_t> frame = SerializeFrame(*input, next_seq_);
-  const uint64_t wire = frame.size();
-  channel_->Send(next_seq_, std::move(frame), input->SizeBytes(),
-                 input->size());
+Status NetworkChannelSink::ProcessBatch(const exec::Batch& input,
+                                        const BatchEmitFn& emit) {
+  channel_->Send(next_seq_, SerializeFrame(input, next_seq_),
+                 input.SizeBytes(), input.NumRows());
   ++next_seq_;
-  // Wire-byte accounting (CountOut would count the unserialized buffer).
-  stats_.AddOut(input->size(), wire);
-  // The emitted buffer only drives the paired NetworkChannelSource, which
+  // The emitted batch only drives the paired NetworkChannelSource, which
   // reads the serialized frame from the channel instead.
   emit(input);
   return Status::OK();
 }
 
-Status NetworkChannelSink::Finish(const EmitFn& /*emit*/) {
+Status NetworkChannelSink::Finish(const BatchEmitFn& /*emit*/) {
   // End of stream: nothing more will push frames past the injector's
   // reorder slot or age its delay queue, so release them now. The paired
   // source's Finish runs after this one (chain order) and drains them.
@@ -852,7 +707,6 @@ Status NetworkChannelSource::StashFrame(std::vector<uint8_t> frame) {
     return Status::Internal(
         "network frame payload does not match its record count");
   }
-  stats_.AddIn(pending.count, frame.size());
   // Duplicate suppression: already released, or already waiting.
   if (channel_seq < next_seq_ || pending_.count(channel_seq) > 0) {
     channel_->NoteDuplicateSuppressed();
@@ -864,7 +718,7 @@ Status NetworkChannelSource::StashFrame(std::vector<uint8_t> frame) {
 }
 
 Status NetworkChannelSource::EmitFrame(const PendingFrame& pending,
-                                       const EmitFn& emit) {
+                                       const BatchEmitFn& emit) {
   const size_t record_size = schema_.record_size();
   const uint8_t* payload = pending.frame.data() + kWireFrameHeaderBytes;
   // Clamp the watermark monotonic per channel: reorder repair restores
@@ -882,13 +736,12 @@ Status NetworkChannelSource::EmitFrame(const PendingFrame& pending,
         std::min<uint64_t>(pending.count - emitted, out->capacity());
     out->AppendRecords(payload + emitted * record_size, chunk);
     emitted += chunk;
-    CountOut(*out);
-    emit(out);
+    emit(exec::SealedBatch(std::move(out)));
   } while (emitted < pending.count);
   return Status::OK();
 }
 
-Status NetworkChannelSource::ReleaseReady(const EmitFn& emit) {
+Status NetworkChannelSource::ReleaseReady(const BatchEmitFn& emit) {
   while (!pending_.empty() && pending_.begin()->first == next_seq_) {
     PendingFrame pending = std::move(pending_.begin()->second);
     pending_.erase(pending_.begin());
@@ -899,7 +752,7 @@ Status NetworkChannelSource::ReleaseReady(const EmitFn& emit) {
   return Status::OK();
 }
 
-Status NetworkChannelSource::Drain(const EmitFn& emit, bool at_end) {
+Status NetworkChannelSource::Drain(const BatchEmitFn& emit, bool at_end) {
   for (;;) {
     std::vector<uint8_t> frame;
     while (channel_->Receive(&frame)) {
@@ -926,13 +779,13 @@ Status NetworkChannelSource::Drain(const EmitFn& emit, bool at_end) {
   }
 }
 
-Status NetworkChannelSource::Process(const TupleBufferPtr& input,
-                                     const EmitFn& emit) {
-  (void)input;  // scheduling hand-off only; data arrives via the channel
+Status NetworkChannelSource::ProcessBatch(const exec::Batch& /*input*/,
+                                          const BatchEmitFn& emit) {
+  // Scheduling hand-off only; the data arrives through the channel.
   return Drain(emit, /*at_end=*/false);
 }
 
-Status NetworkChannelSource::Finish(const EmitFn& emit) {
+Status NetworkChannelSource::Finish(const BatchEmitFn& emit) {
   // Frames flushed by upstream Finish calls (including the paired sink's
   // fault flush) land here; recover any missing tail before reporting
   // end-of-stream.
@@ -941,15 +794,8 @@ Status NetworkChannelSource::Finish(const EmitFn& emit) {
 
 // --- Sinks -------------------------------------------------------------------
 
-Status SinkOperator::Process(const TupleBufferPtr& input, const EmitFn&) {
-  const exec::Batch batch(input);
-  CountIn(batch);
-  return Consume(batch);
-}
-
 Status SinkOperator::ProcessBatch(const exec::Batch& input,
                                   const BatchEmitFn&) {
-  CountIn(input);
   return Consume(input);
 }
 

@@ -31,7 +31,6 @@ class FilterOperator : public Operator {
 
   std::string name() const override { return "Filter"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
 
@@ -86,7 +85,6 @@ class MapOperator : public Operator {
   const Schema& output_schema() const override {
     return layout_.output_schema;
   }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
 
@@ -114,7 +112,6 @@ class ProjectOperator : public Operator {
 
   std::string name() const override { return "Project"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
 
@@ -159,20 +156,13 @@ class WindowAggOperator : public Operator {
 
   std::string name() const override { return "WindowAgg"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware: reads selected rows through the selection vector
-  /// instead of materializing the partial batch first — a hash-partitioned
-  /// window input (engine worker strands) draws no extra pool buffers.
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
-  Status Finish(const EmitFn& emit) override;
-  void BindMetrics(metrics::MetricsRegistry* registry,
-                   const std::string& prefix) override {
-    Operator::BindMetrics(registry, prefix);
-    BindLateShed(registry, prefix);
-  }
+  Status Finish(const BatchEmitFn& emit) override;
 
  private:
+  bool ShedsLateRecords() const override { return true; }
+
   struct Pane {
     std::vector<AggState> states;
     std::vector<std::unique_ptr<CustomAggregator>> customs;
@@ -182,11 +172,10 @@ class WindowAggOperator : public Operator {
 
   WindowAggOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
   Pane MakePane() const;
   KeyValue KeyOf(const RecordView& rec) const;
   void WritePane(const PaneKey& key, Pane& pane, TupleBuffer* out) const;
-  Status FireUpTo(Timestamp watermark, const EmitFn& emit);
+  Status FireUpTo(Timestamp watermark, const BatchEmitFn& emit);
 
   Schema input_schema_;
   Schema output_schema_;
@@ -230,18 +219,13 @@ class ThresholdWindowOperator : public Operator {
 
   std::string name() const override { return "ThresholdWindow"; }
   const Schema& output_schema() const override { return output_schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  /// Selection-aware (see `WindowAggOperator::ProcessBatch`).
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
-  Status Finish(const EmitFn& emit) override;
-  void BindMetrics(metrics::MetricsRegistry* registry,
-                   const std::string& prefix) override {
-    Operator::BindMetrics(registry, prefix);
-    BindLateShed(registry, prefix);
-  }
+  Status Finish(const BatchEmitFn& emit) override;
 
  private:
+  bool ShedsLateRecords() const override { return true; }
+
   struct OpenWindow {
     Timestamp start = 0;
     Timestamp last = 0;
@@ -252,7 +236,6 @@ class ThresholdWindowOperator : public Operator {
 
   ThresholdWindowOperator() = default;
 
-  Status DoProcess(const exec::Batch& input, const EmitFn& emit);
   OpenWindow MakeWindow(Timestamp start) const;
   void CloseInto(const KeyValue& key, OpenWindow& win, TupleBuffer* out) const;
 
@@ -281,20 +264,21 @@ class ThresholdWindowOperator : public Operator {
 /// retransmit/reorder-repair protocol runs on.
 inline constexpr size_t kWireFrameHeaderBytes = 4 * sizeof(uint64_t);
 
-/// \brief Upstream half of a lowered node transition: serializes each
-/// input buffer into a wire frame (32-byte header, see
-/// `kWireFrameHeaderBytes`, then the raw record bytes) and sends it over
+/// \brief Upstream half of a lowered node transition: serializes the
+/// selected rows of each input batch into a wire frame (32-byte header,
+/// see `kWireFrameHeaderBytes`, then the raw record bytes) and sends it over
 /// the `NetworkChannel` under a contiguous channel sequence number. The
 /// channel retains a bounded copy of each unacknowledged frame so the
 /// paired source can request retransmits; `Finish` flushes any frames the
 /// fault injector is still holding (reorder slot, delay queue).
 ///
 /// `CompilePlan` always places the paired `NetworkChannelSource`
-/// immediately downstream; the buffer this operator emits is only the
-/// scheduling hand-off that drives the pair within the fused pipeline —
-/// the *data* the rest of the chain sees travels through the serialized
-/// frame. Stats: `bytes_in` counts record payload, `bytes_out` counts
-/// serialized wire bytes.
+/// immediately downstream; the batch this operator emits (its input,
+/// unchanged) is only the scheduling hand-off that drives the pair within
+/// the fused pipeline — the *data* the rest of the chain sees travels
+/// through the serialized frame. Stats: like every operator's, record
+/// payload in and out; the channel reports wire bytes
+/// (`channel.*.wire_bytes`, `DeploymentReport`).
 class NetworkChannelSink : public Operator {
  public:
   static Result<OperatorPtr> Make(const Schema& input,
@@ -302,8 +286,9 @@ class NetworkChannelSink : public Operator {
 
   std::string name() const override { return "NetworkChannelSink"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status Finish(const EmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input,
+                      const BatchEmitFn& emit) override;
+  Status Finish(const BatchEmitFn& emit) override;
 
   const std::shared_ptr<NetworkChannel>& channel() const { return channel_; }
 
@@ -318,7 +303,7 @@ class NetworkChannelSink : public Operator {
 /// \brief Downstream half of a node transition: drains its channel,
 /// deserializes each wire frame into freshly allocated buffers (restoring
 /// buffer sequence numbers and watermarks) and emits them. The input
-/// buffer it receives from the paired `NetworkChannelSink` is ignored —
+/// batch it receives from the paired `NetworkChannelSink` is ignored —
 /// it only schedules the drain.
 ///
 /// Delivery hardening: frames land in a bounded reorder-repair buffer
@@ -332,8 +317,9 @@ class NetworkChannelSink : public Operator {
 /// `kBlock` fails the query with a `Status` naming the channel, the drop
 /// policies skip the gap and count the frames as lost. Watermarks are
 /// clamped per channel so repair-buffer release never regresses them.
-/// Stats: `bytes_in` counts wire bytes, `bytes_out` the reconstructed
-/// record payload.
+/// Stats: like every operator's, record payload in (the scheduling
+/// hand-off) and out (the reconstructed records); wire bytes are the
+/// channel's to report.
 class NetworkChannelSource : public Operator {
  public:
   static Result<OperatorPtr> Make(const Schema& schema,
@@ -341,8 +327,9 @@ class NetworkChannelSource : public Operator {
 
   std::string name() const override { return "NetworkChannelSource"; }
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
-  Status Finish(const EmitFn& emit) override;
+  Status ProcessBatch(const exec::Batch& input,
+                      const BatchEmitFn& emit) override;
+  Status Finish(const BatchEmitFn& emit) override;
 
  private:
   /// One parsed frame waiting in the reorder-repair buffer.
@@ -359,15 +346,15 @@ class NetworkChannelSource : public Operator {
   /// Receives everything currently deliverable, repairs gaps (always under
   /// buffer pressure; also the missing tail when \p at_end), and emits
   /// released frames in sequence order.
-  Status Drain(const EmitFn& emit, bool at_end);
+  Status Drain(const BatchEmitFn& emit, bool at_end);
   /// Parses one wire frame into the repair buffer (suppressing
   /// duplicates).
   Status StashFrame(std::vector<uint8_t> frame);
   /// Releases the in-sequence prefix of the repair buffer and
   /// acknowledges it.
-  Status ReleaseReady(const EmitFn& emit);
+  Status ReleaseReady(const BatchEmitFn& emit);
   /// Deserializes one released frame into pooled buffers and emits them.
-  Status EmitFrame(const PendingFrame& pending, const EmitFn& emit);
+  Status EmitFrame(const PendingFrame& pending, const BatchEmitFn& emit);
 
   Schema schema_;
   std::shared_ptr<NetworkChannel> channel_;
@@ -383,13 +370,13 @@ class NetworkChannelSource : public Operator {
 
 // --- Sinks -------------------------------------------------------------------
 
-/// \brief Terminal operator; consumes buffers. Concrete sinks override
-/// `Consume`, which receives a batch so sinks read through the selection
-/// vector directly — the leaf of the zero-copy path never materializes.
+/// \brief Terminal operator; consumes batches and emits nothing. Concrete
+/// sinks override `Consume`, which receives the batch so sinks read
+/// through the selection vector directly — the leaf of the zero-copy path
+/// never materializes.
 class SinkOperator : public Operator {
  public:
   const Schema& output_schema() const override { return schema_; }
-  Status Process(const TupleBufferPtr& input, const EmitFn& emit) override;
   Status ProcessBatch(const exec::Batch& input,
                       const BatchEmitFn& emit) override;
 

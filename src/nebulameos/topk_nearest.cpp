@@ -41,11 +41,10 @@ Result<OperatorPtr> TopKNearestOperator::Make(const Schema& input,
   return OperatorPtr(std::move(op));
 }
 
-Status TopKNearestOperator::Process(const TupleBufferPtr& input,
-                                    const EmitFn& emit) {
-  CountIn(*input);
-  for (size_t i = 0; i < input->size(); ++i) {
-    const RecordView rec = input->At(i);
+Status TopKNearestOperator::ProcessBatch(const nebula::exec::Batch& input,
+                                         const BatchEmitFn& emit) {
+  for (size_t i = 0; i < input.NumRows(); ++i) {
+    const RecordView rec = input.data->At(input.RowAt(i));
     const Timestamp t = rec.GetInt64(time_index_);
     max_event_time_ = std::max(max_event_time_, t);
     const Timestamp start = (t / options_.window) * options_.window;
@@ -59,12 +58,12 @@ Status TopKNearestOperator::Process(const TupleBufferPtr& input,
   return Status::OK();
 }
 
-Status TopKNearestOperator::Finish(const EmitFn& emit) {
+Status TopKNearestOperator::Finish(const BatchEmitFn& emit) {
   return FireUpTo(std::numeric_limits<Timestamp>::max(), emit);
 }
 
 Status TopKNearestOperator::FireUpTo(Timestamp watermark,
-                                     const EmitFn& emit) {
+                                     const BatchEmitFn& emit) {
   auto it = panes_.begin();
   while (it != panes_.end()) {
     if (it->first + options_.window > watermark) break;  // ordered by start
@@ -75,7 +74,7 @@ Status TopKNearestOperator::FireUpTo(Timestamp watermark,
 }
 
 void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
-                                   const EmitFn& emit) {
+                                   const BatchEmitFn& emit) {
   // Build one trajectory per object (records may arrive out of order).
   std::vector<std::pair<int64_t, meos::TGeomPointSeq>> trajectories;
   trajectories.reserve(pane.size());
@@ -117,8 +116,7 @@ void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
     const size_t limit = std::min(options_.k, order.size());
     for (size_t r = 0; r < limit; ++r) {
       if (out->full()) {
-        CountOut(*out);
-        emit(out);
+        emit(nebula::exec::SealedBatch(out));
         out = ctx_->Allocate(output_schema_);
       }
       RecordWriter w = out->Append();
@@ -130,10 +128,7 @@ void TopKNearestOperator::EmitPane(Timestamp window_start, Pane& pane,
       w.SetDouble(5, dist[i][order[r]]);
     }
   }
-  if (!out->empty()) {
-    CountOut(*out);
-    emit(out);
-  }
+  if (!out->empty()) emit(nebula::exec::SealedBatch(std::move(out)));
 }
 
 }  // namespace nebulameos::integration

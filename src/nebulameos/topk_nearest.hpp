@@ -43,9 +43,9 @@ class TopKNearestOperator : public nebula::Operator {
   const nebula::Schema& output_schema() const override {
     return output_schema_;
   }
-  Status Process(const nebula::TupleBufferPtr& input,
-                 const EmitFn& emit) override;
-  Status Finish(const EmitFn& emit) override;
+  Status ProcessBatch(const nebula::exec::Batch& input,
+                      const BatchEmitFn& emit) override;
+  Status Finish(const BatchEmitFn& emit) override;
 
  private:
   TopKNearestOperator() = default;
@@ -53,8 +53,8 @@ class TopKNearestOperator : public nebula::Operator {
   using Track = std::vector<meos::TInstant<meos::Point>>;
   using Pane = std::map<int64_t, Track>;  // key -> positions
 
-  Status FireUpTo(Timestamp watermark, const EmitFn& emit);
-  void EmitPane(Timestamp window_start, Pane& pane, const EmitFn& emit);
+  Status FireUpTo(Timestamp watermark, const BatchEmitFn& emit);
+  void EmitPane(Timestamp window_start, Pane& pane, const BatchEmitFn& emit);
 
   nebula::Schema input_schema_;
   nebula::Schema output_schema_;

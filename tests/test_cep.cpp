@@ -34,20 +34,22 @@ class CepHarness {
       w.SetInt64(1, ts);
       w.SetDouble(2, value);
     }
-    EXPECT_TRUE(op_->Process(buf, [this](const TupleBufferPtr& out) {
-                  for (size_t i = 0; i < out->size(); ++i) {
-                    const RecordView rec = out->At(i);
-                    std::vector<Value> row;
-                    for (size_t f = 0; f < out->schema().num_fields(); ++f) {
-                      if (out->schema().field(f).type == DataType::kDouble) {
-                        row.emplace_back(rec.GetDouble(f));
-                      } else {
-                        row.emplace_back(rec.GetInt64(f));
-                      }
-                    }
-                    matches_.push_back(std::move(row));
-                  }
-                }).ok());
+    auto collect = [this](const exec::Batch& out) {
+      const Schema& schema = out.data->schema();
+      for (size_t i = 0; i < out.NumRows(); ++i) {
+        const RecordView rec = out.data->At(out.RowAt(i));
+        std::vector<Value> row;
+        for (size_t f = 0; f < schema.num_fields(); ++f) {
+          if (schema.field(f).type == DataType::kDouble) {
+            row.emplace_back(rec.GetDouble(f));
+          } else {
+            row.emplace_back(rec.GetInt64(f));
+          }
+        }
+        matches_.push_back(std::move(row));
+      }
+    };
+    EXPECT_TRUE(op_->ProcessBatch(exec::SealedBatch(buf), collect).ok());
   }
 
   const std::vector<std::vector<Value>>& matches() const { return matches_; }

@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "queries/queries.hpp"
@@ -31,14 +33,49 @@ using nebula::NodeEngine;
 using nebula::QueryStats;
 using nebula::Value;
 
-// One run's observable outcome: flow totals, every sink's rows as a
-// sorted multiset, and the query's final metrics snapshot.
+// One run's observable outcome: flow totals, per-operator flow, every
+// sink's rows as a sorted multiset, and the query's final metrics
+// snapshot.
 struct RunOutcome {
   uint64_t events_ingested = 0;
   uint64_t events_emitted = 0;
+  std::vector<std::pair<std::string, nebula::OperatorStats>> operator_stats;
   std::vector<std::vector<std::vector<Value>>> sinks;
   nebula::metrics::MetricsSnapshot metrics;
 };
+
+// The DAG path of an `operator_stats` key ("" in the root segment).
+std::string PathOf(const std::string& key) {
+  const size_t slash = key.rfind('/');
+  return slash == std::string::npos ? std::string() : key.substr(0, slash);
+}
+
+// Flow is conserved along every path: the root's first operator takes in
+// every ingested event, each entry's output is the next entry's input, and
+// a fan-out's output is each branch's first input ("1.0" hangs below "1",
+// "0" below the root).
+void ExpectFlowConserved(const RunOutcome& run, const std::string& label) {
+  std::map<std::string, uint64_t> path_out;  // last output seen per path
+  for (const auto& [key, flow] : run.operator_stats) {
+    const std::string path = PathOf(key);
+    auto last = path_out.find(path);
+    uint64_t expected_in = 0;
+    if (last != path_out.end()) {
+      expected_in = last->second;
+    } else if (path.empty()) {
+      expected_in = run.events_ingested;
+    } else {
+      const size_t dot = path.rfind('.');
+      const std::string parent =
+          dot == std::string::npos ? std::string() : path.substr(0, dot);
+      auto parent_out = path_out.find(parent);
+      expected_in = parent_out != path_out.end() ? parent_out->second
+                                                 : run.events_ingested;
+    }
+    EXPECT_EQ(flow.events_in, expected_in) << label << " " << key;
+    path_out[path] = flow.events_out;
+  }
+}
 
 // Every registered metric name, across all three instrument kinds.
 std::set<std::string> MetricNames(const nebula::metrics::MetricsSnapshot& m) {
@@ -87,8 +124,10 @@ class EngineConcurrencyTest : public ::testing::Test {
     auto stats = engine.Stats(*id);
     EXPECT_TRUE(stats.ok()) << stats.status().ToString();
     RunOutcome outcome;
+    if (!stats.ok()) return outcome;
     outcome.events_ingested = stats->events_ingested;
     outcome.events_emitted = stats->events_emitted;
+    outcome.operator_stats = stats->operator_stats;
     auto metrics = engine.Metrics(*id);
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     if (metrics.ok()) outcome.metrics = *std::move(metrics);
@@ -103,13 +142,29 @@ class EngineConcurrencyTest : public ::testing::Test {
   }
 
   // The core assertion: worker counts 2 and 4 reproduce the sequential
-  // outcome exactly (as row sets).
+  // outcome exactly (as row sets, and per-operator flow entry for entry),
+  // and flow is conserved along every path of both runs.
   static void ExpectEquivalent(const RunOutcome& sequential,
                                const RunOutcome& concurrent,
                                const std::string& label) {
     EXPECT_EQ(sequential.events_ingested, concurrent.events_ingested)
         << label;
     EXPECT_EQ(sequential.events_emitted, concurrent.events_emitted) << label;
+    ASSERT_EQ(sequential.operator_stats.size(),
+              concurrent.operator_stats.size())
+        << label;
+    for (size_t i = 0; i < sequential.operator_stats.size(); ++i) {
+      const auto& [key, seq] = sequential.operator_stats[i];
+      const auto& [ckey, con] = concurrent.operator_stats[i];
+      EXPECT_EQ(key, ckey) << label;
+      EXPECT_EQ(seq.events_in, con.events_in) << label << " " << key;
+      EXPECT_EQ(seq.events_out, con.events_out) << label << " " << key;
+      EXPECT_EQ(seq.bytes_in, con.bytes_in) << label << " " << key;
+      EXPECT_EQ(seq.bytes_out, con.bytes_out) << label << " " << key;
+      EXPECT_EQ(seq.events_shed, con.events_shed) << label << " " << key;
+    }
+    ExpectFlowConserved(sequential, label + " (sequential)");
+    ExpectFlowConserved(concurrent, label);
     ASSERT_EQ(sequential.sinks.size(), concurrent.sinks.size()) << label;
     for (size_t s = 0; s < sequential.sinks.size(); ++s) {
       EXPECT_EQ(sequential.sinks[s], concurrent.sinks[s])
@@ -160,7 +215,8 @@ class EngineConcurrencyTest : public ::testing::Test {
     EXPECT_GE(strand_gauges, 1u) << label;
   }
 
-  static void CheckQueryAcrossWorkerCounts(int number) {
+  // Runs query `number` at 1, 2 and 4 workers; returns the 1-worker run.
+  static RunOutcome CheckQueryAcrossWorkerCounts(int number) {
     const RunOutcome sequential = RunQueryWithWorkers(number, 1);
     EXPECT_GT(sequential.events_ingested, 0u) << QueryName(number);
     ExpectInstrumented(sequential,
@@ -171,6 +227,18 @@ class EngineConcurrencyTest : public ::testing::Test {
                                 std::to_string(workers) + " workers";
       ExpectEquivalent(sequential, concurrent, label);
       ExpectInstrumented(concurrent, label);
+    }
+    return sequential;
+  }
+
+  // Two `Map`s on one path bind their own instruments: the first keeps
+  // `op.Map.*`, the second gets `op.Map#2.*`, and each records samples.
+  static void ExpectOneInstrumentPerMap(const RunOutcome& run,
+                                        const std::string& label) {
+    for (const char* name : {"op.Map.batch_rows", "op.Map#2.batch_rows"}) {
+      const auto hist = run.metrics.histograms.find(name);
+      ASSERT_NE(hist, run.metrics.histograms.end()) << label << " " << name;
+      EXPECT_GT(hist->second.count, 0u) << label << " " << name;
     }
   }
 
@@ -193,12 +261,14 @@ TEST_F(EngineConcurrencyTest, Q3DynamicSpeedLimit) {
   CheckQueryAcrossWorkerCounts(3);
 }
 
+// Q4 fuses two Map stages into one kernel run; Q5 maps before and after
+// its window. Either way each Map owns its histograms.
 TEST_F(EngineConcurrencyTest, Q4WeatherSpeedZones) {
-  CheckQueryAcrossWorkerCounts(4);
+  ExpectOneInstrumentPerMap(CheckQueryAcrossWorkerCounts(4), "Q4");
 }
 
 TEST_F(EngineConcurrencyTest, Q5BatteryMonitoring) {
-  CheckQueryAcrossWorkerCounts(5);
+  ExpectOneInstrumentPerMap(CheckQueryAcrossWorkerCounts(5), "Q5");
 }
 
 TEST_F(EngineConcurrencyTest, Q6HeavyLoad) {

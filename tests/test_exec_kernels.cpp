@@ -4,16 +4,22 @@
 // flow (fully-selective passthrough, shared-buffer fan-out, pool
 // accounting), interpreter fallback for non-compilable expressions, and
 // the placed/unplaced × compiled/interpreted equivalence regression on
-// the shared-ingest fan-out.
+// the shared-ingest fan-out, and the one operator contract: every
+// operator class reads a partial selection exactly like a buffer holding
+// only the selected rows.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <utility>
 
+#include "nebula/cep.hpp"
 #include "nebula/engine.hpp"
 #include "nebula/exec/kernels.hpp"
+#include "nebula/join.hpp"
+#include "nebulameos/topk_nearest.hpp"
 #include "queries/queries.hpp"
 
 namespace nebulameos::nebula {
@@ -776,6 +782,254 @@ TEST(KernelCse, SharedFunctionEvaluatesOncePerRowInCompiledRun) {
   for (const auto& row : compiled_rows) {
     EXPECT_EQ(std::get<double>(row[5]), std::get<double>(row[2]) * 3.0);
     EXPECT_GE(std::get<double>(row[5]), 6.0);
+  }
+}
+
+// --- One operator contract ---------------------------------------------------
+
+using Rows = std::vector<std::vector<Value>>;
+
+// Appends the selected rows of `batch` as values.
+void AppendRows(const exec::Batch& batch, Rows* rows) {
+  const Schema& schema = batch.data->schema();
+  for (size_t i = 0; i < batch.NumRows(); ++i) {
+    const RecordView rec = batch.data->At(batch.RowAt(i));
+    std::vector<Value> row;
+    for (size_t f = 0; f < schema.num_fields(); ++f) {
+      switch (schema.field(f).type) {
+        case DataType::kBool:
+          row.emplace_back(rec.GetBool(f));
+          break;
+        case DataType::kInt64:
+        case DataType::kTimestamp:
+          row.emplace_back(rec.GetInt64(f));
+          break;
+        case DataType::kDouble:
+          row.emplace_back(rec.GetDouble(f));
+          break;
+        case DataType::kText16:
+        case DataType::kText32:
+          row.emplace_back(rec.GetText(f));
+          break;
+      }
+    }
+    rows->push_back(std::move(row));
+  }
+}
+
+// Drives `chain` as the engine does: `batch` into operator `from`, every
+// emitted batch into the next one, and what leaves the last into `rows`.
+// A null `batch` runs the end-of-stream cascade from `from` instead.
+Status DriveChain(const std::vector<OperatorPtr>& chain, size_t from,
+                  const exec::Batch* batch, Rows* rows) {
+  if (from == chain.size()) {
+    if (batch != nullptr) AppendRows(*batch, rows);
+    return Status::OK();
+  }
+  Status inner = Status::OK();
+  auto forward = [&](const exec::Batch& out) {
+    const Status st = DriveChain(chain, from + 1, &out, rows);
+    if (!st.ok() && inner.ok()) inner = st;
+  };
+  const Status s = batch != nullptr ? chain[from]->ProcessBatch(*batch, forward)
+                                    : chain[from]->Finish(forward);
+  NM_RETURN_NOT_OK(s);
+  NM_RETURN_NOT_OK(inner);
+  if (batch == nullptr) return DriveChain(chain, from + 1, nullptr, rows);
+  return Status::OK();
+}
+
+// Selected row `j` of the contract input: keys 0..2, one row per second,
+// values cycling through -3 .. 6 in steps of 1.5.
+void WriteContractRow(RecordWriter* w, int j) {
+  w->SetInt64(0, j % 3);
+  w->SetInt64(1, Seconds(j));
+  w->SetDouble(2, (j % 7) * 1.5 - 3.0);
+  w->SetBool(3, j % 2 == 0);
+  w->SetText(4, j % 2 == 0 ? "even" : "odd");
+}
+
+// The same `n` rows two ways: a sealed buffer holding only them, and a
+// partial selection (the odd rows) over a sealed buffer twice as large
+// whose unselected rows would change every operator's output.
+std::pair<exec::Batch, exec::Batch> ContractInputs(int n) {
+  auto full = std::make_shared<TupleBuffer>(EventSchema(), n);
+  auto wide = std::make_shared<TupleBuffer>(EventSchema(), 2 * n);
+  auto selection = std::make_shared<exec::SelectionVector>();
+  for (int j = 0; j < n; ++j) {
+    RecordWriter junk = wide->Append();
+    junk.SetInt64(0, 99);
+    junk.SetInt64(1, Seconds(1000 + j));
+    junk.SetDouble(2, 100.0);
+    junk.SetBool(3, true);
+    junk.SetText(4, "junk");
+    RecordWriter kept = wide->Append();
+    WriteContractRow(&kept, j);
+    selection->push_back(static_cast<uint32_t>(2 * j + 1));
+    RecordWriter row = full->Append();
+    WriteContractRow(&row, j);
+  }
+  for (const auto& buf : {full, wide}) {
+    buf->set_sequence_number(7);
+    buf->set_watermark(Seconds(n));
+    buf->Seal();
+  }
+  return {exec::Batch(full), exec::Batch(wide, std::move(selection))};
+}
+
+// One operator class under test: `make` builds a fresh chain over
+// `EventSchema()` (the channel pair is two operators; a sink ends the
+// chain and is read back through `CollectSink::Rows`).
+struct ContractCase {
+  std::string name;
+  std::function<std::vector<OperatorPtr>()> make;
+};
+
+OperatorPtr Built(Result<OperatorPtr> op) {
+  EXPECT_TRUE(op.ok()) << op.status().ToString();
+  return op.ok() ? std::move(*op) : nullptr;
+}
+
+std::vector<ContractCase> ContractCases(const Topology* topo) {
+  const Schema in = EventSchema();
+  auto one = [](OperatorPtr op) {
+    std::vector<OperatorPtr> chain;
+    chain.push_back(std::move(op));
+    return chain;
+  };
+  std::vector<ContractCase> cases;
+  cases.push_back({"Filter", [=] {
+                     return one(Built(FilterOperator::Make(
+                         in, Ge(Attribute("value"), Lit(0.0)))));
+                   }});
+  cases.push_back({"Map", [=] {
+                     return one(Built(MapOperator::Make(
+                         in, {{"doubled", Mul(Attribute("value"), Lit(2.0))},
+                              {"tag", Attribute("label")}})));
+                   }});
+  cases.push_back({"Project", [=] {
+                     return one(Built(ProjectOperator::Make(
+                         in, {"label", "key", "value"})));
+                   }});
+  cases.push_back({"BatchKernels", [=] {
+                     exec::BatchKernelCompiler compiler(in);
+                     EXPECT_TRUE(
+                         compiler.AddFilter(Ge(Attribute("value"), Lit(0.0))));
+                     EXPECT_TRUE(compiler.AddMap(
+                         {{"doubled", Mul(Attribute("value"), Lit(2.0))}}));
+                     EXPECT_TRUE(compiler.AddProject({"key", "doubled"}));
+                     return one(std::move(compiler).Finish());
+                   }});
+  cases.push_back({"WindowAgg", [=] {
+                     WindowAggOptions opts;
+                     opts.key_field = "key";
+                     opts.time_field = "ts";
+                     opts.window = TumblingWindowSpec{Seconds(4)};
+                     opts.aggregates = {AggregateSpec::Sum("value", "total"),
+                                        AggregateSpec::Count("n")};
+                     return one(Built(WindowAggOperator::Make(in, opts)));
+                   }});
+  cases.push_back({"ThresholdWindow", [=] {
+                     ThresholdWindowOptions opts;
+                     opts.predicate = Gt(Attribute("value"), Lit(0.0));
+                     opts.key_field = "key";
+                     opts.time_field = "ts";
+                     opts.aggregates = {AggregateSpec::Max("value", "peak")};
+                     return one(Built(ThresholdWindowOperator::Make(in, opts)));
+                   }});
+  cases.push_back({"CEP", [=] {
+                     Pattern p;
+                     p.steps = {
+                         PatternStep{"a", Gt(Attribute("value"), Lit(3.5)),
+                                     false, false},
+                         PatternStep{"b", Lt(Attribute("value"), Lit(0.0)),
+                                     false, false}};
+                     p.key_field = "key";
+                     p.time_field = "ts";
+                     return one(Built(CepOperator::Make(
+                         in, p, {Measure::First("a", "value", "a_value")})));
+                   }});
+  cases.push_back({"TemporalLookupJoin", [=] {
+                     const Schema right = Schema::Build()
+                                              .AddInt64("key")
+                                              .AddTimestamp("ts")
+                                              .AddDouble("level")
+                                              .Finish();
+                     std::vector<std::vector<Value>> rows;
+                     for (int64_t key = 0; key < 2; ++key) {
+                       rows.push_back({Value(key), Value(Seconds(6)),
+                                       Value(key * 10.0)});
+                     }
+                     TemporalLookupJoinOptions opts;
+                     opts.lookup = std::make_shared<MemorySource>(
+                         right, std::move(rows), 1, "ts");
+                     opts.left_key = "key";
+                     opts.right_key = "key";
+                     opts.left_time = "ts";
+                     opts.right_time = "ts";
+                     opts.max_age = Seconds(5);
+                     return one(
+                         Built(TemporalLookupJoinOperator::Make(in, opts)));
+                   }});
+  cases.push_back({"TopKNearest", [=] {
+                     integration::TopKNearestOptions opts;
+                     opts.k = 1;
+                     opts.window = Seconds(8);
+                     opts.key_field = "key";
+                     opts.time_field = "ts";
+                     opts.lon_field = "value";
+                     opts.lat_field = "value";
+                     opts.metric = meos::Metric::kCartesian;
+                     return one(Built(
+                         integration::TopKNearestOperator::Make(in, opts)));
+                   }});
+  cases.push_back({"NetworkChannelSink+Source", [=] {
+                     auto channel = NetworkChannel::Connect(*topo, 2, 1);
+                     EXPECT_TRUE(channel.ok());
+                     std::vector<OperatorPtr> chain;
+                     chain.push_back(
+                         Built(NetworkChannelSink::Make(in, *channel)));
+                     chain.push_back(
+                         Built(NetworkChannelSource::Make(in, *channel)));
+                     return chain;
+                   }});
+  cases.push_back({"CollectSink", [=] {
+                     return one(std::make_unique<CollectSink>(in));
+                   }});
+  return cases;
+}
+
+// Every operator class reads a partial selection exactly like a buffer
+// holding only the selected rows: same output rows, same pool draws — no
+// operator gathers its input first.
+TEST(OperatorContract, PartialSelectionMatchesFullBufferForEveryOperator) {
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(1));
+  const auto [full, partial] = ContractInputs(24);
+  for (const ContractCase& c : ContractCases(&topo)) {
+    auto run = [&c](const exec::Batch& input, uint64_t* draws) {
+      ExecutionContext ctx;
+      std::vector<OperatorPtr> chain = c.make();
+      for (const OperatorPtr& op : chain) {
+        EXPECT_NE(op, nullptr) << c.name;
+        if (op == nullptr) return Rows{};
+        EXPECT_TRUE(op->Open(&ctx).ok()) << c.name;
+      }
+      Rows rows;
+      EXPECT_TRUE(DriveChain(chain, 0, &input, &rows).ok()) << c.name;
+      EXPECT_TRUE(DriveChain(chain, 0, nullptr, &rows).ok()) << c.name;
+      if (auto* sink = dynamic_cast<CollectSink*>(chain.back().get())) {
+        rows = sink->Rows();
+      }
+      *draws = ctx.TotalBuffersAcquired();
+      return rows;
+    };
+    uint64_t full_draws = 0;
+    uint64_t partial_draws = 0;
+    const Rows from_full = run(full, &full_draws);
+    const Rows from_partial = run(partial, &partial_draws);
+    EXPECT_FALSE(from_full.empty()) << c.name;
+    EXPECT_EQ(from_full, from_partial) << c.name;
+    EXPECT_EQ(full_draws, partial_draws) << c.name;
   }
 }
 

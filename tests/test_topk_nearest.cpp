@@ -79,17 +79,18 @@ class TopKHarness {
       w.SetDouble(2, lon);
       w.SetDouble(3, lat);
     }
-    EXPECT_TRUE(op_->Process(buf, collector_).ok());
+    EXPECT_TRUE(
+        op_->ProcessBatch(nebula::exec::SealedBatch(buf), collector_).ok());
   }
 
   void Finish() { EXPECT_TRUE(op_->Finish(collector_).ok()); }
 
-  // Stored callable: Operator::EmitFn is a non-owning FunctionRef, so the
-  // referenced callable must outlive the Process/Finish call.
-  std::function<void(const TupleBufferPtr&)> MakeCollector() {
-    return [this](const TupleBufferPtr& out) {
-      for (size_t i = 0; i < out->size(); ++i) {
-        const auto rec = out->At(i);
+  // Stored callable: Operator::BatchEmitFn is a non-owning FunctionRef, so
+  // the referenced callable must outlive the ProcessBatch/Finish call.
+  std::function<void(const nebula::exec::Batch&)> MakeCollector() {
+    return [this](const nebula::exec::Batch& out) {
+      for (size_t i = 0; i < out.NumRows(); ++i) {
+        const auto rec = out.data->At(out.RowAt(i));
         rows_.push_back({Value(rec.GetInt64(0)), Value(rec.GetInt64(1)),
                          Value(rec.GetInt64(2)), Value(rec.GetInt64(3)),
                          Value(rec.GetInt64(4)), Value(rec.GetDouble(5))});
@@ -103,7 +104,7 @@ class TopKHarness {
   nebula::ExecutionContext ctx_;
   nebula::OperatorPtr op_;
   std::vector<std::vector<Value>> rows_;
-  std::function<void(const TupleBufferPtr&)> collector_ = MakeCollector();
+  std::function<void(const nebula::exec::Batch&)> collector_ = MakeCollector();
 };
 
 TopKNearestOptions Options(size_t k) {
@@ -221,9 +222,9 @@ TEST(TopKNearest, SncbFleetEndToEnd) {
   ASSERT_TRUE((*op)->Open(&ctx).ok());
   auto source = sources.Position(60'000);
   std::vector<std::vector<Value>> rows;
-  auto collect = [&](const TupleBufferPtr& out) {
-    for (size_t i = 0; i < out->size(); ++i) {
-      const auto rec = out->At(i);
+  auto collect = [&](const nebula::exec::Batch& out) {
+    for (size_t i = 0; i < out.NumRows(); ++i) {
+      const auto rec = out.data->At(out.RowAt(i));
       rows.push_back({Value(rec.GetInt64(0)), Value(rec.GetInt64(3)),
                       Value(rec.GetInt64(4)), Value(rec.GetDouble(5))});
     }
@@ -233,7 +234,8 @@ TEST(TopKNearest, SncbFleetEndToEnd) {
     auto more = source->Fill(buf.get());
     ASSERT_TRUE(more.ok());
     if (!buf->empty()) {
-      ASSERT_TRUE((*op)->Process(buf, collect).ok());
+      ASSERT_TRUE(
+          (*op)->ProcessBatch(nebula::exec::SealedBatch(buf), collect).ok());
     }
     if (!*more) break;
   }

@@ -78,12 +78,12 @@ class TrajectoryAggTest : public ::testing::Test {
       w.SetDouble(3, 50.80 + 0.001 * i);
     }
     std::vector<std::vector<Value>> rows;
-    auto collect = [&](const TupleBufferPtr& out) {
-      for (size_t i = 0; i < out->size(); ++i) {
-        const nebula::RecordView rec = out->At(i);
+    auto collect = [&](const nebula::exec::Batch& out) {
+      for (size_t i = 0; i < out.NumRows(); ++i) {
+        const nebula::RecordView rec = out.data->At(out.RowAt(i));
         std::vector<Value> row;
-        for (size_t f = 0; f < out->schema().num_fields(); ++f) {
-          switch (out->schema().field(f).type) {
+        for (size_t f = 0; f < out.data->schema().num_fields(); ++f) {
+          switch (out.data->schema().field(f).type) {
             case nebula::DataType::kBool:
               row.emplace_back(rec.GetBool(f));
               break;
@@ -97,7 +97,8 @@ class TrajectoryAggTest : public ::testing::Test {
         rows.push_back(std::move(row));
       }
     };
-    EXPECT_TRUE((*op)->Process(buf, collect).ok());
+    EXPECT_TRUE(
+        (*op)->ProcessBatch(nebula::exec::SealedBatch(buf), collect).ok());
     EXPECT_TRUE((*op)->Finish(collect).ok());
     EXPECT_EQ(rows.size(), 1u);
     return rows.empty() ? std::vector<Value>{} : rows[0];

@@ -31,20 +31,20 @@ class WindowHarness {
       w.SetInt64(1, ts);
       w.SetDouble(2, value);
     }
-    EXPECT_TRUE(op_->Process(buf, collector_).ok());
+    EXPECT_TRUE(op_->ProcessBatch(exec::SealedBatch(buf), collector_).ok());
   }
 
   void Finish() { EXPECT_TRUE(op_->Finish(collector_).ok()); }
 
-  // Stored callable: Operator::EmitFn is a non-owning FunctionRef, so the
-  // referenced callable must outlive the Process/Finish call.
-  std::function<void(const TupleBufferPtr&)> MakeCollector() {
-    return [this](const TupleBufferPtr& out) {
-      for (size_t i = 0; i < out->size(); ++i) {
-        const RecordView rec = out->At(i);
+  // Stored callable: Operator::BatchEmitFn is a non-owning FunctionRef, so
+  // the referenced callable must outlive the ProcessBatch/Finish call.
+  std::function<void(const exec::Batch&)> MakeCollector() {
+    return [this](const exec::Batch& out) {
+      for (size_t i = 0; i < out.NumRows(); ++i) {
+        const RecordView rec = out.data->At(out.RowAt(i));
         std::vector<Value> row;
-        for (size_t f = 0; f < out->schema().num_fields(); ++f) {
-          switch (out->schema().field(f).type) {
+        for (size_t f = 0; f < out.data->schema().num_fields(); ++f) {
+          switch (out.data->schema().field(f).type) {
             case DataType::kBool:
               row.emplace_back(rec.GetBool(f));
               break;
@@ -71,7 +71,7 @@ class WindowHarness {
   ExecutionContext ctx_;
   OperatorPtr op_;
   std::vector<std::vector<Value>> rows_;
-  std::function<void(const TupleBufferPtr&)> collector_ = MakeCollector();
+  std::function<void(const exec::Batch&)> collector_ = MakeCollector();
 };
 
 TEST(WindowAssigner, TumblingSingleWindow) {
