@@ -12,7 +12,10 @@
 /// It is also the only unit of the operator contract (operator.hpp):
 /// every operator reads the selected rows of its input batch directly, and
 /// every buffer an operator writes is sealed before it is emitted, so no
-/// hop ever gathers a partial selection just to hand it on.
+/// hop ever gathers a partial selection just to hand it on. Batches stay
+/// row-major between operators; inside one fused kernel run
+/// (exec/kernels.hpp) computed fields live in run-local columns indexed by
+/// physical row of the batch's buffer until the run's one write.
 
 #pragma once
 
@@ -74,12 +77,13 @@ inline Batch TakePartialSelection(SelectionVector* scratch, const Batch& in) {
   return out;
 }
 
-/// Allocates a pooled output buffer of \p out_schema sized to hold every
-/// selected row of \p batch, with the batch's stream metadata (sequence
+/// Allocates a pooled output buffer of \p out_schema sized to hold \p rows
+/// rows read from \p source, with the source's stream metadata (sequence
 /// number, watermark) carried over — the shared preamble of every
 /// materialization. Fails when the rows exceed the pool's buffer shape.
 /// The caller fills the buffer and seals it before emitting.
-Result<TupleBufferPtr> AllocateOutputFor(const Batch& batch,
+Result<TupleBufferPtr> AllocateOutputFor(const TupleBuffer& source,
+                                         size_t rows,
                                          const Schema& out_schema,
                                          ExecutionContext* ctx);
 

@@ -19,6 +19,34 @@ RowSpan SpanOf(const TupleBuffer& buffer, const SelectionVector* sel) {
   return span;
 }
 
+RunLayout::RunLayout(const Schema& input) {
+  for (size_t f = 0; f < input.num_fields(); ++f) {
+    names_.push_back(input.field(f).name);
+    FieldSource source;
+    source.type = input.field(f).type;
+    source.offset = input.offset(f);
+    sources_.push_back(source);
+  }
+}
+
+const FieldSource* RunLayout::Find(const std::string& name) const {
+  for (size_t f = 0; f < names_.size(); ++f) {
+    if (names_[f] == name) return &sources_[f];
+  }
+  return nullptr;
+}
+
+size_t RunLayout::AddColumn(DataType type) {
+  column_types_.push_back(type);
+  return column_types_.size() - 1;
+}
+
+void RunLayout::SetFields(std::vector<std::string> names,
+                          std::vector<FieldSource> sources) {
+  names_ = std::move(names);
+  sources_ = std::move(sources);
+}
+
 void ScalarKernel::EvalBool(const RowSpan&, uint8_t*) const {
   assert(false && "kernel is not bool-typed");
 }
@@ -115,67 +143,88 @@ namespace {
 
 // --- Leaves -----------------------------------------------------------------
 
+// Gathers a fused run's computed column by physical row: the same element
+// width in and out (1-byte bool, 8-byte int64/double), so the loop needs no
+// runtime width.
+template <typename T>
+void GatherComputed(const RowSpan& rows, size_t column, T* out) {
+  const T* col = reinterpret_cast<const T*>(rows.columns[column]);
+  if (rows.sel == nullptr) {
+    std::memcpy(out, col, rows.count * sizeof(T));
+    return;
+  }
+  for (size_t i = 0; i < rows.count; ++i) out[i] = col[rows.sel[i]];
+}
+
 class LoadBoolKernel final : public ScalarKernel {
  public:
-  explicit LoadBoolKernel(size_t offset)
-      : ScalarKernel(KernelType::kBool), offset_(offset) {}
+  explicit LoadBoolKernel(const FieldSource& source)
+      : ScalarKernel(KernelType::kBool), source_(source) {}
 
   void EvalBool(const RowSpan& rows, uint8_t* out) const override {
+    if (source_.computed()) {
+      GatherComputed(rows, source_.column, out);  // stored as 0/1
+      return;
+    }
     if (rows.sel == nullptr) {
-      const uint8_t* p = rows.base + offset_;
+      const uint8_t* p = rows.base + source_.offset;
       for (size_t i = 0; i < rows.count; ++i, p += rows.stride) {
         out[i] = *p != 0 ? 1 : 0;
       }
       return;
     }
     for (size_t i = 0; i < rows.count; ++i) {
-      out[i] = *(rows.Row(i) + offset_) != 0 ? 1 : 0;
+      out[i] = *(rows.Row(i) + source_.offset) != 0 ? 1 : 0;
     }
   }
 
  private:
-  size_t offset_;
+  FieldSource source_;
 };
 
 // Tight strided load shared by the typed leaf kernels. Each kernel
 // overrides only its native Eval method, so a type-mismatched call still
 // hits the asserting ScalarKernel default.
 template <typename T>
-void LoadColumn(const RowSpan& rows, size_t offset, T* out) {
+void LoadColumn(const RowSpan& rows, const FieldSource& source, T* out) {
+  if (source.computed()) {
+    GatherComputed(rows, source.column, out);
+    return;
+  }
   if (rows.sel == nullptr) {
-    const uint8_t* p = rows.base + offset;
+    const uint8_t* p = rows.base + source.offset;
     for (size_t i = 0; i < rows.count; ++i, p += rows.stride) {
       std::memcpy(&out[i], p, sizeof(T));
     }
     return;
   }
   for (size_t i = 0; i < rows.count; ++i) {
-    std::memcpy(&out[i], rows.Row(i) + offset, sizeof(T));
+    std::memcpy(&out[i], rows.Row(i) + source.offset, sizeof(T));
   }
 }
 
 class LoadInt64Kernel final : public ScalarKernel {
  public:
-  explicit LoadInt64Kernel(size_t offset)
-      : ScalarKernel(KernelType::kInt64), offset_(offset) {}
+  explicit LoadInt64Kernel(const FieldSource& source)
+      : ScalarKernel(KernelType::kInt64), source_(source) {}
   void EvalInt64(const RowSpan& rows, int64_t* out) const override {
-    LoadColumn(rows, offset_, out);
+    LoadColumn(rows, source_, out);
   }
 
  private:
-  size_t offset_;
+  FieldSource source_;
 };
 
 class LoadDoubleKernel final : public ScalarKernel {
  public:
-  explicit LoadDoubleKernel(size_t offset)
-      : ScalarKernel(KernelType::kDouble), offset_(offset) {}
+  explicit LoadDoubleKernel(const FieldSource& source)
+      : ScalarKernel(KernelType::kDouble), source_(source) {}
   void EvalDouble(const RowSpan& rows, double* out) const override {
-    LoadColumn(rows, offset_, out);
+    LoadColumn(rows, source_, out);
   }
 
  private:
-  size_t offset_;
+  FieldSource source_;
 };
 
 class ConstBoolKernel final : public ScalarKernel {
@@ -345,6 +394,9 @@ class CompareKernel final : public ScalarKernel {
   mutable std::vector<double> a_, b_;
 };
 
+// AND/OR refine the selection: the right side runs only over the rows the
+// left side leaves undecided, through a span over their physical indices —
+// the batch form of the interpreter's short circuit.
 class LogicalKernel final : public ScalarKernel {
  public:
   LogicalKernel(bool is_and, KernelPtr lhs, KernelPtr rhs)
@@ -354,24 +406,36 @@ class LogicalKernel final : public ScalarKernel {
         rhs_(std::move(rhs)) {}
 
   void EvalBool(const RowSpan& rows, uint8_t* out) const override {
-    a_.resize(rows.count);
-    b_.resize(rows.count);
-    // Both sides always evaluate (expressions are pure reads), which is
-    // observably identical to the interpreter's short-circuit.
-    lhs_->EvalAsBool(rows, a_.data());
-    rhs_->EvalAsBool(rows, b_.data());
-    if (is_and_) {
-      for (size_t i = 0; i < rows.count; ++i) out[i] = a_[i] & b_[i];
-    } else {
-      for (size_t i = 0; i < rows.count; ++i) out[i] = a_[i] | b_[i];
+    lhs_->EvalAsBool(rows, out);
+    // Undecided: a true left side of AND, a false left side of OR. The
+    // result of an undecided row is its right side's.
+    const uint8_t undecided = is_and_ ? 1 : 0;
+    pending_.clear();
+    for (size_t i = 0; i < rows.count; ++i) {
+      if (out[i] == undecided) pending_.push_back(static_cast<uint32_t>(i));
     }
+    const size_t k = pending_.size();
+    if (k == 0) return;
+    if (k == rows.count) {
+      rhs_->EvalAsBool(rows, out);
+      return;
+    }
+    phys_.resize(k);
+    for (size_t j = 0; j < k; ++j) {
+      phys_[j] = static_cast<uint32_t>(rows.Phys(pending_[j]));
+    }
+    b_.resize(k);
+    rhs_->EvalAsBool(rows.Subset(phys_.data(), k), b_.data());
+    for (size_t j = 0; j < k; ++j) out[pending_[j]] = b_[j];
   }
 
  private:
   bool is_and_;
   KernelPtr lhs_;
   KernelPtr rhs_;
-  mutable std::vector<uint8_t> a_, b_;
+  mutable std::vector<uint32_t> pending_;  ///< span rows left undecided
+  mutable std::vector<uint32_t> phys_;     ///< their physical indices
+  mutable std::vector<uint8_t> b_;
 };
 
 class NotKernel final : public ScalarKernel {
@@ -626,10 +690,11 @@ class BoxedFnKernel final : public ScalarKernel {
 
 // --- Cross-stage computed-column cache (kernel-level CSE) -------------------
 
-// Caches by *physical* row index: the compute path scatters results through
-// the span's selection so that a later stage's refined selection — a subset
-// of the rows computed here — gathers the same values the inner kernel
-// would produce. Element width follows the inner kernel's native type.
+// Caches by *physical* row index of the run's input buffer and tracks which
+// rows it holds: an evaluation computes only the requested rows missing
+// from the slot (over a sub-span of their physical indices), scatters them
+// in, and gathers the rest. Element width follows the inner kernel's native
+// type.
 class ColumnCacheKernel final : public ScalarKernel {
  public:
   ColumnCacheKernel(std::shared_ptr<ColumnCache> cache, size_t slot,
@@ -659,34 +724,45 @@ class ColumnCacheKernel final : public ScalarKernel {
   template <typename T, typename Compute>
   void Eval(const RowSpan& rows, T* out, const Compute& compute) const {
     ColumnCache::Slot& slot = cache_->slot(slot_);
-    if (slot.epoch == cache_->epoch()) {
-      const T* col = reinterpret_cast<const T*>(slot.data.data());
-      for (size_t i = 0; i < rows.count; ++i) {
-        out[i] = col[rows.sel != nullptr ? rows.sel[i] : i];
+    if (slot.epoch != cache_->epoch()) {
+      slot.epoch = cache_->epoch();
+      slot.valid.assign(cache_->rows(), 0);
+      slot.data.resize(cache_->rows() * sizeof(T));
+    }
+    T* col = reinterpret_cast<T*>(slot.data.data());
+    missing_.clear();
+    for (size_t i = 0; i < rows.count; ++i) {
+      const size_t phys = rows.Phys(i);
+      if (slot.valid[phys] == 0) {
+        missing_.push_back(static_cast<uint32_t>(phys));
+      }
+    }
+    const size_t k = missing_.size();
+    if (k == rows.count) {
+      // Nothing cached yet for these rows: compute straight into `out`.
+      compute(rows, out);
+      for (size_t i = 0; i < k; ++i) {
+        col[missing_[i]] = out[i];
+        slot.valid[missing_[i]] = 1;
       }
       return;
     }
-    compute(rows, out);
-    size_t max_phys = rows.count;  // sel == nullptr: indices 0..count-1
-    if (rows.sel != nullptr) {
-      max_phys = 0;
-      for (size_t i = 0; i < rows.count; ++i) {
-        max_phys = std::max<size_t>(max_phys, rows.sel[i] + 1);
+    if (k > 0) {
+      T* computed = Retype<T>(&scratch_, k);
+      compute(rows.Subset(missing_.data(), k), computed);
+      for (size_t j = 0; j < k; ++j) {
+        col[missing_[j]] = computed[j];
+        slot.valid[missing_[j]] = 1;
       }
     }
-    if (slot.data.size() < max_phys * sizeof(T)) {
-      slot.data.resize(max_phys * sizeof(T));
-    }
-    T* col = reinterpret_cast<T*>(slot.data.data());
-    for (size_t i = 0; i < rows.count; ++i) {
-      col[rows.sel != nullptr ? rows.sel[i] : i] = out[i];
-    }
-    slot.epoch = cache_->epoch();
+    for (size_t i = 0; i < rows.count; ++i) out[i] = col[rows.Phys(i)];
   }
 
   std::shared_ptr<ColumnCache> cache_;
   size_t slot_;
   KernelPtr inner_;
+  mutable std::vector<uint32_t> missing_;  ///< physical rows to compute
+  mutable std::vector<uint8_t> scratch_;   ///< their values (retyped)
 };
 
 }  // namespace
@@ -698,15 +774,15 @@ KernelPtr MakeColumnCacheKernel(std::shared_ptr<ColumnCache> cache,
                                              std::move(inner));
 }
 
-KernelPtr MakeLoadKernel(DataType type, size_t offset) {
-  switch (type) {
+KernelPtr MakeLoadKernel(const FieldSource& source) {
+  switch (source.type) {
     case DataType::kBool:
-      return std::make_unique<LoadBoolKernel>(offset);
+      return std::make_unique<LoadBoolKernel>(source);
     case DataType::kInt64:
     case DataType::kTimestamp:
-      return std::make_unique<LoadInt64Kernel>(offset);
+      return std::make_unique<LoadInt64Kernel>(source);
     case DataType::kDouble:
-      return std::make_unique<LoadDoubleKernel>(offset);
+      return std::make_unique<LoadDoubleKernel>(source);
     case DataType::kText16:
     case DataType::kText32:
       return nullptr;  // text stays on the interpreter

@@ -4,14 +4,21 @@
 /// The interpreter walks an `Expression` tree per record and boxes every
 /// intermediate in a `Value` variant — exactly the overhead NebulaStream's
 /// compiled query engine exists to avoid. At `CompilePlan` time each
-/// expression whose leaves resolve to fixed schema offsets is lowered
-/// (`Expression::CompileKernel`) into a tree of `ScalarKernel`s that
-/// evaluate over a whole run of rows at once: field leaves are raw
-/// offset-typed loads, operators are tight loops over primitive columns,
-/// and a registered extension function is one call per batch
+/// expression whose leaves resolve to fields of a fused run's layout is
+/// lowered (`Expression::CompileKernel`) into a tree of `ScalarKernel`s that
+/// evaluate over a whole run of rows at once: field leaves are raw typed
+/// loads from the run's input buffer or from a column an earlier Map of the
+/// run computed, operators are tight loops over primitive columns, and a
+/// registered extension function is one call per batch
 /// (`FunctionExpression::EvalColumn`). Text comparisons run over the
 /// fixed-width field bytes. Only runtime-registered lambdas, which are
 /// written over boxed `Value`s, still make one call per row.
+///
+/// A kernel evaluates exactly the rows of the span it is given. AND and OR
+/// evaluate their right side only over the rows their left side leaves
+/// undecided, as the interpreter short-circuits, so every kernel — a
+/// registered lambda included — runs on the rows the interpreter runs it
+/// on.
 ///
 /// Kernels carry mutable per-node scratch columns, so one kernel instance
 /// is bound to one pipeline (single-threaded use), matching the engine's
@@ -25,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nebula/exec/batch.hpp"
@@ -33,20 +41,85 @@
 namespace nebulameos::nebula::exec {
 
 /// \brief Addresses a run of fixed-size rows, optionally through a
-/// selection vector: row \p i lives at `base + (sel ? sel[i] : i) * stride`.
+/// selection vector: row \p i lives at `base + Phys(i) * stride`, and a
+/// computed column `c` of a fused run holds its value at element `Phys(i)`
+/// of `columns[c]`.
 struct RowSpan {
   const uint8_t* base = nullptr;
   size_t stride = 0;
   const uint32_t* sel = nullptr;  ///< null = rows 0..count-1
   size_t count = 0;
+  /// The fused run's computed columns, indexed by physical row of `base`'s
+  /// buffer; null outside a run.
+  const uint8_t* const* columns = nullptr;
 
-  const uint8_t* Row(size_t i) const {
-    return base + (sel != nullptr ? sel[i] : i) * stride;
+  /// Physical row index of span row \p i.
+  size_t Phys(size_t i) const { return sel != nullptr ? sel[i] : i; }
+
+  const uint8_t* Row(size_t i) const { return base + Phys(i) * stride; }
+
+  /// The same buffer and columns restricted to the \p n physical rows
+  /// listed at \p phys.
+  RowSpan Subset(const uint32_t* phys, size_t n) const {
+    RowSpan out = *this;
+    out.sel = phys;
+    out.count = n;
+    return out;
   }
 };
 
 /// Builds the span of \p buffer's records filtered by \p sel (may be null).
 RowSpan SpanOf(const TupleBuffer& buffer, const SelectionVector* sel);
+
+/// \brief Where one field of a fused run's rows lives: at a byte offset of
+/// the run's input record, or in a computed column of the run.
+struct FieldSource {
+  static constexpr size_t kInputBuffer = ~size_t{0};
+
+  DataType type = DataType::kInt64;
+  /// Index of the run's computed column holding the field, or
+  /// `kInputBuffer` for a field of the input buffer.
+  size_t column = kInputBuffer;
+  size_t offset = 0;  ///< byte offset in the input record (input fields)
+
+  bool computed() const { return column != kInputBuffer; }
+};
+
+/// \brief The fields a stage of a fused run compiles against: the run's
+/// input schema plus the columns its Maps computed so far, in the order of
+/// the stage's logical input schema. A Map that replaces a field shadows it
+/// for later stages only; a Project narrows and reorders the list.
+class RunLayout {
+ public:
+  /// Every field of \p input, read from the input buffer.
+  explicit RunLayout(const Schema& input);
+
+  /// The source of field \p name, or null when the layout has none.
+  const FieldSource* Find(const std::string& name) const;
+
+  const std::vector<FieldSource>& sources() const { return sources_; }
+
+  /// Declared type of every computed column, by column index.
+  const std::vector<DataType>& column_types() const { return column_types_; }
+
+  /// Defines a new computed column of \p type and returns its index.
+  size_t AddColumn(DataType type);
+
+  /// Replaces the field list (names and sources position for position).
+  void SetFields(std::vector<std::string> names,
+                 std::vector<FieldSource> sources);
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<FieldSource> sources_;
+  std::vector<DataType> column_types_;
+};
+
+/// Bytes per row of a computed column of \p type: 1 for bool, 8 otherwise
+/// (text is never computed).
+inline size_t ColumnWidth(DataType type) {
+  return type == DataType::kBool ? 1 : 8;
+}
 
 /// Native result type of a kernel node.
 enum class KernelType : uint8_t { kBool, kInt64, kDouble };
@@ -83,8 +156,9 @@ using KernelPtr = std::unique_ptr<ScalarKernel>;
 
 // --- Kernel constructors used by Expression::CompileKernel ------------------
 
-/// Raw typed load of the field at \p offset; nullptr for text types.
-KernelPtr MakeLoadKernel(DataType type, size_t offset);
+/// Raw typed load of the field \p source names: from the input record or
+/// from a computed column. nullptr for text types.
+KernelPtr MakeLoadKernel(const FieldSource& source);
 
 KernelPtr MakeConstKernel(bool v);
 KernelPtr MakeConstKernel(int64_t v);
@@ -115,6 +189,9 @@ KernelPtr MakeTextFieldCompareKernel(CompareOp op, size_t lhs_offset,
                                      size_t lhs_width, size_t rhs_offset,
                                      size_t rhs_width);
 
+/// Conjunction and disjunction with the interpreter's short circuit: \p rhs
+/// runs only over the rows \p lhs leaves undecided (true for AND, false
+/// for OR), through a span over those rows' physical indices.
 KernelPtr MakeAndKernel(KernelPtr lhs, KernelPtr rhs);
 KernelPtr MakeOrKernel(KernelPtr lhs, KernelPtr rhs);
 KernelPtr MakeNotKernel(KernelPtr inner);
@@ -152,20 +229,24 @@ KernelPtr MakeBoxedFnKernel(KernelType out_type, BoxedFn fn,
 
 /// \brief Shared computed columns for one fused kernel run: one slot per
 /// distinct subexpression that `PlanKernelCse` found repeated across the
-/// run's stages. The first cache kernel evaluated under the current epoch
-/// materializes its column — scattered by *physical* row index, so later
-/// stages with refined (subset) selections gather the right values without
-/// recomputation. The owning `BatchKernelOperator` calls `Invalidate()`
-/// once per input batch; like `CseCache`, staleness is by epoch and
-/// nothing is cleared. Single-strand state: one cache belongs to one
-/// operator instance.
+/// run's stages. Each slot holds its column by *physical* row index of the
+/// run's input buffer and records which physical rows it holds for the
+/// current batch, so every evaluation computes only the rows no earlier one
+/// did. Short-circuiting AND/OR means an occurrence may see rows an
+/// earlier one skipped (a subexpression first reached on an OR's right side
+/// covers only the rows where the left side was false). The owning
+/// `BatchKernelOperator` calls `Invalidate()` once per input batch; like
+/// `CseCache`, staleness is by epoch. Single-strand state: one cache
+/// belongs to one operator instance.
 class ColumnCache {
  public:
   struct Slot {
-    /// Epoch the column was last materialized under (`~0` = never).
+    /// Epoch the slot was last reset under (`~0` = never).
     uint64_t epoch = ~uint64_t{0};
     /// Column storage indexed by physical row index × element width.
     std::vector<uint8_t> data;
+    /// 1 where `data` holds the current batch's value of that physical row.
+    std::vector<uint8_t> valid;
   };
 
   /// Adds a slot and returns its index.
@@ -174,25 +255,29 @@ class ColumnCache {
     return slots_.size() - 1;
   }
 
-  /// Starts a new input batch: every cached column becomes stale.
-  void Invalidate() { ++epoch_; }
+  /// Starts a new input batch of \p rows physical rows: every cached
+  /// column becomes stale.
+  void Invalidate(size_t rows) {
+    ++epoch_;
+    rows_ = rows;
+  }
 
   Slot& slot(size_t i) { return slots_[i]; }
   uint64_t epoch() const { return epoch_; }
+  size_t rows() const { return rows_; }
   size_t num_slots() const { return slots_.size(); }
 
  private:
   uint64_t epoch_ = 0;
+  size_t rows_ = 0;
   std::vector<Slot> slots_;
 };
 
-/// \brief Wraps \p inner so its result column is computed at most once per
-/// cache epoch: the first evaluation runs \p inner over its span and
-/// scatters the results into the slot by physical row index; subsequent
-/// evaluations gather from the slot. Sound only under the fused-run
-/// invariant that the first evaluation's span is a superset of every later
-/// span (stage selections only shrink). Returns nullptr when \p inner is
-/// null.
+/// \brief Wraps \p inner so each row's value is computed at most once per
+/// cache epoch: an evaluation runs \p inner only over the span's rows the
+/// slot does not hold yet, scatters those results into the slot by
+/// physical row index and marks them valid, then gathers every requested
+/// row from the slot. Returns nullptr when \p inner is null.
 KernelPtr MakeColumnCacheKernel(std::shared_ptr<ColumnCache> cache,
                                 size_t slot, KernelPtr inner);
 

@@ -6,53 +6,22 @@
 
 namespace nebulameos::nebula::exec {
 
-Result<TupleBufferPtr> AllocateOutputFor(const Batch& batch,
+Result<TupleBufferPtr> AllocateOutputFor(const TupleBuffer& source,
+                                         size_t rows,
                                          const Schema& out_schema,
                                          ExecutionContext* ctx) {
   if (ctx == nullptr) {
     return Status::Internal("materialize without an execution context");
   }
   TupleBufferPtr out = ctx->Allocate(out_schema);
-  if (batch.NumRows() > out->capacity()) {
-    return Status::Internal("batch of " + std::to_string(batch.NumRows()) +
+  if (rows > out->capacity()) {
+    return Status::Internal("batch of " + std::to_string(rows) +
                             " rows exceeds the pool buffer capacity");
   }
-  out->set_sequence_number(batch.data->sequence_number());
-  out->set_watermark(batch.data->watermark());
+  out->set_sequence_number(source.sequence_number());
+  out->set_watermark(source.watermark());
   return out;
 }
-
-// --- CompiledPredicate ------------------------------------------------------
-
-Result<CompiledPredicate> CompiledPredicate::Make(const Schema& input,
-                                                  ExprPtr predicate) {
-  if (!predicate) return Status::InvalidArgument("predicate is null");
-  NM_RETURN_NOT_OK(predicate->Bind(input));
-  KernelPtr kernel = predicate->CompileKernel(input);
-  if (kernel == nullptr) {
-    return Status::Unimplemented("expression is not batch-compilable: " +
-                                 predicate->ToString());
-  }
-  return CompiledPredicate(std::move(predicate), std::move(kernel));
-}
-
-void CompiledPredicate::Select(const Batch& batch,
-                               SelectionVector* out) const {
-  const size_t n = batch.NumRows();
-  if (n == 0) return;
-  flags_.resize(n);
-  const RowSpan span =
-      SpanOf(*batch.data, batch.selection ? batch.selection.get() : nullptr);
-  kernel_->EvalAsBool(span, flags_.data());
-  out->reserve(out->size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    if (flags_[i] != 0) {
-      out->push_back(static_cast<uint32_t>(batch.RowAt(i)));
-    }
-  }
-}
-
-// --- Field-copy coalescing and gathering ------------------------------------
 
 namespace {
 
@@ -72,135 +41,58 @@ void AppendCopy(std::vector<FieldCopy>* copies, size_t src_offset,
   copies->push_back({src_offset, dst_offset, width});
 }
 
-/// Gathers the coalesced byte ranges of every selected row of \p batch
-/// into the rows starting at \p dst_base (stride \p dst_stride) — the one
-/// stride-walking loop both materializations share.
-void GatherFieldCopies(const Batch& batch,
-                       const std::vector<FieldCopy>& copies,
-                       uint8_t* dst_base, size_t dst_stride) {
-  const size_t n = batch.NumRows();
-  const size_t src_stride = batch.data->schema().record_size();
-  const uint8_t* src_base = batch.data->At(0).data();
-  for (const FieldCopy& c : copies) {
-    const uint8_t* s = src_base + c.src_offset;
-    uint8_t* d = dst_base + c.dst_offset;
-    for (size_t i = 0; i < n; ++i, d += dst_stride) {
-      std::memcpy(d, s + batch.RowAt(i) * src_stride, c.width);
+template <typename T>
+T* Retype(std::vector<uint8_t>* bytes, size_t count) {
+  bytes->resize(count * sizeof(T));
+  return reinterpret_cast<T*>(bytes->data());
+}
+
+/// Stores span row i's value at physical row `Phys(i)` of a run column.
+template <typename T>
+void Scatter(const RowSpan& span, const T* values, T* column) {
+  for (size_t i = 0; i < span.count; ++i) column[span.sel[i]] = values[i];
+}
+
+/// Copies `width` bytes at `src_offset` of each span row into the output
+/// records starting at `dst` (stride `dst_stride`). Span fields are read
+/// once: the opaque per-row memcpy would otherwise reload them.
+void CopyRows(const RowSpan& span, size_t src_offset, size_t width,
+              uint8_t* dst, size_t dst_stride) {
+  const uint8_t* src = span.base + src_offset;
+  const size_t stride = span.stride;
+  const uint32_t* sel = span.sel;
+  const size_t n = span.count;
+  if (sel == nullptr) {
+    for (size_t i = 0; i < n; ++i, src += stride, dst += dst_stride) {
+      std::memcpy(dst, src, width);
     }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i, dst += dst_stride) {
+    std::memcpy(dst, src + sel[i] * stride, width);
+  }
+}
+
+/// Copies the span's rows of a run column of `kWidth`-byte elements into
+/// the output records starting at `dst` (stride `dst_stride`, records not
+/// 8-byte aligned); the constant width makes each copy one move.
+template <size_t kWidth>
+void WriteColumn(const RowSpan& span, const uint8_t* column, uint8_t* dst,
+                 size_t dst_stride) {
+  const uint32_t* sel = span.sel;
+  const size_t n = span.count;
+  if (sel == nullptr) {
+    for (size_t i = 0; i < n; ++i, column += kWidth, dst += dst_stride) {
+      std::memcpy(dst, column, kWidth);
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i, dst += dst_stride) {
+    std::memcpy(dst, column + sel[i] * kWidth, kWidth);
   }
 }
 
 }  // namespace
-
-// --- CompiledProjection -----------------------------------------------------
-
-Result<CompiledProjection> CompiledProjection::Make(
-    const Schema& input, const std::vector<std::string>& fields) {
-  if (fields.empty()) return Status::InvalidArgument("project without fields");
-  CompiledProjection proj;
-  std::vector<Field> out_fields;
-  std::vector<size_t> indices;
-  for (const std::string& name : fields) {
-    NM_ASSIGN_OR_RETURN(size_t idx, input.IndexOf(name));
-    indices.push_back(idx);
-    out_fields.push_back(input.field(idx));
-  }
-  NM_ASSIGN_OR_RETURN(proj.output_schema_,
-                      Schema::Make(std::move(out_fields)));
-  for (size_t f = 0; f < indices.size(); ++f) {
-    AppendCopy(&proj.copies_, input.offset(indices[f]),
-               proj.output_schema_.offset(f),
-               DataTypeSize(proj.output_schema_.field(f).type));
-  }
-  return proj;
-}
-
-void CompiledProjection::Materialize(const Batch& batch,
-                                     TupleBuffer* out) const {
-  const size_t n = batch.NumRows();
-  if (n == 0) return;
-  const size_t first = out->size();
-  for (size_t i = 0; i < n; ++i) out->Append();
-  GatherFieldCopies(batch, copies_, out->MutableAt(first).data(),
-                    output_schema_.record_size());
-}
-
-// --- CompiledMap ------------------------------------------------------------
-
-Result<CompiledMap> CompiledMap::Make(const Schema& input,
-                                      const std::vector<MapSpec>& specs) {
-  NM_ASSIGN_OR_RETURN(MapLayout layout, PlanMapLayout(input, specs));
-  CompiledMap map;
-  map.output_schema_ = layout.output_schema;
-  for (size_t f = 0; f < map.output_schema_.num_fields(); ++f) {
-    const DataType type = map.output_schema_.field(f).type;
-    if (layout.copy_from[f] >= 0) {
-      const size_t src = static_cast<size_t>(layout.copy_from[f]);
-      AppendCopy(&map.copies_, input.offset(src),
-                 map.output_schema_.offset(f), DataTypeSize(type));
-      continue;
-    }
-    if (type == DataType::kText16 || type == DataType::kText32) {
-      return Status::Unimplemented("text-valued map spec stays interpreted");
-    }
-    const ExprPtr& expr = layout.exprs[layout.expr_of[f]];
-    KernelPtr kernel = expr->CompileKernel(input);
-    if (kernel == nullptr) {
-      return Status::Unimplemented("expression is not batch-compilable: " +
-                                   expr->ToString());
-    }
-    map.computed_.push_back(
-        {std::move(kernel), map.output_schema_.offset(f), type});
-  }
-  map.exprs_ = std::move(layout.exprs);
-  return map;
-}
-
-void CompiledMap::Materialize(const Batch& batch, TupleBuffer* out) const {
-  const size_t n = batch.NumRows();
-  if (n == 0) return;
-  const size_t dst_stride = output_schema_.record_size();
-  const size_t first = out->size();
-  for (size_t i = 0; i < n; ++i) out->Append();
-  uint8_t* dst_base = out->MutableAt(first).data();
-  GatherFieldCopies(batch, copies_, dst_base, dst_stride);
-  const RowSpan span =
-      SpanOf(*batch.data, batch.selection ? batch.selection.get() : nullptr);
-  for (const Computed& comp : computed_) {
-    uint8_t* d = dst_base + comp.dst_offset;
-    switch (comp.type) {
-      case DataType::kBool: {
-        column_scratch_.resize(n);
-        uint8_t* col = column_scratch_.data();
-        comp.kernel->EvalAsBool(span, col);
-        for (size_t i = 0; i < n; ++i, d += dst_stride) *d = col[i];
-        break;
-      }
-      case DataType::kInt64:
-      case DataType::kTimestamp: {
-        column_scratch_.resize(n * sizeof(int64_t));
-        int64_t* col = reinterpret_cast<int64_t*>(column_scratch_.data());
-        comp.kernel->EvalAsInt64(span, col);
-        for (size_t i = 0; i < n; ++i, d += dst_stride) {
-          std::memcpy(d, &col[i], sizeof(int64_t));
-        }
-        break;
-      }
-      case DataType::kDouble: {
-        column_scratch_.resize(n * sizeof(double));
-        double* col = reinterpret_cast<double*>(column_scratch_.data());
-        comp.kernel->EvalAsDouble(span, col);
-        for (size_t i = 0; i < n; ++i, d += dst_stride) {
-          std::memcpy(d, &col[i], sizeof(double));
-        }
-        break;
-      }
-      case DataType::kText16:
-      case DataType::kText32:
-        break;  // rejected in Make
-    }
-  }
-}
 
 // --- BatchKernelOperator ----------------------------------------------------
 
@@ -213,46 +105,119 @@ std::string BatchKernelOperator::name() const {
   return out + ")";
 }
 
+void BatchKernelOperator::FillColumn(const Computed& comp,
+                                     const RowSpan& span) {
+  uint8_t* column = columns_[comp.column].data();
+  // A full span's rows are the physical rows, so the kernel writes the
+  // column directly; a selection scatters through a dense scratch column.
+  const bool direct = span.sel == nullptr;
+  switch (comp.type) {
+    case DataType::kBool: {
+      uint8_t* out = direct ? column : Retype<uint8_t>(&values_, span.count);
+      comp.kernel->EvalAsBool(span, out);
+      if (!direct) Scatter(span, out, column);
+      return;
+    }
+    case DataType::kInt64:
+    case DataType::kTimestamp: {
+      auto* col = reinterpret_cast<int64_t*>(column);
+      int64_t* out = direct ? col : Retype<int64_t>(&values_, span.count);
+      comp.kernel->EvalAsInt64(span, out);
+      if (!direct) Scatter(span, out, col);
+      return;
+    }
+    case DataType::kDouble: {
+      auto* col = reinterpret_cast<double*>(column);
+      double* out = direct ? col : Retype<double>(&values_, span.count);
+      comp.kernel->EvalAsDouble(span, out);
+      if (!direct) Scatter(span, out, col);
+      return;
+    }
+    case DataType::kText16:
+    case DataType::kText32:
+      return;  // text-valued maps never compile
+  }
+}
+
+bool BatchKernelOperator::RunStage(const Stage& stage, RowSpan* span) {
+  if (stage.predicate != nullptr) {
+    flags_.resize(span->count);
+    stage.predicate->EvalAsBool(*span, flags_.data());
+    const int next = current_selection_ == 0 ? 1 : 0;
+    SelectionVector& selected = selections_[next];
+    selected.clear();
+    selected.reserve(span->count);
+    for (size_t i = 0; i < span->count; ++i) {
+      if (flags_[i] != 0) {
+        selected.push_back(static_cast<uint32_t>(span->Phys(i)));
+      }
+    }
+    if (selected.empty()) return false;
+    // Fully selective: the span (and the selection it reads) stays as is.
+    if (selected.size() != span->count) {
+      current_selection_ = next;
+      *span = span->Subset(selected.data(), selected.size());
+    }
+    return true;
+  }
+  for (const Computed& comp : stage.computed) FillColumn(comp, *span);
+  return true;
+}
+
+Result<TupleBufferPtr> BatchKernelOperator::WriteOutput(
+    const TupleBuffer& input, const RowSpan& span) {
+  NM_ASSIGN_OR_RETURN(
+      TupleBufferPtr out,
+      AllocateOutputFor(input, span.count, output_schema_, ctx_));
+  for (size_t i = 0; i < span.count; ++i) out->Append();
+  uint8_t* dst_base = out->MutableAt(0).data();
+  const size_t dst_stride = output_schema_.record_size();
+  for (const FieldCopy& c : input_copies_) {
+    CopyRows(span, c.src_offset, c.width, dst_base + c.dst_offset, dst_stride);
+  }
+  for (const ColumnCopy& c : column_copies_) {
+    uint8_t* d = dst_base + c.dst_offset;
+    if (ColumnWidth(c.type) == 1) {
+      WriteColumn<1>(span, column_ptrs_[c.column], d, dst_stride);
+    } else {
+      WriteColumn<8>(span, column_ptrs_[c.column], d, dst_stride);
+    }
+  }
+  return out;
+}
+
 Status BatchKernelOperator::ProcessBatch(const Batch& input,
                                          const BatchEmitFn& emit) {
+  const size_t physical = input.data != nullptr ? input.data->size() : 0;
   // New input buffer: any kernel-CSE columns cached from the previous
-  // batch are stale.
-  if (cse_cache_ != nullptr) cse_cache_->Invalidate();
-  Batch cur = input;
-  bool alive = cur.NumRows() > 0;
+  // batch are stale, and the run columns cover this buffer's rows.
+  if (cse_cache_ != nullptr) cse_cache_->Invalidate(physical);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].resize(physical * ColumnWidth(column_types_[c]));
+    column_ptrs_[c] = columns_[c].data();
+  }
+  current_selection_ = -1;
+  RowSpan span;
+  bool alive = input.NumRows() > 0;
+  if (alive) {
+    span = SpanOf(*input.data, input.selection.get());
+    span.columns = column_ptrs_.data();
+  }
+  TupleBufferPtr written;
   // One clock read per stage *boundary* (adjacent stages share it), so the
   // per-stage latency instrumentation costs stages+1 clock calls per batch.
   const bool timed = !stages_.empty() && stages_.front().process_micros;
   int64_t stage_start = timed ? MonotonicNowMicros() : 0;
-  for (Stage& stage : stages_) {
-    const uint64_t rows_in = alive ? cur.NumRows() : 0;
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    Stage& stage = stages_[s];
+    const uint64_t rows_in = alive ? span.count : 0;
     stage.stats.AddIn(rows_in, rows_in * stage.in_record_size);
-    if (alive) {
-      if (stage.predicate.has_value()) {
-        scratch_sel_.clear();
-        stage.predicate->Select(cur, &scratch_sel_);
-        if (scratch_sel_.empty()) {
-          alive = false;
-        } else if (scratch_sel_.size() != cur.NumRows()) {
-          cur = TakePartialSelection(&scratch_sel_, cur);
-        }
-        // Fully selective: `cur` (and its buffer) passes through untouched.
-      } else {
-        const Schema& out_schema = stage.map.has_value()
-                                       ? stage.map->output_schema()
-                                       : stage.projection->output_schema();
-        NM_ASSIGN_OR_RETURN(TupleBufferPtr out,
-                            AllocateOutputFor(cur, out_schema, ctx_));
-        if (stage.map.has_value()) {
-          stage.map->Materialize(cur, out.get());
-        } else {
-          stage.projection->Materialize(cur, out.get());
-        }
-        out->Seal();
-        cur = Batch(std::move(out));
-      }
+    if (alive) alive = RunStage(stage, &span);
+    // The run's one write is timed with its last stage.
+    if (alive && writes_output_ && s + 1 == stages_.size()) {
+      NM_ASSIGN_OR_RETURN(written, WriteOutput(*input.data, span));
     }
-    const uint64_t rows_out = alive ? cur.NumRows() : 0;
+    const uint64_t rows_out = alive ? span.count : 0;
     stage.stats.AddOut(rows_out, rows_out * stage.out_record_size);
     if (timed) {
       const int64_t now = MonotonicNowMicros();
@@ -261,7 +226,14 @@ Status BatchKernelOperator::ProcessBatch(const Batch& input,
       stage_start = now;
     }
   }
-  if (alive) emit(cur);
+  if (!alive) return Status::OK();
+  if (written != nullptr) {
+    emit(SealedBatch(std::move(written)));
+  } else if (current_selection_ < 0) {
+    emit(input);  // every stage fully selective
+  } else {
+    emit(TakePartialSelection(&selections_[current_selection_], input));
+  }
   return Status::OK();
 }
 
@@ -286,43 +258,86 @@ void BatchKernelOperator::BindMetrics(metrics::MetricsRegistry* registry,
 
 BatchKernelCompiler::BatchKernelCompiler(Schema input)
     : current_(std::move(input)),
+      layout_(current_),
       op_(std::unique_ptr<BatchKernelOperator>(new BatchKernelOperator())) {}
 
 bool BatchKernelCompiler::AddFilter(const ExprPtr& predicate) {
-  auto compiled = CompiledPredicate::Make(current_, predicate);
-  if (!compiled.ok()) return false;
+  if (predicate == nullptr || !predicate->Bind(current_).ok()) return false;
+  KernelPtr kernel = predicate->CompileKernel(layout_);
+  if (kernel == nullptr) return false;
   BatchKernelOperator::Stage stage;
   stage.name = "Filter";
   stage.in_record_size = current_.record_size();
   stage.out_record_size = current_.record_size();
-  stage.predicate.emplace(std::move(*compiled));
+  stage.predicate = std::move(kernel);
   op_->stages_.push_back(std::move(stage));
+  op_->exprs_.push_back(predicate);
   return true;
 }
 
 bool BatchKernelCompiler::AddMap(const std::vector<MapSpec>& specs) {
-  auto compiled = CompiledMap::Make(current_, specs);
-  if (!compiled.ok()) return false;
+  auto planned = PlanMapLayout(current_, specs);
+  if (!planned.ok()) return false;
+  const MapLayout& map = *planned;
+  const Schema& out_schema = map.output_schema;
+  // Every spec compiles against the layout *before* this map (specs read
+  // the map's input, like the interpreted MapOperator); the new columns
+  // shadow replaced names for later stages only.
+  RunLayout next = layout_;
+  std::vector<FieldSource> sources;
+  std::vector<BatchKernelOperator::Computed> computed;
+  for (size_t f = 0; f < out_schema.num_fields(); ++f) {
+    if (map.copy_from[f] >= 0) {
+      sources.push_back(
+          layout_.sources()[static_cast<size_t>(map.copy_from[f])]);
+      continue;
+    }
+    const DataType type = out_schema.field(f).type;
+    if (type == DataType::kText16 || type == DataType::kText32) {
+      return false;  // text-valued map spec stays interpreted
+    }
+    KernelPtr kernel = map.exprs[map.expr_of[f]]->CompileKernel(layout_);
+    if (kernel == nullptr) return false;
+    FieldSource source;
+    source.type = type;
+    source.column = next.AddColumn(type);
+    sources.push_back(source);
+    computed.push_back({std::move(kernel), source.column, type});
+  }
+  std::vector<std::string> names;
+  for (const Field& field : out_schema.fields()) names.push_back(field.name);
+  next.SetFields(std::move(names), std::move(sources));
   BatchKernelOperator::Stage stage;
   stage.name = "Map";
   stage.in_record_size = current_.record_size();
-  stage.map.emplace(std::move(*compiled));
-  stage.out_record_size = stage.map->output_schema().record_size();
-  current_ = stage.map->output_schema();
+  stage.out_record_size = out_schema.record_size();
+  stage.computed = std::move(computed);
   op_->stages_.push_back(std::move(stage));
+  op_->exprs_.insert(op_->exprs_.end(), map.exprs.begin(), map.exprs.end());
+  current_ = out_schema;
+  layout_ = std::move(next);
   return true;
 }
 
 bool BatchKernelCompiler::AddProject(const std::vector<std::string>& fields) {
-  auto compiled = CompiledProjection::Make(current_, fields);
-  if (!compiled.ok()) return false;
+  if (fields.empty()) return false;
+  std::vector<Field> out_fields;
+  std::vector<FieldSource> sources;
+  for (const std::string& name : fields) {
+    auto idx = current_.IndexOf(name);
+    if (!idx.ok()) return false;
+    out_fields.push_back(current_.field(*idx));
+    sources.push_back(layout_.sources()[*idx]);
+  }
+  auto out_schema = Schema::Make(std::move(out_fields));
+  if (!out_schema.ok()) return false;
   BatchKernelOperator::Stage stage;
   stage.name = "Project";
   stage.in_record_size = current_.record_size();
-  stage.projection.emplace(std::move(*compiled));
-  stage.out_record_size = stage.projection->output_schema().record_size();
-  current_ = stage.projection->output_schema();
+  stage.out_record_size = out_schema->record_size();
   op_->stages_.push_back(std::move(stage));
+  current_ = *std::move(out_schema);
+  layout_.SetFields(fields, std::move(sources));
   return true;
 }
 
@@ -331,7 +346,28 @@ void BatchKernelCompiler::AttachCseCache(std::shared_ptr<ColumnCache> cache) {
 }
 
 OperatorPtr BatchKernelCompiler::Finish() && {
-  op_->output_schema_ = current_;
+  BatchKernelOperator& op = *op_;
+  op.output_schema_ = current_;
+  // Only Map and Project stages (the ones without a predicate) change the
+  // row layout; a run of Filters alone emits its refined selection.
+  for (const BatchKernelOperator::Stage& stage : op.stages_) {
+    op.writes_output_ = op.writes_output_ || stage.predicate == nullptr;
+  }
+  // The end-of-run write: pass-through fields as coalesced byte moves from
+  // the input record, computed fields from their run columns.
+  for (size_t f = 0; f < current_.num_fields(); ++f) {
+    const FieldSource& source = layout_.sources()[f];
+    const size_t dst = current_.offset(f);
+    if (source.computed()) {
+      op.column_copies_.push_back({source.column, dst, source.type});
+    } else {
+      AppendCopy(&op.input_copies_, source.offset, dst,
+                 DataTypeSize(source.type));
+    }
+  }
+  op.column_types_ = layout_.column_types();
+  op.columns_.resize(op.column_types_.size());
+  op.column_ptrs_.resize(op.column_types_.size());
   return OperatorPtr(std::move(op_));
 }
 

@@ -1,123 +1,52 @@
 /// \file kernels.hpp
-/// \brief Compiled batch operators: predicate selection, projection and
-/// map materialization over whole tuple buffers, and the fused
-/// `BatchKernelOperator` that `CompilePlan` lowers Filter→Map→Project
-/// runs into.
+/// \brief The fused `BatchKernelOperator` that `CompilePlan` lowers
+/// Filter→Map→Project runs into, and the compiler that builds it.
 ///
 /// The compiled path inverts the interpreter's shape: instead of walking
 /// an expression tree per record and copying survivors per operator, a
-/// `CompiledPredicate` evaluates its kernel over the whole batch and
-/// produces a *selection vector*; a `CompiledMap`/`CompiledProjection`
-/// materializes only the selected rows, computing each expression as a
-/// column. A maximal run of Filter/Map/Project nodes within one placement
-/// segment fuses into a single `BatchKernelOperator` pass, and a fully
-/// selective filter passes the input buffer through untouched (zero-copy).
-/// `BatchKernelOperator` keeps to the one operator contract (operator.hpp):
-/// it reads its input batch's selection and emits either a refined
-/// selection over that buffer or a sealed buffer it materialized.
+/// maximal run of Filter/Map/Project nodes within one placement segment
+/// becomes one pass over its input buffer. Filter stages evaluate their
+/// kernel over the selected rows and refine a selection vector; Map stages
+/// evaluate each computed field into a run-local column indexed by
+/// physical row of that buffer; Project stages only narrow the run's field
+/// list. Later stages read computed fields from those columns and
+/// pass-through fields from the input buffer, and the run writes one pool
+/// buffer at its end, holding only the surviving rows and only its output
+/// fields. A run without a Map or Project emits the refined selection over
+/// its input buffer with no copy (a fully selective one passes the input
+/// batch through untouched). `BatchKernelOperator` keeps to the one
+/// operator contract (operator.hpp): it reads its input batch's selection
+/// and emits either a refined selection over that buffer or a sealed
+/// buffer it wrote.
 ///
 /// Compilation is best-effort: `BatchKernelCompiler::Add*` refuses any
 /// node whose expressions do not lower to kernels (text-valued map specs
 /// and functions, functions over a runtime text argument, extension
-/// functions without a column hook), and `CompilePlan` falls back to the
-/// interpreted operator for that node.
+/// functions without a column hook), and `CompilePlan` ends the run there
+/// and falls back to the interpreted operator for that node.
 
 #pragma once
-
-#include <optional>
 
 #include "nebula/exec/compiled_expr.hpp"
 #include "nebula/operators.hpp"
 
 namespace nebulameos::nebula::exec {
 
-/// \brief A filter predicate compiled to a batch kernel: evaluates over
-/// every selected row of a batch and emits the surviving row indices.
-class CompiledPredicate {
- public:
-  /// Binds \p predicate against \p input and lowers it; fails with
-  /// `Unimplemented` when the expression does not compile (the caller
-  /// falls back to the interpreted `FilterOperator`).
-  static Result<CompiledPredicate> Make(const Schema& input,
-                                        ExprPtr predicate);
-
-  /// Appends the physical row indices of \p batch's surviving rows to
-  /// \p out.
-  void Select(const Batch& batch, SelectionVector* out) const;
-
- private:
-  CompiledPredicate(ExprPtr expr, KernelPtr kernel)
-      : expr_(std::move(expr)), kernel_(std::move(kernel)) {}
-
-  ExprPtr expr_;  ///< keeps the kernel's bound state alive
-  KernelPtr kernel_;
-  mutable std::vector<uint8_t> flags_;
-};
-
-/// One contiguous byte range moved per row by a materialization (adjacent
-/// pass-through fields coalesce into a single memcpy).
+/// One contiguous byte range moved per row by the end-of-run write
+/// (adjacent pass-through fields coalesce into a single memcpy).
 struct FieldCopy {
   size_t src_offset;
   size_t dst_offset;
   size_t width;
 };
 
-/// \brief A projection compiled to coalesced byte moves: gathers the
-/// selected rows' kept fields into an output buffer.
-class CompiledProjection {
- public:
-  static Result<CompiledProjection> Make(const Schema& input,
-                                         const std::vector<std::string>& fields);
-
-  const Schema& output_schema() const { return output_schema_; }
-
-  /// Appends one output record per selected row of \p batch to \p out
-  /// (which must have capacity for them).
-  void Materialize(const Batch& batch, TupleBuffer* out) const;
-
- private:
-  CompiledProjection() = default;
-
-  Schema output_schema_;
-  std::vector<FieldCopy> copies_;
-};
-
-/// \brief A map compiled to pass-through byte moves plus one kernel
-/// column per computed field, evaluated only for the selected rows.
-class CompiledMap {
- public:
-  /// Fails with `Unimplemented` when any spec expression does not compile
-  /// or computes a text field (the caller falls back to `MapOperator`).
-  static Result<CompiledMap> Make(const Schema& input,
-                                  const std::vector<MapSpec>& specs);
-
-  const Schema& output_schema() const { return output_schema_; }
-
-  /// Appends one output record per selected row of \p batch to \p out.
-  void Materialize(const Batch& batch, TupleBuffer* out) const;
-
- private:
-  struct Computed {
-    KernelPtr kernel;
-    size_t dst_offset;
-    DataType type;
-  };
-
-  CompiledMap() = default;
-
-  Schema output_schema_;
-  std::vector<FieldCopy> copies_;
-  std::vector<Computed> computed_;
-  std::vector<ExprPtr> exprs_;  ///< keep kernels' bound state alive
-  mutable std::vector<uint8_t> column_scratch_;
-};
-
 class BatchKernelCompiler;
 
 /// \brief The physical form of a fused Filter→Map→Project run: one batch
 /// pass per input buffer. Predicates refine a selection vector over the
-/// current buffer, materializations gather only surviving rows, and when
-/// every stage is fully selective the input buffer is emitted untouched.
+/// input buffer, Maps fill run-local columns for the selected rows, and
+/// one write at the end gathers the surviving rows' output fields; when
+/// the run has no Map or Project it emits the refined selection instead.
 ///
 /// Flow counters are tracked per fused stage under the original operator
 /// names ("Filter", "Map", "Project"), so `QueryStats::operator_stats` —
@@ -140,8 +69,9 @@ class BatchKernelOperator final : public Operator {
   /// ..., `#k` on a name repeated along the path), matching the unfused
   /// chain's metric names — the same parity `AppendStats` keeps for flow
   /// counters. The base-class whole-operator histograms stay unbound:
-  /// stages time themselves inside `ProcessBatch`, and the engine's outer
-  /// timing hook no-ops.
+  /// stages time themselves inside `ProcessBatch` (the end-of-run write
+  /// counts toward the last stage), and the engine's outer timing hook
+  /// no-ops.
   void BindMetrics(metrics::MetricsRegistry* registry,
                    InstrumentNamer* names) override;
 
@@ -154,14 +84,27 @@ class BatchKernelOperator final : public Operator {
  private:
   friend class BatchKernelCompiler;
 
+  /// One computed field of a Map stage: its kernel and the run column it
+  /// fills, stored as the field's declared type.
+  struct Computed {
+    KernelPtr kernel;
+    size_t column;
+    DataType type;
+  };
+
+  /// One run column copied into the output record (1 or 8 bytes per row).
+  struct ColumnCopy {
+    size_t column;
+    size_t dst_offset;
+    DataType type;
+  };
+
   struct Stage {
     std::string name;
     size_t in_record_size = 0;
     size_t out_record_size = 0;
-    // Exactly one of the three is set.
-    std::optional<CompiledPredicate> predicate;
-    std::optional<CompiledMap> map;
-    std::optional<CompiledProjection> projection;
+    KernelPtr predicate;             ///< Filter stages only
+    std::vector<Computed> computed;  ///< Map stages only
     FlowCounters stats;
     metrics::Histogram* process_micros = nullptr;  ///< null until bound
     metrics::Histogram* batch_rows = nullptr;      ///< null until bound
@@ -169,12 +112,35 @@ class BatchKernelOperator final : public Operator {
 
   BatchKernelOperator() = default;
 
+  /// Runs one stage over `span`, narrowing it when a filter drops rows;
+  /// returns false when no row survives.
+  bool RunStage(const Stage& stage, RowSpan* span);
+  /// Fills a Map's run column for the rows of `span`.
+  void FillColumn(const Computed& computed, const RowSpan& span);
+  /// The end-of-run write: one pool buffer holding the output fields of
+  /// the rows of `span`, ready to seal.
+  Result<TupleBufferPtr> WriteOutput(const TupleBuffer& input,
+                                     const RowSpan& span);
+
   Schema output_schema_;
   std::vector<Stage> stages_;
-  /// Selection scratch: filter stages select into this and only wrap it
-  /// in a shared_ptr when a *partial* selection is actually emitted —
-  /// fully-selective and empty results allocate nothing.
-  SelectionVector scratch_sel_;
+  /// Keeps the expression trees the kernels reference alive.
+  std::vector<ExprPtr> exprs_;
+  /// True when the run holds a Map or Project, so it ends in a write.
+  bool writes_output_ = false;
+  std::vector<FieldCopy> input_copies_;    ///< pass-through output fields
+  std::vector<ColumnCopy> column_copies_;  ///< computed output fields
+  std::vector<DataType> column_types_;     ///< one per run column
+  /// Run columns by physical row of the current input buffer, and their
+  /// base pointers as the kernels' spans carry them.
+  std::vector<std::vector<uint8_t>> columns_;
+  std::vector<const uint8_t*> column_ptrs_;
+  /// Selection scratch: filter stages alternate between the two, and a
+  /// partial selection is wrapped in a shared_ptr only when it is emitted.
+  SelectionVector selections_[2];
+  int current_selection_ = -1;  ///< index into selections_, -1 = the input's
+  std::vector<uint8_t> flags_;
+  std::vector<uint8_t> values_;  ///< a computed field's values (retyped)
   /// Kernel-level CSE state shared by this run's stages; invalidated at
   /// the top of every `ProcessBatch` so cached columns never leak across
   /// input batches. Null when `CompilePlan` found nothing to share.
@@ -184,7 +150,9 @@ class BatchKernelOperator final : public Operator {
 /// \brief Incremental builder used by `CompilePlan`: absorbs consecutive
 /// Filter/Map/Project nodes while their expressions compile; a refused
 /// node (or any other operator kind) ends the run, the built operator is
-/// flushed into the pipeline, and lowering continues interpreted.
+/// flushed into the pipeline, and lowering continues interpreted. Each
+/// stage binds against its logical input schema and compiles against the
+/// run's layout (`RunLayout`).
 class BatchKernelCompiler {
  public:
   explicit BatchKernelCompiler(Schema input);
@@ -202,7 +170,7 @@ class BatchKernelCompiler {
 
   size_t num_stages() const { return op_->num_stages(); }
 
-  /// Schema after the absorbed stages.
+  /// Logical schema after the absorbed stages.
   const Schema& current_schema() const { return current_; }
 
   /// Finalizes the fused operator (at least one stage required).
@@ -210,6 +178,7 @@ class BatchKernelCompiler {
 
  private:
   Schema current_;
+  RunLayout layout_;  ///< fields of `current_`, position for position
   std::unique_ptr<BatchKernelOperator> op_;
 };
 

@@ -62,7 +62,7 @@ std::string ValueToString(const Value& v) {
   }
 }
 
-exec::KernelPtr Expression::CompileKernel(const Schema&) const {
+exec::KernelPtr Expression::CompileKernel(const exec::RunLayout&) const {
   return nullptr;  // conservative default: interpret
 }
 
@@ -108,10 +108,10 @@ class FieldExpr : public Expression {
     return true;
   }
 
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
-    auto idx = schema.IndexOf(name_);
-    if (!idx.ok()) return nullptr;
-    return exec::MakeLoadKernel(schema.field(*idx).type, schema.offset(*idx));
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
+    const exec::FieldSource* source = layout.Find(name_);
+    if (source == nullptr) return nullptr;
+    return exec::MakeLoadKernel(*source);
   }
 
  private:
@@ -136,7 +136,7 @@ class LiteralExpr : public Expression {
     return true;  // reads nothing
   }
 
-  exec::KernelPtr CompileKernel(const Schema&) const override {
+  exec::KernelPtr CompileKernel(const exec::RunLayout&) const override {
     switch (type_) {
       case DataType::kBool:
         return exec::MakeConstKernel(std::get<bool>(value_));
@@ -223,10 +223,10 @@ class ArithExpr : public Expression {
     return lhs_->ReferencedFields(out) && rhs_->ReferencedFields(out);
   }
 
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
     return exec::MakeArithKernel(op_, int_result_,
-                                 lhs_->CompileKernel(schema),
-                                 rhs_->CompileKernel(schema));
+                                 lhs_->CompileKernel(layout),
+                                 rhs_->CompileKernel(layout));
   }
 
   ArithOp op() const { return op_; }
@@ -278,10 +278,10 @@ class CompareExpr : public Expression {
     return lhs_->ReferencedFields(out) && rhs_->ReferencedFields(out);
   }
 
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
-    if (text_compare_) return CompileTextKernel(schema);
-    return exec::MakeCompareKernel(op_, lhs_->CompileKernel(schema),
-                                   rhs_->CompileKernel(schema));
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
+    if (text_compare_) return CompileTextKernel(layout);
+    return exec::MakeCompareKernel(op_, lhs_->CompileKernel(layout),
+                                   rhs_->CompileKernel(layout));
   }
 
  private:
@@ -292,36 +292,39 @@ class CompareExpr : public Expression {
   // Lowers a text comparison of a field against a literal or another
   // field to one kernel over the fixed-width field bytes; any other text
   // operand (a text-valued function) stays interpreted.
-  exec::KernelPtr CompileTextKernel(const Schema& schema) const {
+  exec::KernelPtr CompileTextKernel(const exec::RunLayout& layout) const {
     const auto lhs_lit = lhs_->ConstantValue();
     const auto rhs_lit = rhs_->ConstantValue();
+    // A text field is always read from the run's input buffer: text-valued
+    // maps never compile, so no computed column holds text.
     const auto text_field =
-        [&schema](const ExprPtr& side) -> std::optional<size_t> {
+        [&layout](const ExprPtr& side) -> const exec::FieldSource* {
       const auto* field = dynamic_cast<const FieldExpr*>(side.get());
-      if (field == nullptr) return std::nullopt;
-      auto idx = schema.IndexOf(field->field_name());
-      if (!idx.ok()) return std::nullopt;
-      return *idx;
+      if (field == nullptr) return nullptr;
+      const exec::FieldSource* source = layout.Find(field->field_name());
+      if (source == nullptr || source->computed()) return nullptr;
+      return source;
     };
-    const auto lhs_field = text_field(lhs_);
-    const auto rhs_field = text_field(rhs_);
-    const auto width = [&schema](size_t idx) {
-      return DataTypeSize(schema.field(idx).type);
+    const exec::FieldSource* lhs_field = text_field(lhs_);
+    const exec::FieldSource* rhs_field = text_field(rhs_);
+    const auto width = [](const exec::FieldSource* source) {
+      return DataTypeSize(source->type);
     };
     if (lhs_field && rhs_field) {
-      return exec::MakeTextFieldCompareKernel(
-          op_, schema.offset(*lhs_field), width(*lhs_field),
-          schema.offset(*rhs_field), width(*rhs_field));
+      return exec::MakeTextFieldCompareKernel(op_, lhs_field->offset,
+                                              width(lhs_field),
+                                              rhs_field->offset,
+                                              width(rhs_field));
     }
     if (lhs_field && rhs_lit) {
       return exec::MakeTextLiteralCompareKernel(
-          op_, schema.offset(*lhs_field), width(*lhs_field),
-          ValueToString(*rhs_lit), /*literal_on_left=*/false);
+          op_, lhs_field->offset, width(lhs_field), ValueToString(*rhs_lit),
+          /*literal_on_left=*/false);
     }
     if (lhs_lit && rhs_field) {
       return exec::MakeTextLiteralCompareKernel(
-          op_, schema.offset(*rhs_field), width(*rhs_field),
-          ValueToString(*lhs_lit), /*literal_on_left=*/true);
+          op_, rhs_field->offset, width(rhs_field), ValueToString(*lhs_lit),
+          /*literal_on_left=*/true);
     }
     return nullptr;
   }
@@ -389,9 +392,9 @@ class LogicalExpr : public Expression {
     return lhs_->ReferencedFields(out) && rhs_->ReferencedFields(out);
   }
 
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
-    exec::KernelPtr lhs = lhs_->CompileKernel(schema);
-    exec::KernelPtr rhs = rhs_->CompileKernel(schema);
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
+    exec::KernelPtr lhs = lhs_->CompileKernel(layout);
+    exec::KernelPtr rhs = rhs_->CompileKernel(layout);
     return kind_ == Kind::kAnd
                ? exec::MakeAndKernel(std::move(lhs), std::move(rhs))
                : exec::MakeOrKernel(std::move(lhs), std::move(rhs));
@@ -426,8 +429,8 @@ class NotExpr : public Expression {
     return inner_->ReferencedFields(out);
   }
 
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
-    return exec::MakeNotKernel(inner_->CompileKernel(schema));
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
+    return exec::MakeNotKernel(inner_->CompileKernel(layout));
   }
 
   const ExprPtr& inner() const { return inner_; }
@@ -614,7 +617,8 @@ std::optional<exec::KernelType> KernelTypeOf(DataType type) {
 
 }  // namespace
 
-exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
+exec::KernelPtr FunctionExpression::CompileKernel(
+    const exec::RunLayout& layout) const {
   if (!ScalarEvaluable()) return nullptr;
   const auto out_type = KernelTypeOf(output_type_);
   if (!out_type) return nullptr;
@@ -630,7 +634,7 @@ exec::KernelPtr FunctionExpression::CompileKernel(const Schema& schema) const {
       const_args.push_back(ValueAsDouble(*cv));
       continue;
     }
-    exec::KernelPtr k = arg->CompileKernel(schema);
+    exec::KernelPtr k = arg->CompileKernel(layout);
     if (k == nullptr) return nullptr;
     arg_kernels.push_back(std::move(k));
     const_args.push_back(0.0);
@@ -707,7 +711,7 @@ class LambdaFn : public FunctionExpression {
   // Compiles to a per-row call over boxed arguments. A text output or a
   // text runtime argument (which has no kernel) stays interpreted;
   // constant arguments, text ones included, pass through as literals.
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
     const auto out_type = KernelTypeOf(output_type());
     if (!out_type) return nullptr;
     std::vector<exec::KernelPtr> arg_kernels;
@@ -718,7 +722,7 @@ class LambdaFn : public FunctionExpression {
         const_args.push_back(std::move(*cv));
         continue;
       }
-      exec::KernelPtr k = arg->CompileKernel(schema);
+      exec::KernelPtr k = arg->CompileKernel(layout);
       if (k == nullptr) return nullptr;
       arg_kernels.push_back(std::move(k));
       const_args.emplace_back(false);
@@ -1143,8 +1147,9 @@ std::vector<ExprPtr> CseRun(std::vector<ExprPtr> roots,
 
 // The wrapper `PlanKernelCse` installs: interpretation passes straight
 // through to the inner tree (per-record evaluation has its own CSE in
-// PlanCse), while `CompileKernel` wraps the inner kernel so the compiled
-// column materializes once per batch and later fused stages gather it.
+// PlanCse), while `CompileKernel` wraps the inner kernel so each row's
+// value is computed at most once per batch and every occurrence in the
+// fused run's stages reads it from the shared column.
 class KernelCachedExpr final : public Expression {
  public:
   KernelCachedExpr(ExprPtr inner, std::shared_ptr<exec::ColumnCache> cache,
@@ -1163,9 +1168,9 @@ class KernelCachedExpr final : public Expression {
   bool ReferencedFields(std::vector<std::string>* out) const override {
     return inner_->ReferencedFields(out);
   }
-  exec::KernelPtr CompileKernel(const Schema& schema) const override {
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override {
     return exec::MakeColumnCacheKernel(cache_, slot_,
-                                       inner_->CompileKernel(schema));
+                                       inner_->CompileKernel(layout));
   }
 
  private:

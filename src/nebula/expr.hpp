@@ -29,6 +29,7 @@ namespace exec {
 class ScalarKernel;
 using KernelPtr = std::unique_ptr<ScalarKernel>;
 class ColumnCache;
+class RunLayout;
 }  // namespace exec
 
 /// Runtime value produced by expression evaluation.
@@ -82,15 +83,16 @@ class Expression {
   }
 
   /// Lowers this expression to a type-specialized batch kernel whose field
-  /// leaves read fixed offsets of \p schema's record layout
+  /// leaves read the fields of \p layout — a fused run's input record
+  /// offsets and the columns its earlier Maps computed
   /// (exec/compiled_expr.hpp). Returns nullptr when the node or any
   /// subtree cannot be compiled (a text operand outside a field-or-literal
   /// text comparison, a text-valued function, an extension node without a
   /// column hook) — callers fall back to interpreted `Eval`. Must be
-  /// called after `Bind(schema)` with the same schema, and the returned
-  /// kernel may reference this expression: keep the tree alive for the
-  /// kernel's lifetime.
-  virtual exec::KernelPtr CompileKernel(const Schema& schema) const;
+  /// called after `Bind` against the schema whose fields \p layout lists,
+  /// and the returned kernel may reference this expression: keep the tree
+  /// alive for the kernel's lifetime.
+  virtual exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const;
 };
 
 // --- Node constructors -------------------------------------------------------
@@ -164,7 +166,7 @@ class FunctionExpression : public Expression {
   /// opts in (`ScalarEvaluable`), every argument becomes a double column
   /// and `EvalColumn` runs once per batch over them — no `Value` boxing,
   /// no per-row call through the kernel bridge.
-  exec::KernelPtr CompileKernel(const Schema& schema) const override;
+  exec::KernelPtr CompileKernel(const exec::RunLayout& layout) const override;
 
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
@@ -242,8 +244,9 @@ ExprPtr Fn(const std::string& name, std::vector<ExprPtr> args);
 /// lightweight path for runtime operator definition (no subclass needed).
 /// \p fn receives the evaluated argument values. Unless the output or a
 /// runtime argument is text, the expression compiles to a batch kernel
-/// that calls \p fn once per row — also for rows a compiled AND/OR would
-/// have short-circuited — so \p fn must be pure.
+/// that calls \p fn once per row it evaluates; a compiled AND/OR
+/// short-circuits as the interpreter does, so those are the rows the
+/// interpreter calls it on.
 ExprPtr MakeLambdaExpr(std::string name, std::vector<ExprPtr> args,
                        DataType output_type,
                        std::function<Value(const std::vector<Value>&)> fn);
@@ -368,11 +371,11 @@ struct KernelCsePlan {
 /// interpreter path; fused batch kernels previously recomputed shared
 /// subtrees per stage. Each repeated subtree (by `StructurallyEqual`, same
 /// conservative ancestor/triviality rules as `PlanCse`) compiles into a
-/// kernel that materializes the column once per input batch — scattered by
-/// physical row index — and later occurrences gather the cached values.
-/// Sound because batch kernels evaluate every row of the span they are
-/// given (no row-level short-circuit) and stage selections only shrink, so
-/// the first evaluation always covers every row later stages revisit.
+/// kernel that keeps its column for the current input batch — by physical
+/// row index, recording which rows it holds — and every occurrence
+/// computes only the rows no earlier occurrence did. An earlier occurrence
+/// need not cover a later one's rows: a short-circuiting AND/OR evaluates
+/// its right side only over the rows its left side left undecided.
 KernelCsePlan PlanKernelCse(std::vector<ExprPtr> roots);
 
 }  // namespace nebulameos::nebula

@@ -638,14 +638,14 @@ struct FusedRunCse {
 };
 
 // Plans kernel-level CSE for one fused run: collects the expression roots
-// that evaluate against the run's *input* buffer — the predicates of the
-// leading consecutive filters plus the computed fields of the map
-// immediately after them (CompiledMap kernels also read the stage's input
-// buffer, so physical row indices line up across all these roots) — and
-// rewrites repeated subtrees to share one cached column. Stops at any
-// other node kind, a second map, or a placement transition: past the first
-// materialization the rows live in a different buffer and cached physical
-// indices would be meaningless.
+// that read the fields of the run's input under the same names — the
+// predicates of the leading consecutive filters plus the computed fields
+// of the map immediately after them (a map's specs read its input, not
+// its own output) — and rewrites repeated subtrees to share one cached
+// column. Every stage of a run reads the same input buffer's physical
+// rows, but the scan still stops at any other node kind, the second map
+// or a placement transition: a map may shadow a name, so structurally
+// equal subtrees on either side of it need not be equal.
 FusedRunCse PlanFusedRunCse(const Chain& ops, size_t idx,
                             const Topology* topology, int current_node) {
   FusedRunCse out;

@@ -46,8 +46,9 @@ Result<exec::Batch> MaterializeRows(ExecutionContext* ctx,
                                     const Schema& out_schema,
                                     const exec::Batch& input,
                                     const WriteFn& write) {
-  NM_ASSIGN_OR_RETURN(TupleBufferPtr out,
-                      exec::AllocateOutputFor(input, out_schema, ctx));
+  NM_ASSIGN_OR_RETURN(
+      TupleBufferPtr out,
+      exec::AllocateOutputFor(*input.data, input.NumRows(), out_schema, ctx));
   for (size_t i = 0; i < input.NumRows(); ++i) {
     const RecordView rec = input.data->At(input.RowAt(i));
     RecordWriter w = out->Append();

@@ -62,8 +62,9 @@ struct MapSpec {
 /// \brief Resolved layout of a map: the output schema plus, per output
 /// field, either the input field to copy (`copy_from[i] >= 0`) or the
 /// bound spec expression to evaluate (`exprs[expr_of[i]]`). Shared by the
-/// interpreted `MapOperator` and the compiled `exec::CompiledMap`, so the
-/// two paths cannot disagree about the layout.
+/// interpreted `MapOperator` and the Map stages of a fused kernel run
+/// (`exec::BatchKernelCompiler::AddMap`), so the two paths cannot disagree
+/// about the layout.
 struct MapLayout {
   Schema output_schema;
   std::vector<int> copy_from;

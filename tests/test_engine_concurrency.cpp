@@ -135,8 +135,18 @@ class EngineConcurrencyTest : public ::testing::Test {
     return outcome;
   }
 
+  // The suite's input for query `number`: 60k events, on a fleet that
+  // gives every query rows to compare. Q4 emits nothing at the default
+  // seed, and Q7 needs a raised stop probability to see stops.
+  static QueryOptions RunFor(int number) {
+    QueryOptions options = SmallRun();
+    if (number == 4) options.fleet.seed = 3;
+    if (number == 7) options.fleet.unscheduled_stop_prob = 4e-4;
+    return options;
+  }
+
   static RunOutcome RunQueryWithWorkers(int number, size_t workers) {
-    auto built = BuildQuery(number, *env_, SmallRun());
+    auto built = BuildQuery(number, *env_, RunFor(number));
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     return RunPlan(std::move(built->plan), {built->collect}, workers);
   }
@@ -215,10 +225,21 @@ class EngineConcurrencyTest : public ::testing::Test {
     EXPECT_GE(strand_gauges, 1u) << label;
   }
 
+  // A worker-count comparison of empty sinks compares nothing: every sink
+  // of the sequential run must hold rows.
+  static void ExpectRowsToCompare(const RunOutcome& sequential,
+                                  const std::string& label) {
+    EXPECT_FALSE(sequential.sinks.empty()) << label;
+    for (size_t s = 0; s < sequential.sinks.size(); ++s) {
+      EXPECT_FALSE(sequential.sinks[s].empty()) << label << " sink " << s;
+    }
+  }
+
   // Runs query `number` at 1, 2 and 4 workers; returns the 1-worker run.
   static RunOutcome CheckQueryAcrossWorkerCounts(int number) {
     const RunOutcome sequential = RunQueryWithWorkers(number, 1);
     EXPECT_GT(sequential.events_ingested, 0u) << QueryName(number);
+    ExpectRowsToCompare(sequential, QueryName(number));
     ExpectInstrumented(sequential,
                        std::string(QueryName(number)) + " @ 1 worker");
     for (const size_t workers : {size_t{2}, size_t{4}}) {
@@ -287,12 +308,13 @@ TEST_F(EngineConcurrencyTest, Q8BrakeMonitoring) {
 // the suffix keeps the chain sequential, and results must still agree.
 TEST_F(EngineConcurrencyTest, Q4WeatherJoinVariant) {
   auto run = [&](size_t workers) {
-    auto built = BuildQ4WeatherJoin(*env_, SmallRun());
+    auto built = BuildQ4WeatherJoin(*env_, RunFor(4));
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     return RunPlan(std::move(built->plan), {built->collect}, workers);
   };
   const RunOutcome sequential = run(1);
   EXPECT_GT(sequential.events_ingested, 0u);
+  ExpectRowsToCompare(sequential, "Q4 join");
   ExpectEquivalent(sequential, run(2), "Q4 join @ 2 workers");
   ExpectEquivalent(sequential, run(4), "Q4 join @ 4 workers");
 }
@@ -309,6 +331,7 @@ TEST_F(EngineConcurrencyTest, SharedIngestFanOut) {
   const RunOutcome sequential = run(1);
   ASSERT_EQ(sequential.sinks.size(), 2u);
   EXPECT_GT(sequential.events_ingested, 0u);
+  ExpectRowsToCompare(sequential, "fan-out");
   ExpectInstrumented(sequential, "fan-out @ 1 worker");
   const RunOutcome four = run(4);
   ExpectEquivalent(sequential, run(2), "fan-out @ 2 workers");

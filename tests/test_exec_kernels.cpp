@@ -2,17 +2,22 @@
 // matching the interpreter bit-for-bit, CompilePlan fusing Filter→Map→
 // Project runs into one BatchKernelOperator, zero-copy selection-vector
 // flow (fully-selective passthrough, shared-buffer fan-out, pool
-// accounting), interpreter fallback for non-compilable expressions, and
+// accounting), interpreter fallback for non-compilable expressions,
 // the placed/unplaced × compiled/interpreted equivalence regression on
-// the shared-ingest fan-out, and the one operator contract: every
-// operator class reads a partial selection exactly like a buffer holding
-// only the selected rows.
+// the shared-ingest fan-out, the one operator contract (every operator
+// class reads a partial selection exactly like a buffer holding only the
+// selected rows), and a generated differential test of fused runs
+// against the interpreted operators, short-circuit call counts included.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <random>
+#include <set>
 #include <utility>
 
 #include "nebula/cep.hpp"
@@ -86,7 +91,7 @@ TEST(CompiledExpr, KernelsMatchInterpreterExactly) {
   };
   for (const ExprPtr& expr : exprs) {
     ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
-    exec::KernelPtr kernel = expr->CompileKernel(schema);
+    exec::KernelPtr kernel = expr->CompileKernel(exec::RunLayout(schema));
     ASSERT_NE(kernel, nullptr) << expr->ToString();
     const exec::RowSpan span = exec::SpanOf(*buf, nullptr);
     std::vector<double> out(buf->size());
@@ -104,7 +109,7 @@ TEST(CompiledExpr, KernelsHonorSelectionVectors) {
   auto buf = MakeBuffer(32);
   ExprPtr expr = Mul(Attribute("value"), Lit(2.0));
   ASSERT_TRUE(expr->Bind(schema).ok());
-  exec::KernelPtr kernel = expr->CompileKernel(schema);
+  exec::KernelPtr kernel = expr->CompileKernel(exec::RunLayout(schema));
   ASSERT_NE(kernel, nullptr);
   const exec::SelectionVector sel = {1, 5, 9, 30};
   const exec::RowSpan span = exec::SpanOf(*buf, &sel);
@@ -169,7 +174,7 @@ void RegisterTestLambdas() {
 void ExpectKernelMatchesEval(const ExprPtr& expr, const Schema& schema,
                              const TupleBuffer& buf) {
   ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
-  exec::KernelPtr kernel = expr->CompileKernel(schema);
+  exec::KernelPtr kernel = expr->CompileKernel(exec::RunLayout(schema));
   ASSERT_NE(kernel, nullptr) << expr->ToString();
   exec::SelectionVector sel;
   for (size_t i = 0; i < buf.size(); i += 2) {
@@ -296,7 +301,7 @@ TEST(CompiledExpr, LambdaKernelsMatchInterpreter) {
   // argument through double would return 2^53 for 2^53 + 1.
   ExprPtr identity = Fn("test.int_identity", {Attribute("big")});
   ASSERT_TRUE(identity->Bind(schema).ok());
-  exec::KernelPtr kernel = identity->CompileKernel(schema);
+  exec::KernelPtr kernel = identity->CompileKernel(exec::RunLayout(schema));
   ASSERT_NE(kernel, nullptr);
   ASSERT_EQ(kernel->type(), exec::KernelType::kInt64);
   std::vector<int64_t> out(buf->size());
@@ -316,7 +321,8 @@ TEST(CompiledExpr, TextExpressionsRefuseToCompile) {
   ExprPtr text_out = Fn("test.key_label", {Attribute("key")});
   for (const ExprPtr& expr : {mixed, text_arg, text_out}) {
     ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
-    EXPECT_EQ(expr->CompileKernel(schema), nullptr) << expr->ToString();
+    EXPECT_EQ(expr->CompileKernel(exec::RunLayout(schema)), nullptr)
+        << expr->ToString();
   }
   // They still evaluate through the interpreter.
   const RecordView row0 = buf->At(0);  // key -2, label "even"
@@ -818,16 +824,19 @@ void AppendRows(const exec::Batch& batch, Rows* rows) {
 }
 
 // Drives `chain` as the engine does: `batch` into operator `from`, every
-// emitted batch into the next one, and what leaves the last into `rows`.
-// A null `batch` runs the end-of-stream cascade from `from` instead.
+// emitted batch into the next one, and what leaves the last into `rows`,
+// counting each operator's flow where the engine counts it. A null
+// `batch` runs the end-of-stream cascade from `from` instead.
 Status DriveChain(const std::vector<OperatorPtr>& chain, size_t from,
                   const exec::Batch* batch, Rows* rows) {
   if (from == chain.size()) {
     if (batch != nullptr) AppendRows(*batch, rows);
     return Status::OK();
   }
+  if (batch != nullptr) chain[from]->CountIn(*batch);
   Status inner = Status::OK();
   auto forward = [&](const exec::Batch& out) {
+    chain[from]->CountOut(out);
     const Status st = DriveChain(chain, from + 1, &out, rows);
     if (!st.ok() && inner.ok()) inner = st;
   };
@@ -1031,6 +1040,622 @@ TEST(OperatorContract, PartialSelectionMatchesFullBufferForEveryOperator) {
     EXPECT_EQ(from_full, from_partial) << c.name;
     EXPECT_EQ(full_draws, partial_draws) << c.name;
   }
+}
+
+// --- Generated differential test for fused runs ------------------------------
+
+// Input of the generated chains: every field type a fused run handles.
+Schema DiffSchema() {
+  return Schema::Build()
+      .AddBool("b")
+      .AddInt64("i")
+      .AddInt64("j")
+      .AddTimestamp("t")
+      .AddDouble("d")
+      .AddDouble("e")
+      .AddText16("s")
+      .AddText16("u")
+      .Finish();
+}
+
+const std::vector<std::string>& DiffTexts() {
+  static const std::vector<std::string> texts = {
+      "", "even", "odd", "evening", "zz", "abcdefghijklmnop"};
+  return texts;
+}
+
+// A sealed buffer of `n` random rows of `DiffSchema()`. Values stay small
+// (see `ExprGen`), and doubles sit on a 0.5 grid so comparisons tie.
+TupleBufferPtr DiffBuffer(std::mt19937_64* rng, size_t n) {
+  auto buf = std::make_shared<TupleBuffer>(DiffSchema(), n);
+  for (size_t r = 0; r < n; ++r) {
+    RecordWriter w = buf->Append();
+    w.SetBool(0, (*rng)() % 2 == 0);
+    w.SetInt64(1, static_cast<int64_t>((*rng)() % 101) - 50);
+    w.SetInt64(2, static_cast<int64_t>((*rng)() % 11) - 5);
+    w.SetInt64(3, static_cast<int64_t>((*rng)() % 1001));
+    w.SetDouble(4, static_cast<double>((*rng)() % 41) * 0.5 - 10.0);
+    w.SetDouble(5, static_cast<double>((*rng)() % 21) * 0.5 - 5.0);
+    w.SetText(6, DiffTexts()[(*rng)() % DiffTexts().size()]);
+    w.SetText(7, DiffTexts()[(*rng)() % DiffTexts().size()]);
+  }
+  buf->Seal();
+  return buf;
+}
+
+// Random typed expressions over a field list, deterministic in (seed,
+// fields), so a subexpression can be rebuilt as a fresh, structurally
+// equal tree. Magnitudes stay bounded so no integer arithmetic overflows
+// and no double leaves int64's range: integer products take only a
+// literal factor in [-3, 3], and `Halve` reads a clamped argument.
+class ExprGen {
+ public:
+  ExprGen(uint64_t seed, std::vector<Field> fields,
+          std::set<std::string> computed)
+      : rng_(seed),
+        fields_(std::move(fields)),
+        computed_(std::move(computed)) {}
+
+  bool reads_computed() const { return reads_computed_; }
+  bool used_halve() const { return used_halve_; }
+  bool used_text_compare() const { return used_text_compare_; }
+
+  // An integer-typed expression (bool fields read as 0/1).
+  ExprPtr Int(int depth) {
+    if (depth <= 0 || Chance(35)) {
+      if (Chance(75)) {
+        if (ExprPtr f = FieldOf({DataType::kInt64, DataType::kTimestamp,
+                                 DataType::kBool})) {
+          return f;
+        }
+      }
+      return Lit(static_cast<int64_t>(Uniform(41)) - 20);
+    }
+    switch (Uniform(4)) {
+      case 0:
+        return Add(Int(depth - 1), Int(depth - 1));
+      case 1:
+        return Sub(Int(depth - 1), Int(depth - 1));
+      case 2:
+        return Mul(Int(depth - 1), Lit(static_cast<int64_t>(Uniform(7)) - 3));
+      default:
+        return Arith(ArithOp::kMod, Int(depth - 1),
+                     Lit(static_cast<int64_t>(Uniform(8))));
+    }
+  }
+
+  // `test.halve`: a lambda declared int64 that returns a double. As a
+  // whole map spec its value is stored converted to int64 on both paths,
+  // and later stages read the stored value.
+  ExprPtr Halve() {
+    used_halve_ = true;
+    return Fn("test.halve", {Fn("clamp", {Num(1), Lit(-1e9), Lit(1e9)})});
+  }
+
+  // A numeric expression: integer or double.
+  ExprPtr Num(int depth) {
+    if (Chance(40)) return Int(depth);
+    if (depth <= 0 || Chance(35)) {
+      if (Chance(75)) {
+        if (ExprPtr f = FieldOf({DataType::kDouble})) return f;
+      }
+      return Lit(static_cast<double>(Uniform(21)) * 0.5 - 5.0);
+    }
+    switch (Uniform(6)) {
+      case 0:
+        return Add(Num(depth - 1), Num(depth - 1));
+      case 1:
+        return Sub(Num(depth - 1), Num(depth - 1));
+      case 2:
+        return Mul(Num(depth - 1),
+                   Lit(static_cast<double>(Uniform(13)) * 0.5 - 3.0));
+      case 3:
+        return Div(Num(depth - 1), Num(depth - 1));
+      case 4:
+        return Fn("abs", {Num(depth - 1)});
+      default:
+        return Fn("clamp", {Num(depth - 1), Lit(-2.0), Lit(2.5)});
+    }
+  }
+
+  // A numeric subexpression kernel CSE may cache: never a bare field or
+  // literal.
+  ExprPtr Shared() {
+    return Chance(50) ? Add(Num(1), Num(0)) : Fn("abs", {Sub(Num(1), Num(0))});
+  }
+
+  // `x` compared against a literal.
+  ExprPtr Threshold(ExprPtr x) {
+    const double lit = static_cast<double>(Uniform(9)) - 4.0;
+    return Chance(50) ? Gt(std::move(x), Lit(lit))
+                      : Le(std::move(x), Lit(lit));
+  }
+
+  // A predicate: AND/OR/NOT nests over comparisons, bool fields and text
+  // comparisons.
+  ExprPtr Bool(int depth) {
+    if (depth <= 0 || Chance(30)) {
+      const size_t leaf = Uniform(10);
+      if (leaf < 2) {
+        if (ExprPtr f = FieldOf({DataType::kBool})) return f;
+      } else if (leaf < 4) {
+        if (ExprPtr t = TextCompare()) return t;
+      }
+      static const CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
+                                       CompareOp::kGt, CompareOp::kGe,
+                                       CompareOp::kEq, CompareOp::kNe};
+      return Compare(kOps[Uniform(6)], Num(depth - 1), Num(depth - 1));
+    }
+    switch (Uniform(4)) {
+      case 0:
+        return Not(Bool(depth - 1));
+      case 1:
+        return And(Bool(depth - 1), Bool(depth - 1));
+      default:
+        return Or(Bool(depth - 1), Bool(depth - 1));
+    }
+  }
+
+ private:
+  size_t Uniform(size_t n) { return static_cast<size_t>(rng_() % n); }
+  bool Chance(size_t percent) { return Uniform(100) < percent; }
+
+  // A text field compared with a literal or another text field; null
+  // when no text field is left.
+  ExprPtr TextCompare() {
+    ExprPtr field = FieldOf({DataType::kText16});
+    if (field == nullptr) return nullptr;
+    used_text_compare_ = true;
+    static const CompareOp kOps[] = {CompareOp::kLt, CompareOp::kGe,
+                                     CompareOp::kEq, CompareOp::kNe};
+    const CompareOp op = kOps[Uniform(4)];
+    if (Chance(25)) {
+      return Compare(op, std::move(field), FieldOf({DataType::kText16}));
+    }
+    ExprPtr lit = Lit(DiffTexts()[Uniform(DiffTexts().size())]);
+    return Chance(50) ? Compare(op, std::move(field), std::move(lit))
+                      : Compare(op, std::move(lit), std::move(field));
+  }
+
+  // A random field of one of `types`, or null when there is none.
+  ExprPtr FieldOf(std::initializer_list<DataType> types) {
+    std::vector<const Field*> candidates;
+    for (const Field& f : fields_) {
+      for (const DataType t : types) {
+        if (f.type == t) candidates.push_back(&f);
+      }
+    }
+    if (candidates.empty()) return nullptr;
+    const Field* f = candidates[Uniform(candidates.size())];
+    if (computed_.count(f->name) != 0) reads_computed_ = true;
+    return Attribute(f->name);
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<Field> fields_;
+  std::set<std::string> computed_;
+  bool reads_computed_ = false;
+  bool used_halve_ = false;
+  bool used_text_compare_ = false;
+};
+
+// What generated chains must contain for the differential test to cover
+// the fused run's layout and short-circuit rules.
+enum ChainFeature : size_t {
+  kMapReplacesInputField,
+  kMapReadsEarlierMap,
+  kProjectDropsThenMapReAdds,
+  kTextCompareAfterMap,
+  kSharedOnOrRightReadAgain,
+  kInt64DeclaredDoubleLambda,
+  kNumChainFeatures,
+};
+
+struct ChainStage {
+  enum class Kind { kFilter, kMap, kProject };
+  Kind kind = Kind::kFilter;
+  ExprPtr predicate;
+  std::vector<MapSpec> specs;
+  std::vector<std::string> fields;
+};
+
+// Seeded generator of 2–6 stage Filter/Map/Project chains over
+// `DiffSchema()`; every chain compiles into one fused run. Each stage's
+// expressions are fresh trees, so binding one stage never rebinds
+// another's.
+class ChainGenerator {
+ public:
+  explicit ChainGenerator(uint64_t seed) : rng_(seed) {}
+
+  const std::array<size_t, kNumChainFeatures>& features() const {
+    return features_;
+  }
+
+  std::vector<ChainStage> Next() {
+    fields_ = DiffSchema().fields();
+    computed_.clear();
+    dropped_computed_.clear();
+    map_seen_ = false;
+    std::vector<ChainStage> chain;
+    const size_t length = 2 + Uniform(5);
+    if (Uniform(100) < 30) SharedOnOrRight(&chain);
+    while (chain.size() < length) {
+      const size_t pick = Uniform(100);
+      if (pick < 15 && !computed_.empty() && fields_.size() > 1 &&
+          chain.size() + 2 <= length) {
+        DropThenReAdd(&chain);
+      } else if (pick < 50) {
+        ExprGen gen = Gen(rng_());
+        ExprPtr predicate = gen.Bool(3);
+        AddFilter(&chain, std::move(predicate), gen);
+      } else if (pick < 85) {
+        AddRandomMap(&chain);
+      } else {
+        std::vector<std::string> names = ShuffledNames();
+        names.resize(1 + Uniform(names.size()));
+        AddProject(&chain, std::move(names));
+      }
+    }
+    return chain;
+  }
+
+ private:
+  size_t Uniform(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+  ExprGen Gen(uint64_t seed) const { return ExprGen(seed, fields_, computed_); }
+
+  std::string FreshName() { return "m" + std::to_string(next_name_++); }
+
+  std::vector<std::string> ShuffledNames() {
+    std::vector<std::string> names;
+    for (const Field& f : fields_) names.push_back(f.name);
+    std::shuffle(names.begin(), names.end(), rng_);
+    return names;
+  }
+
+  void AddFilter(std::vector<ChainStage>* chain, ExprPtr predicate,
+                 const ExprGen& gen) {
+    if (gen.used_text_compare() && map_seen_) {
+      ++features_[kTextCompareAfterMap];
+    }
+    ChainStage stage;
+    stage.kind = ChainStage::Kind::kFilter;
+    stage.predicate = std::move(predicate);
+    chain->push_back(std::move(stage));
+  }
+
+  void AddMap(std::vector<ChainStage>* chain, std::vector<MapSpec> specs,
+              const ExprGen& gen) {
+    if (gen.reads_computed()) ++features_[kMapReadsEarlierMap];
+    if (gen.used_halve()) ++features_[kInt64DeclaredDoubleLambda];
+    for (const MapSpec& spec : specs) {
+      for (const Field& f : fields_) {
+        if (f.name == spec.name && computed_.count(f.name) == 0) {
+          ++features_[kMapReplacesInputField];
+        }
+      }
+      if (dropped_computed_.erase(spec.name) != 0) {
+        ++features_[kProjectDropsThenMapReAdds];
+      }
+    }
+    // The map's output fields, as the fused run and MapOperator derive
+    // them (this also binds the specs against the stage's input).
+    auto input = Schema::Make(fields_);
+    EXPECT_TRUE(input.ok()) << input.status().ToString();
+    if (!input.ok()) return;
+    auto layout = PlanMapLayout(*input, specs);
+    EXPECT_TRUE(layout.ok()) << layout.status().ToString();
+    if (!layout.ok()) return;
+    fields_ = layout->output_schema.fields();
+    for (const MapSpec& spec : specs) computed_.insert(spec.name);
+    map_seen_ = true;
+    ChainStage stage;
+    stage.kind = ChainStage::Kind::kMap;
+    stage.specs = std::move(specs);
+    chain->push_back(std::move(stage));
+  }
+
+  void AddProject(std::vector<ChainStage>* chain,
+                  std::vector<std::string> names) {
+    std::vector<Field> kept;
+    for (const std::string& name : names) {
+      for (const Field& f : fields_) {
+        if (f.name == name) kept.push_back(f);
+      }
+    }
+    for (const Field& f : fields_) {
+      if (std::find(names.begin(), names.end(), f.name) == names.end() &&
+          computed_.erase(f.name) != 0) {
+        dropped_computed_.insert(f.name);
+      }
+    }
+    fields_ = std::move(kept);
+    ChainStage stage;
+    stage.kind = ChainStage::Kind::kProject;
+    stage.fields = std::move(names);
+    chain->push_back(std::move(stage));
+  }
+
+  // One to three computed fields: new names, replaced fields (input or
+  // computed, text included) and names an earlier Project dropped.
+  void AddRandomMap(std::vector<ChainStage>* chain) {
+    ExprGen gen = Gen(rng_());
+    std::vector<MapSpec> specs;
+    const size_t count = 1 + Uniform(3);
+    for (size_t k = 0; k < count; ++k) {
+      std::string name;
+      const size_t pick = Uniform(100);
+      if (pick < 30 && !fields_.empty()) {
+        name = fields_[Uniform(fields_.size())].name;
+      } else if (pick < 45 && !dropped_computed_.empty()) {
+        auto it = dropped_computed_.begin();
+        std::advance(it, Uniform(dropped_computed_.size()));
+        name = *it;
+      } else {
+        name = FreshName();
+      }
+      for (const MapSpec& spec : specs) {
+        if (spec.name == name) name = FreshName();
+      }
+      const size_t kind = Uniform(10);
+      ExprPtr expr =
+          kind < 6 ? gen.Num(2) : (kind < 9 ? gen.Bool(2) : gen.Halve());
+      specs.push_back({std::move(name), std::move(expr)});
+    }
+    AddMap(chain, std::move(specs), gen);
+  }
+
+  // A Project that drops a computed field and reorders the rest, then a
+  // Map that re-adds the dropped name.
+  void DropThenReAdd(std::vector<ChainStage>* chain) {
+    std::vector<std::string> names = ShuffledNames();
+    auto dropped = std::find_if(names.begin(), names.end(),
+                                [this](const std::string& name) {
+                                  return computed_.count(name) != 0;
+                                });
+    const std::string name = *dropped;
+    names.erase(dropped);
+    AddProject(chain, std::move(names));
+    ExprGen gen = Gen(rng_());
+    ExprPtr expr = gen.Num(2);
+    AddMap(chain, {{name, std::move(expr)}}, gen);
+  }
+
+  // A Filter whose OR evaluates a shared subexpression only where its left
+  // side is false, then a stage that reads the subexpression again over
+  // every surviving row — inside the run's kernel-CSE scope.
+  void SharedOnOrRight(std::vector<ChainStage>* chain) {
+    const uint64_t seed = rng_();
+    ExprGen first = Gen(seed);
+    ExprPtr left = first.Bool(1);
+    ExprPtr shared = first.Shared();
+    ExprPtr predicate = Or(std::move(left), first.Threshold(shared));
+    AddFilter(chain, std::move(predicate), first);
+    ExprGen again = Gen(seed);  // same fields: the filter defined none
+    again.Bool(1);
+    ExprPtr repeated = again.Shared();  // a fresh tree equal to `shared`
+    if (Uniform(2) == 0) {
+      ExprPtr threshold = again.Threshold(std::move(repeated));
+      AddFilter(chain, std::move(threshold), again);
+    } else {
+      AddMap(chain, {{FreshName(), std::move(repeated)}}, again);
+    }
+    ++features_[kSharedOnOrRightReadAgain];
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<Field> fields_;
+  std::set<std::string> computed_;
+  std::set<std::string> dropped_computed_;
+  bool map_seen_ = false;
+  size_t next_name_ = 0;
+  std::array<size_t, kNumChainFeatures> features_{};
+};
+
+std::string DescribeChain(const std::vector<ChainStage>& chain) {
+  std::string out;
+  for (const ChainStage& stage : chain) {
+    if (!out.empty()) out += " | ";
+    switch (stage.kind) {
+      case ChainStage::Kind::kFilter:
+        out += "Filter" + stage.predicate->ToString();
+        break;
+      case ChainStage::Kind::kMap:
+        out += "Map(";
+        for (const MapSpec& spec : stage.specs) {
+          out += spec.name + "=" + spec.expr->ToString() + ";";
+        }
+        out += ")";
+        break;
+      case ChainStage::Kind::kProject:
+        out += "Project(";
+        for (const std::string& name : stage.fields) out += name + ",";
+        out += ")";
+        break;
+    }
+  }
+  return out;
+}
+
+Result<LogicalPlan> ChainPlan(const std::vector<ChainStage>& chain) {
+  Query q = Query::From(std::make_unique<MemorySource>(
+      DiffSchema(), std::vector<std::vector<Value>>{}));
+  for (const ChainStage& stage : chain) {
+    switch (stage.kind) {
+      case ChainStage::Kind::kFilter:
+        std::move(q).Filter(stage.predicate);
+        break;
+      case ChainStage::Kind::kMap:
+        std::move(q).MapAll(stage.specs);
+        break;
+      case ChainStage::Kind::kProject:
+        std::move(q).Project(stage.fields);
+        break;
+    }
+  }
+  std::move(q).To(std::make_shared<CountingSink>(DiffSchema()));
+  return std::move(q).Build();
+}
+
+using StageStats = std::vector<std::pair<std::string, OperatorStats>>;
+
+StageStats ChainStats(const std::vector<OperatorPtr>& ops) {
+  StageStats out;
+  for (const OperatorPtr& op : ops) op->AppendStats("", &out);
+  return out;
+}
+
+void ExpectSameFlow(const StageStats& compiled, const StageStats& interpreted,
+                    const std::string& what) {
+  ASSERT_EQ(compiled.size(), interpreted.size()) << what;
+  for (size_t s = 0; s < compiled.size(); ++s) {
+    const auto& [name, got] = compiled[s];
+    const auto& [want_name, want] = interpreted[s];
+    EXPECT_EQ(name, want_name) << what;
+    EXPECT_EQ(got.events_in, want.events_in) << what << " stage " << s;
+    EXPECT_EQ(got.events_out, want.events_out) << what << " stage " << s;
+    EXPECT_EQ(got.bytes_in, want.bytes_in) << what << " stage " << s;
+    EXPECT_EQ(got.bytes_out, want.bytes_out) << what << " stage " << s;
+  }
+}
+
+// Generated Filter/Map/Project chains give the same rows and the same
+// per-stage flow compiled into one fused run as interpreted operator by
+// operator, fed as a full buffer, as a partial selection, and as a
+// selection of rows the chain drops (so the run's selection ends empty).
+TEST(FusedRunDifferential, GeneratedChainsMatchTheInterpreter) {
+  RegisterBuiltinFunctions();
+  RegisterTestLambdas();
+  const Schema schema = DiffSchema();
+  ChainGenerator generator(20261019);
+  std::mt19937_64 data_rng(8472);
+  constexpr size_t kChains = 1200;
+  constexpr size_t kRows = 48;
+  CompileOptions compiled;
+  CompileOptions interpreted;
+  interpreted.compiled_kernels = false;
+  for (size_t c = 0; c < kChains; ++c) {
+    const std::vector<ChainStage> chain = generator.Next();
+    const std::string what =
+        "chain " + std::to_string(c) + ": " + DescribeChain(chain);
+    auto plan = ChainPlan(chain);
+    ASSERT_TRUE(plan.ok()) << what << ": " << plan.status().ToString();
+    auto fused = CompilePlan(schema, *plan, nullptr, compiled);
+    auto reference = CompilePlan(schema, *plan, nullptr, interpreted);
+    auto probe = CompilePlan(schema, *plan, nullptr, interpreted);
+    ASSERT_TRUE(fused.ok()) << what << ": " << fused.status().ToString();
+    ASSERT_TRUE(reference.ok()) << what;
+    ASSERT_TRUE(probe.ok()) << what;
+    ASSERT_EQ(fused->operators.size(), 1u) << what;
+    ExecutionContext ctx;
+    for (const auto* ops :
+         {&fused->operators, &reference->operators, &probe->operators}) {
+      for (const OperatorPtr& op : *ops) ASSERT_TRUE(op->Open(&ctx).ok());
+    }
+
+    const TupleBufferPtr buf = DiffBuffer(&data_rng, kRows);
+    auto partial = std::make_shared<exec::SelectionVector>();
+    for (uint32_t r = 0; r < kRows; ++r) {
+      if (data_rng() % 2 == 0) partial->push_back(r);
+    }
+    // The rows the chain drops, each found by running it alone.
+    auto dropped = std::make_shared<exec::SelectionVector>();
+    for (uint32_t r = 0; r < kRows; ++r) {
+      Rows out;
+      const exec::Batch one(buf, std::make_shared<exec::SelectionVector>(
+                                     exec::SelectionVector{r}));
+      ASSERT_TRUE(DriveChain(probe->operators, 0, &one, &out).ok()) << what;
+      if (out.empty()) dropped->push_back(r);
+    }
+    const exec::Batch feeds[] = {exec::Batch(buf), exec::Batch(buf, partial),
+                                 exec::Batch(buf, dropped)};
+    for (size_t f = 0; f < 3; ++f) {
+      const std::string feed = what + " (feed " + std::to_string(f) + ")";
+      Rows want;
+      Rows got;
+      ASSERT_TRUE(DriveChain(reference->operators, 0, &feeds[f], &want).ok())
+          << feed;
+      ASSERT_TRUE(DriveChain(fused->operators, 0, &feeds[f], &got).ok())
+          << feed;
+      EXPECT_EQ(got, want) << feed;
+      if (f == 2) {
+        EXPECT_TRUE(got.empty()) << feed;
+      }
+      ExpectSameFlow(ChainStats(fused->operators),
+                     ChainStats(reference->operators), feed);
+    }
+    if (::testing::Test::HasFailure()) break;  // one chain's report is enough
+  }
+  const char* kFeatureNames[] = {
+      "map replaces an input field",  "map reads an earlier map",
+      "project drops, map re-adds",   "text comparison after a map",
+      "shared on OR's right, re-read", "int64-declared double lambda"};
+  for (size_t f = 0; f < kNumChainFeatures; ++f) {
+    EXPECT_GT(generator.features()[f], 0u) << kFeatureNames[f];
+  }
+}
+
+// Counts its calls; true for a positive argument.
+std::atomic<uint64_t>& CountedCalls() {
+  static std::atomic<uint64_t> calls{0};
+  return calls;
+}
+
+// A lambda on an AND's (and an OR's) right side runs on exactly the rows
+// the interpreter runs it on: those the left side leaves undecided.
+TEST(FusedRunDifferential, RightSideLambdaRunsOnTheInterpretersRows) {
+  static const bool registered =
+      RegisterLambdaFunction("test.counted", 1, DataType::kBool,
+                             [](const std::vector<Value>& v) {
+                               CountedCalls().fetch_add(1);
+                               return Value(ValueAsDouble(v[0]) > 0.0);
+                             })
+          .ok();
+  ASSERT_TRUE(registered);
+  const Schema schema = DiffSchema();
+  auto plan =
+      Query::From(std::make_unique<MemorySource>(
+                      schema, std::vector<std::vector<Value>>{}))
+          .Filter(And(Gt(Attribute("d"), Lit(2.0)),
+                      Fn("test.counted", {Attribute("e")})))
+          .Map("m", Add(Attribute("i"), Lit(int64_t{1})))
+          .Filter(Or(Gt(Attribute("m"), Lit(int64_t{0})),
+                     Fn("test.counted", {Attribute("d")})))
+          .To(std::make_shared<CountingSink>(schema))
+          .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::mt19937_64 data_rng(31);
+  const TupleBufferPtr buf = DiffBuffer(&data_rng, 512);
+  auto partial = std::make_shared<exec::SelectionVector>();
+  for (uint32_t r = 0; r < buf->size(); r += 3) partial->push_back(r);
+  auto run = [&](bool compiled, uint64_t* calls) {
+    CompileOptions options;
+    options.compiled_kernels = compiled;
+    auto pipe = CompilePlan(schema, *plan, nullptr, options);
+    EXPECT_TRUE(pipe.ok()) << pipe.status().ToString();
+    ExecutionContext ctx;
+    for (const OperatorPtr& op : pipe->operators) {
+      EXPECT_TRUE(op->Open(&ctx).ok());
+    }
+    CountedCalls().store(0);
+    Rows rows;
+    for (const exec::Batch& batch :
+         {exec::Batch(buf), exec::Batch(buf, partial)}) {
+      EXPECT_TRUE(DriveChain(pipe->operators, 0, &batch, &rows).ok());
+    }
+    *calls = CountedCalls().load();
+    return rows;
+  };
+  uint64_t compiled_calls = 0;
+  uint64_t interpreted_calls = 0;
+  const Rows compiled_rows = run(true, &compiled_calls);
+  const Rows interpreted_rows = run(false, &interpreted_calls);
+  EXPECT_EQ(compiled_rows, interpreted_rows);
+  EXPECT_FALSE(compiled_rows.empty());
+  EXPECT_EQ(compiled_calls, interpreted_calls);
+  // Both sides short-circuit most rows: d > 2 holds for under half.
+  EXPECT_GT(compiled_calls, 0u);
+  EXPECT_LT(compiled_calls, buf->size() + partial->size());
 }
 
 }  // namespace

@@ -224,7 +224,8 @@ TEST_F(MeosExprTest, ColumnKernelsMatchInterpreterOnEveryFunction) {
   };
   for (const auto& [expr, min_distinct] : cases) {
     ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
-    nebula::exec::KernelPtr kernel = expr->CompileKernel(schema);
+    nebula::exec::KernelPtr kernel =
+        expr->CompileKernel(nebula::exec::RunLayout(schema));
     ASSERT_NE(kernel, nullptr) << expr->ToString();
     std::vector<double> out(buf.size());
     kernel->EvalAsDouble(nebula::exec::SpanOf(buf, nullptr), out.data());

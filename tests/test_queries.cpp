@@ -325,98 +325,5 @@ TEST_F(QueriesTest, SharedIngestFanOutServesAlertsAndArchiveFromOneStream) {
   }
 }
 
-// The paper's plans return the same row sets compiled and interpreted, at
-// 1 and at 4 workers: Q1-Q8, the Q4 join variant and the shared-ingest
-// fan-out. Every Filter and Map in them compiles to a batch kernel, and
-// every run builds only the pool buffers it keeps in flight.
-TEST_F(QueriesTest, PaperPlansCompileAndMatchInterpretedRowSets) {
-  using Rows = std::vector<std::vector<Value>>;
-  QueryOptions options = SmallRun(200'000);
-  options.fleet.unscheduled_stop_prob = 4e-4;  // Q7 sees stops
-  constexpr int kJoinVariant = 9;
-  constexpr int kFanOut = 10;
-  struct Built {
-    nebula::LogicalPlan plan;
-    std::vector<std::shared_ptr<nebula::CollectSink>> sinks;
-  };
-  auto build = [&](int q) {
-    Built out;
-    if (q == kFanOut) {
-      auto built = BuildSharedIngestFanOut(*env_, options);
-      EXPECT_TRUE(built.ok()) << built.status().ToString();
-      out.plan = std::move(built->plan);
-      out.sinks = built->collects;
-      return out;
-    }
-    auto built = q == kJoinVariant ? BuildQ4WeatherJoin(*env_, options)
-                                   : BuildQuery(q, *env_, options);
-    EXPECT_TRUE(built.ok()) << built.status().ToString();
-    out.plan = std::move(built->plan);
-    out.sinks = {built->collect};
-    return out;
-  };
-  auto run = [&](int q, bool compiled, size_t workers) {
-    Built built = build(q);
-    nebula::EngineOptions engine_options;
-    engine_options.compiled_kernels = compiled;
-    engine_options.worker_threads = workers;
-    NodeEngine engine(engine_options);
-    auto id = engine.Submit(std::move(built.plan));
-    EXPECT_TRUE(id.ok()) << id.status().ToString();
-    EXPECT_TRUE(engine.RunToCompletion(*id).ok());
-    // Pools build buffers on demand, so a query holds the buffers it keeps
-    // in flight: hundreds drawn, a handful built at 1 worker, and far
-    // below one full 128-buffer pool at 4. The engine guarantees only the
-    // 128-per-pool cap (hand-offs from workers never block); 8 and 64 are
-    // margins over the peaks seen, 6 at 1 worker and 15 at 4.
-    auto stats = engine.Stats(*id);
-    if (!stats.ok()) {
-      ADD_FAILURE() << "plan " << q << ": " << stats.status().ToString();
-      return std::vector<Rows>{};
-    }
-    EXPECT_GT(stats->buffers_created, 0u) << "plan " << q;
-    EXPECT_LE(stats->buffers_created, workers == 1 ? 8u : 64u)
-        << "plan " << q << " compiled=" << compiled << " workers=" << workers;
-    EXPECT_LT(stats->buffers_created, stats->buffers_acquired)
-        << "plan " << q << " compiled=" << compiled << " workers=" << workers;
-    std::vector<Rows> per_sink;
-    for (const auto& sink : built.sinks) {
-      Rows rows = sink->Rows();
-      std::sort(rows.begin(), rows.end());
-      per_sink.push_back(std::move(rows));
-    }
-    return per_sink;
-  };
-  for (int q = 1; q <= kFanOut; ++q) {
-    const std::vector<Rows> reference = run(q, /*compiled=*/false, 1);
-    for (const Rows& rows : reference) EXPECT_FALSE(rows.empty()) << q;
-    for (const size_t workers : {size_t{1}, size_t{4}}) {
-      for (const bool compiled : {false, true}) {
-        if (!compiled && workers == 1) continue;  // the reference
-        EXPECT_TRUE(run(q, compiled, workers) == reference)
-            << "plan " << q << " compiled=" << compiled
-            << " workers=" << workers;
-      }
-    }
-  }
-
-  // No interpreted Filter or Map is left in any of these pipelines.
-  for (int q = 1; q <= kFanOut; ++q) {
-    Built built = build(q);
-    auto pipe = nebula::CompilePlan(built.plan.source()->schema(), built.plan);
-    ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
-    std::vector<const nebula::CompiledPipeline*> segments = {&*pipe};
-    while (!segments.empty()) {
-      const nebula::CompiledPipeline* segment = segments.back();
-      segments.pop_back();
-      for (const auto& branch : segment->branches) segments.push_back(&branch);
-      for (const auto& op : segment->operators) {
-        EXPECT_NE(op->name(), "Filter") << "plan " << q;
-        EXPECT_NE(op->name(), "Map") << "plan " << q;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace nebulameos::queries
