@@ -6,7 +6,9 @@
 /// Also doubles as the CI smoke check (`scripts/check.sh` runs it and
 /// greps the JSON): exits non-zero unless the snapshot carries a
 /// populated ingest counter, at least one operator latency histogram and
-/// a queue-depth gauge.
+/// a queue-depth gauge, and unless the filter's flow instruments in the
+/// snapshot read the numbers of its `Stats()` entry — `QueryStats` is a
+/// view over the same registry.
 
 #include <cstdio>
 
@@ -103,6 +105,17 @@ int main() {
   }
   if (snap->counters.at("engine.metric_samples") == 0) {
     std::fprintf(stderr, "SMOKE FAIL: sampler never ticked\n");
+    return 1;
+  }
+  auto stats = engine.Stats(*id);
+  const OperatorStats filter = stats->operator_stats.at(0).second;
+  if (stats->operator_stats[0].first != "Filter" || filter.events_out == 0 ||
+      snap->histograms["op.Filter.batch_rows"].sum !=
+          static_cast<int64_t>(filter.events_in) ||
+      snap->counters["op.Filter.bytes_in"] != filter.bytes_in ||
+      snap->counters["op.Filter.events_out"] != filter.events_out ||
+      snap->counters["op.Filter.bytes_out"] != filter.bytes_out) {
+    std::fprintf(stderr, "SMOKE FAIL: op.Filter.* disagrees with Stats()\n");
     return 1;
   }
 

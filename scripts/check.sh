@@ -109,9 +109,12 @@ cd "$BUILD_DIR" && ctest --output-on-failure -j
 
 # Observability smoke: run one query with the rate sampler enabled and
 # require a populated metrics snapshot (the example exits non-zero when
-# the ingest counter, operator histograms or strand gauges are missing;
-# the grep pins the JSON export format end-to-end).
-./examples/example_metrics_observability | grep -q '"engine.events_ingested"'
+# the ingest counter, operator histograms or strand gauges are missing,
+# or when the filter's flow counters disagree with its Stats() entry; the
+# greps pin the JSON export format end-to-end).
+metrics_json="$(./examples/example_metrics_observability)"
+grep -q '"engine.events_ingested"' <<<"$metrics_json"
+grep -q '"op.Filter.events_out"' <<<"$metrics_json"
 echo "metrics smoke: OK"
 
 # Fleet serving smoke: the shared-query manager must collapse K queries

@@ -1,7 +1,6 @@
 #include "nebula/engine.hpp"
 
 #include <cstdlib>
-#include <functional>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -81,28 +80,30 @@ std::string PathPrefix(const CompiledPipeline& seg) {
   return seg.path.empty() ? "" : seg.path + "/";
 }
 
-// Appends `seg`'s sink entry to `stats`: its flow under the segment's
-// path, one `SinkStats` row, and its rows in the emitted totals.
-void AppendSinkStats(const CompiledPipeline& seg, QueryStats* stats) {
-  const OperatorStats flow = seg.sink->stats();
-  stats->operator_stats.emplace_back(PathPrefix(seg) + seg.sink->name(), flow);
-  SinkStats sink_stats;
-  sink_stats.path = seg.path;
-  sink_stats.name = seg.sink->name();
-  sink_stats.events_emitted = flow.events_in;
-  sink_stats.bytes_emitted = flow.bytes_in;
-  stats->events_emitted += sink_stats.events_emitted;
-  stats->bytes_emitted += sink_stats.bytes_emitted;
-  stats->sink_stats.push_back(std::move(sink_stats));
-}
+// The `operator_stats` entries of a pipeline tree, or of one dynamic
+// branch, in depth-first order, and each sink's entry index with its
+// `SinkStats` row (counts unset). Built once when the instruments bind
+// and immutable afterwards, so `Stats` reads it without a lock.
+struct FlowView {
+  std::vector<FlowEntry> entries;
+  std::vector<std::pair<size_t, SinkStats>> sinks;
+};
 
-// Appends a linear segment's operator entries, then its sink's (if any).
-void AppendLinearSegmentStats(const CompiledPipeline& seg, QueryStats* stats) {
-  const std::string prefix = PathPrefix(seg);
-  for (const OperatorPtr& op : seg.operators) {
-    op->AppendStats(prefix, &stats->operator_stats);
+// Appends `view`'s entries to `stats`; each sink's flow also fills its
+// `SinkStats` row and counts into the emitted totals.
+void AppendFlow(const FlowView& view, QueryStats* stats) {
+  const size_t first = stats->operator_stats.size();
+  for (const FlowEntry& entry : view.entries) {
+    stats->operator_stats.emplace_back(entry.key, entry.flow.Read());
   }
-  if (seg.sink) AppendSinkStats(seg, stats);
+  for (auto [entry, sink] : view.sinks) {
+    const OperatorStats& flow = stats->operator_stats[first + entry].second;
+    sink.events_emitted = flow.events_in;
+    sink.bytes_emitted = flow.bytes_in;
+    stats->events_emitted += flow.events_in;
+    stats->bytes_emitted += flow.bytes_in;
+    stats->sink_stats.push_back(std::move(sink));
+  }
 }
 
 /// Depth-first visit of every segment of a compiled pipeline tree.
@@ -151,6 +152,8 @@ struct NodeEngine::RunningQuery {
   // in-bounds selection) at every segment entry. Set from
   // `OptimizerOptions::verify_each` at submission.
   bool verify_batches = false;
+  // The pipeline tree's `operator_stats` entries (BindMetricsTree).
+  FlowView flow;
   // Engine-level flow counters and sampler-derived rate gauges.
   metrics::Counter* m_events_ingested =
       metrics.GetCounter("engine.events_ingested");
@@ -190,6 +193,7 @@ struct NodeEngine::RunningQuery {
     std::unique_ptr<CompiledPipeline> pipeline;  ///< stable address
     std::unique_ptr<WorkerPool::Strand> strand;  ///< null until the pool exists
     StrandMetrics sm;                            ///< own instruments
+    FlowView flow;                               ///< its `operator_stats`
     std::atomic<bool> detached{false};
     /// Why the engine force-detached the branch (OK for a clean detach).
     /// Guarded by the host's dyn_mutex.
@@ -211,14 +215,21 @@ struct NodeEngine::RunningQuery {
 
   // Resolves the instruments of `seg`'s own operators, sink and channels
   // under the names `names` hands out along its DAG path (fused kernels
-  // expanding per stage), and points `sm` at the strand gauge/histogram
-  // pair of its path. Binding a name twice returns the same instrument,
-  // so partition clones and their shared sink re-bind harmlessly.
+  // expanding per stage), appends their flow entries to `view`, and
+  // points `sm` at the strand gauge/histogram pair of its path. Binding a
+  // name twice returns the same instrument, so partition clones and their
+  // shared sink re-bind harmlessly.
   void BindSegment(CompiledPipeline* seg, StrandMetrics* sm,
-                   InstrumentNamer* names) {
+                   InstrumentNamer* names, FlowView* view) {
     const std::string path_key = PathKey(*seg);
-    for (OperatorPtr& op : seg->operators) op->BindMetrics(&metrics, names);
-    if (seg->sink) seg->sink->BindMetrics(&metrics, names);
+    for (OperatorPtr& op : seg->operators) {
+      op->BindMetrics(&metrics, names, &view->entries);
+    }
+    if (seg->sink) {
+      seg->sink->BindMetrics(&metrics, names, &view->entries);
+      view->sinks.emplace_back(view->entries.size() - 1,
+                               SinkStats{seg->path, seg->sink->name()});
+    }
     for (size_t i = 0; i < seg->channels.size(); ++i) {
       const std::shared_ptr<NetworkChannel>& ch = seg->channels[i];
       const std::string base = "channel." + path_key + "." +
@@ -240,20 +251,23 @@ struct NodeEngine::RunningQuery {
   }
 
   // Binds every segment of the pipeline tree, one strand instrument pair
-  // per segment path. Each branch numbers its repeated operator names
-  // afresh; each key-partition clone continues from a copy of its parent
-  // segment's numbering (they share its path), so all clones of one
-  // operator bind the same instruments.
-  void BindMetricsTree(CompiledPipeline* seg, InstrumentNamer names) {
+  // per segment path, and lists its flow entries in `view` depth-first.
+  // Each branch numbers its repeated operator names afresh; each
+  // key-partition clone continues from a copy of its parent segment's
+  // numbering (they share its path), so all clones of one operator bind
+  // the same instruments and the first clone's entries read them all.
+  void BindMetricsTree(CompiledPipeline* seg, InstrumentNamer names,
+                       FlowView* view) {
     std::unique_ptr<StrandMetrics>& sm = strand_metrics_by_path[PathKey(*seg)];
     if (!sm) sm = std::make_unique<StrandMetrics>();
-    BindSegment(seg, sm.get(), &names);
+    BindSegment(seg, sm.get(), &names, view);
     strand_metrics[seg] = sm.get();
     for (CompiledPipeline& branch : seg->branches) {
-      BindMetricsTree(&branch, InstrumentNamer(PathPrefix(branch)));
+      BindMetricsTree(&branch, InstrumentNamer(PathPrefix(branch)), view);
     }
-    for (CompiledPipeline& part : seg->partitions) {
-      BindMetricsTree(&part, names);
+    for (size_t p = 0; p < seg->partitions.size(); ++p) {
+      FlowView repeated;
+      BindMetricsTree(&seg->partitions[p], names, p == 0 ? view : &repeated);
     }
   }
 
@@ -448,12 +462,10 @@ struct NodeEngine::RunningQuery {
       return Status::OK();
     }
     if (seg->sink == nullptr) return HandOffToBranches(Push(batch));
-    const uint64_t rows = batch.NumRows();
-    seg->sink->CountIn(batch);
     const int64_t start = MonotonicNowMicros();
     const Status st = seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
-    seg->sink->RecordProcess(MonotonicNowMicros() - start, rows);
-    m_events_emitted->Add(rows);
+    seg->sink->RecordProcess(MonotonicNowMicros() - start, batch);
+    m_events_emitted->Add(batch.NumRows());
     m_bytes_emitted->Add(batch.SizeBytes());
     return st;
   }
@@ -499,14 +511,14 @@ struct NodeEngine::RunningQuery {
   }
 
   // Pushes a batch through segment operators [from..] and onward via
-  // `DispatchTail`. The engine is the one place that counts flow: each
-  // operator's input batch and every batch it forwards land in its
-  // counters here. Each operator's process-latency histogram records its
-  // *self* time: wall time of ProcessBatch minus the time spent inside
-  // the forward continuation (which runs the rest of the chain). Fused
-  // batch-kernel operators time their stages internally instead and
-  // leave the base histograms unbound, so the outer RecordProcess no-ops
-  // for them.
+  // `DispatchTail`. The engine is the one place that records flow: each
+  // operator's input batch and every batch it forwards land in its flow
+  // instruments here. Each operator's process-latency histogram records
+  // its *self* time: wall time of ProcessBatch minus the time spent
+  // inside the forward continuation (which runs the rest of the chain).
+  // Fused batch-kernel operators record their stages internally instead
+  // and leave the base instruments unbound, so these hooks no-op for
+  // them.
   Status PushThrough(CompiledPipeline* seg, size_t from,
                      const exec::Batch& batch) {
     if (verify_batches && from == 0) {
@@ -516,13 +528,11 @@ struct NodeEngine::RunningQuery {
       return DispatchTail(seg, batch);
     }
     Operator* op = seg->operators[from].get();
-    const uint64_t rows_in = batch.NumRows();
-    op->CountIn(batch);
     int64_t child_micros = 0;
     Status inner = Status::OK();
     auto forward = [this, seg, from, op, &inner,
                     &child_micros](const exec::Batch& out) {
-      op->CountOut(out);
+      op->RecordOut(out);
       const int64_t t0 = MonotonicNowMicros();
       Status st = PushThrough(seg, from + 1, out);
       child_micros += MonotonicNowMicros() - t0;
@@ -530,7 +540,7 @@ struct NodeEngine::RunningQuery {
     };
     const int64_t start = MonotonicNowMicros();
     Status s = op->ProcessBatch(batch, forward);
-    op->RecordProcess(MonotonicNowMicros() - start - child_micros, rows_in);
+    op->RecordProcess(MonotonicNowMicros() - start - child_micros, batch);
     if (!s.ok()) return s;
     return inner;
   }
@@ -544,7 +554,7 @@ struct NodeEngine::RunningQuery {
       Operator* op = seg->operators[i].get();
       Status inner = Status::OK();
       auto forward = [this, seg, i, op, &inner](const exec::Batch& out) {
-        op->CountOut(out);
+        op->RecordOut(out);
         Status st = PushThrough(seg, i + 1, out);
         if (!st.ok() && inner.ok()) inner = st;
       };
@@ -569,7 +579,7 @@ struct NodeEngine::RunningQuery {
 
   // The run-wide part of `Stats` and `BranchStats`: ingest (the
   // registry's engine counters), elapsed time, pool and shed counts.
-  QueryStats RunStats() const {
+  QueryStats RunStats() const NM_EXCLUDES(dyn_mutex) {
     QueryStats stats;
     stats.events_ingested = m_events_ingested->value();
     stats.bytes_ingested = m_bytes_ingested->value();
@@ -580,6 +590,7 @@ struct NodeEngine::RunningQuery {
     }
     stats.buffers_acquired = ctx->TotalBuffersAcquired();
     stats.buffers_created = ctx->TotalBuffersCreated();
+    MutexLock lock(dyn_mutex);  // Start creates the pool under it
     stats.tasks_shed = pool ? pool->tasks_shed() : 0;
     return stats;
   }
@@ -666,8 +677,8 @@ Result<int> NodeEngine::Register(std::unique_ptr<RunningQuery> rq,
   rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
                                                kBuffersPerPool);
   NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->BindMetricsTree(&rq->pipeline,
-                      InstrumentNamer(PathPrefix(rq->pipeline)));
+  rq->BindMetricsTree(&rq->pipeline, InstrumentNamer(PathPrefix(rq->pipeline)),
+                      &rq->flow);
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -799,7 +810,7 @@ Result<int> NodeEngine::AttachBranch(
   }
   NM_RETURN_NOT_OK(rq->OpenAll(br->pipeline.get()));
   InstrumentNamer names(PathPrefix(*br->pipeline));
-  rq->BindSegment(br->pipeline.get(), &br->sm, &names);
+  rq->BindSegment(br->pipeline.get(), &br->sm, &names, &br->flow);
   // Publication point: the next HandOffToBranches snapshot sees the
   // branch, so it joins the stream at a buffer boundary.
   MutexLock lock(rq->dyn_mutex);
@@ -850,7 +861,7 @@ Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
   if (!br) return Status::NotFound("unknown branch id");
   // Shared ingest: every branch of the host rides the same source stream.
   QueryStats stats = rq->RunStats();
-  AppendLinearSegmentStats(*br->pipeline, &stats);
+  AppendFlow(br->flow, &stats);
   return stats;
 }
 
@@ -980,46 +991,7 @@ Status NodeEngine::RunToCompletion(int query_id) {
 Result<QueryStats> NodeEngine::Stats(int query_id) const {
   NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
   QueryStats stats = rq->RunStats();
-  // Depth-first over the pipeline tree: operators keyed by DAG path, one
-  // SinkStats entry per leaf, emitted totals summed across sinks. Fused
-  // batch-kernel operators expand to one entry per fused stage, so the
-  // sequence matches the logical plan shape either way. Partition clones
-  // carry their segment's path and identical operator sequences, so their
-  // entries sum element-wise into one per-path sequence — and they share
-  // one sink, counted once.
-  const std::function<void(const CompiledPipeline&)> visit =
-      [&](const CompiledPipeline& seg) {
-        if (seg.partitions.empty()) {
-          AppendLinearSegmentStats(seg, &stats);
-          for (const CompiledPipeline& branch : seg.branches) visit(branch);
-          return;
-        }
-        const std::string prefix = PathPrefix(seg);
-        for (const OperatorPtr& op : seg.operators) {
-          op->AppendStats(prefix, &stats.operator_stats);
-        }
-        std::vector<std::pair<std::string, OperatorStats>> summed;
-        for (const CompiledPipeline& part : seg.partitions) {
-          std::vector<std::pair<std::string, OperatorStats>> one;
-          for (const OperatorPtr& op : part.operators) {
-            op->AppendStats(prefix, &one);
-          }
-          if (summed.empty()) {
-            summed = std::move(one);
-          } else {
-            for (size_t i = 0; i < summed.size() && i < one.size(); ++i) {
-              summed[i].second.Add(one[i].second);
-            }
-          }
-        }
-        for (auto& entry : summed) {
-          stats.operator_stats.push_back(std::move(entry));
-        }
-        if (seg.partitions.front().sink) {
-          AppendSinkStats(seg.partitions.front(), &stats);
-        }
-      };
-  visit(rq->pipeline);
+  AppendFlow(rq->flow, &stats);
   // Shared hosts carry their attached branches' flow too, so the host
   // view sums emitted counts across every client riding the prefix.
   if (rq->shared_host) {
@@ -1028,9 +1000,7 @@ Result<QueryStats> NodeEngine::Stats(int query_id) const {
       MutexLock lock(rq->dyn_mutex);
       branches = rq->dyn_branches;
     }
-    for (const auto& br : branches) {
-      AppendLinearSegmentStats(*br->pipeline, &stats);
-    }
+    for (const auto& br : branches) AppendFlow(br->flow, &stats);
   }
   return stats;
 }

@@ -47,7 +47,10 @@ struct SinkStats {
   uint64_t bytes_emitted = 0;
 };
 
-/// \brief Post-run (or in-flight) statistics of one query.
+/// \brief Post-run (or in-flight) statistics of one query. Its flow is a
+/// view over the query's metrics registry: ingest from the
+/// `engine.{events,bytes}_ingested` counters, each operator's and sink's
+/// flow from its `op.<path/>Name[#k]` instruments (`FlowInstruments`).
 struct QueryStats {
   uint64_t events_ingested = 0;
   uint64_t bytes_ingested = 0;
@@ -85,10 +88,12 @@ struct QueryStats {
                      (static_cast<double>(elapsed_micros) / 1e6);
   }
 
-  /// Per-operator flow counters in pipeline (depth-first) order. The key
-  /// is the operator name prefixed by its DAG path — plain "Filter" in the
+  /// Per-operator flow in pipeline (depth-first) order. The key is the
+  /// operator name prefixed by its DAG path — plain "Filter" in the
   /// shared prefix or a linear plan, "0/WindowAgg" inside branch 0 — so
-  /// shared-prefix work is distinguishable from per-branch work.
+  /// shared-prefix work is distinguishable from per-branch work. Fused
+  /// kernel runs list one entry per fused stage, and the key-partition
+  /// clones of an operator one entry for all of them.
   std::vector<std::pair<std::string, OperatorStats>> operator_stats;
 
   /// Per-sink emitted counts in DAG-path order (one entry on linear plans).
@@ -258,12 +263,12 @@ class NodeEngine {
   /// submission — plan introspection for tests, demos and debugging.
   Result<QueryPlanText> Explain(int query_id) const;
 
-  /// The deployment report *measured* from the query's network-channel
-  /// traffic (valid after Wait; in-flight reads see the traffic so far).
-  /// A query compiled without placement (or without a topology) has no
-  /// channels and reports zero traffic — the whole pipeline ran on one
-  /// node. Replaces the post-hoc `SimulateDeployment` pricing for placed
-  /// plans.
+  /// The deployment report *measured* from the traffic the query's
+  /// network channels carried (valid after Wait; in-flight reads see the
+  /// traffic so far): per-hop payload bytes and transfer seconds, uplink
+  /// bytes, wire bytes and frames. A query compiled without placement (or
+  /// without a topology) has no channels and reports zero traffic — the
+  /// whole pipeline ran on one node.
   Result<DeploymentReport> Deployment(int query_id) const;
 
   /// Number of registered queries.

@@ -206,23 +206,22 @@ Status BatchKernelOperator::ProcessBatch(const Batch& input,
   TupleBufferPtr written;
   // One clock read per stage *boundary* (adjacent stages share it), so the
   // per-stage latency instrumentation costs stages+1 clock calls per batch.
-  const bool timed = !stages_.empty() && stages_.front().process_micros;
-  int64_t stage_start = timed ? MonotonicNowMicros() : 0;
+  const bool bound = !stages_.empty() && stages_.front().flow.bound();
+  int64_t stage_start = bound ? MonotonicNowMicros() : 0;
   for (size_t s = 0; s < stages_.size(); ++s) {
-    Stage& stage = stages_[s];
+    const Stage& stage = stages_[s];
     const uint64_t rows_in = alive ? span.count : 0;
-    stage.stats.AddIn(rows_in, rows_in * stage.in_record_size);
     if (alive) alive = RunStage(stage, &span);
     // The run's one write is timed with its last stage.
     if (alive && writes_output_ && s + 1 == stages_.size()) {
       NM_ASSIGN_OR_RETURN(written, WriteOutput(*input.data, span));
     }
-    const uint64_t rows_out = alive ? span.count : 0;
-    stage.stats.AddOut(rows_out, rows_out * stage.out_record_size);
-    if (timed) {
+    if (bound) {
+      const uint64_t rows_out = alive ? span.count : 0;
+      stage.flow.RecordIn(rows_in, rows_in * stage.in_record_size);
+      stage.flow.RecordOut(rows_out, rows_out * stage.out_record_size);
       const int64_t now = MonotonicNowMicros();
       stage.process_micros->Record(now - stage_start);
-      stage.batch_rows->Record(static_cast<int64_t>(rows_in));
       stage_start = now;
     }
   }
@@ -237,20 +236,14 @@ Status BatchKernelOperator::ProcessBatch(const Batch& input,
   return Status::OK();
 }
 
-void BatchKernelOperator::AppendStats(
-    const std::string& prefix,
-    std::vector<std::pair<std::string, OperatorStats>>* out) const {
-  for (const Stage& stage : stages_) {
-    out->emplace_back(prefix + stage.name, stage.stats.Snapshot());
-  }
-}
-
 void BatchKernelOperator::BindMetrics(metrics::MetricsRegistry* registry,
-                                      InstrumentNamer* names) {
+                                      InstrumentNamer* names,
+                                      std::vector<FlowEntry>* entries) {
   for (Stage& stage : stages_) {
     const std::string base = names->Next(stage.name);
     stage.process_micros = registry->GetHistogram(base + ".process_micros");
-    stage.batch_rows = registry->GetHistogram(base + ".batch_rows");
+    stage.flow = FlowInstruments::Bind(registry, base, /*sheds=*/false);
+    entries->push_back({names->Key(stage.name), stage.flow});
   }
 }
 

@@ -48,32 +48,23 @@ class BatchKernelCompiler;
 /// one write at the end gathers the surviving rows' output fields; when
 /// the run has no Map or Project it emits the refined selection instead.
 ///
-/// Flow counters are tracked per fused stage under the original operator
-/// names ("Filter", "Map", "Project"), so `QueryStats::operator_stats` —
-/// and the placement pass consuming it — see the same entry sequence as
-/// the unfused chain. The base `stats()` accessor reports the fused run
-/// as a whole (batch in / batch out, counted by the engine), not any
-/// single stage.
+/// Only the run sees its stage boundaries, so each stage records its own
+/// flow under its original operator name ("Filter", "Map", "Project"):
+/// `QueryStats::operator_stats` — and the placement pass consuming it —
+/// and the registry see the same entries and names as the unfused chain.
 class BatchKernelOperator final : public Operator {
  public:
   std::string name() const override;
   const Schema& output_schema() const override { return output_schema_; }
 
   Status ProcessBatch(const Batch& input, const BatchEmitFn& emit) override;
-  void AppendStats(
-      const std::string& prefix,
-      std::vector<std::pair<std::string, OperatorStats>>* out) const override;
 
-  /// Binds one latency/batch-size histogram pair *per fused stage* under
-  /// the stage's original operator name (`op.<path/>Filter.process_micros`
-  /// ..., `#k` on a name repeated along the path), matching the unfused
-  /// chain's metric names — the same parity `AppendStats` keeps for flow
-  /// counters. The base-class whole-operator histograms stay unbound:
-  /// stages time themselves inside `ProcessBatch` (the end-of-run write
-  /// counts toward the last stage), and the engine's outer timing hook
-  /// no-ops.
-  void BindMetrics(metrics::MetricsRegistry* registry,
-                   InstrumentNamer* names) override;
+  /// Binds the instruments of each fused stage under its original operator
+  /// name and appends one entry per stage, in chain order. The base-class
+  /// instruments stay unbound, so the engine's hooks no-op: stages record
+  /// themselves (the end-of-run write counts toward the last stage).
+  void BindMetrics(metrics::MetricsRegistry* registry, InstrumentNamer* names,
+                   std::vector<FlowEntry>* entries) override;
 
   size_t num_stages() const { return stages_.size(); }
 
@@ -105,9 +96,8 @@ class BatchKernelOperator final : public Operator {
     size_t out_record_size = 0;
     KernelPtr predicate;             ///< Filter stages only
     std::vector<Computed> computed;  ///< Map stages only
-    FlowCounters stats;
+    FlowInstruments flow;                          ///< null until bound
     metrics::Histogram* process_micros = nullptr;  ///< null until bound
-    metrics::Histogram* batch_rows = nullptr;      ///< null until bound
   };
 
   BatchKernelOperator() = default;

@@ -732,8 +732,22 @@ class LambdaFn : public FunctionExpression {
   }
 
  protected:
+  // The callable's value converted to the declared type, as the kernel
+  // converts it, so a lambda declared int64 that returns a double compares
+  // the same interpreted and compiled.
   Value EvalFn(const std::vector<Value>& args) const override {
-    return impl_(args);
+    Value v = impl_(args);
+    switch (output_type()) {
+      case DataType::kBool:
+        return ValueAsBool(v);
+      case DataType::kInt64:
+      case DataType::kTimestamp:
+        return ValueAsInt64(v);
+      case DataType::kDouble:
+        return ValueAsDouble(v);
+      default:
+        return v;  // text
+    }
   }
 
  private:

@@ -118,6 +118,9 @@ class Histogram {
 
   HistogramSnapshot Snapshot() const;
 
+  /// Running sum of the recorded values, without copying the buckets.
+  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+
  private:
   void UpdateMin(int64_t value) {
     int64_t cur = min_.load(std::memory_order_relaxed);

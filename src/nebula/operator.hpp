@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <map>
 
 #include "common/function_ref.hpp"
@@ -24,15 +23,16 @@
 
 namespace nebulameos::nebula {
 
-/// \brief Per-operator flow counters (events and bytes in/out).
+/// \brief One operator's flow: events and bytes in and out, and events
+/// shed. A value read from the query's metrics registry
+/// (`FlowInstruments::Read`), never counted on its own.
 struct OperatorStats {
   uint64_t events_in = 0;
   uint64_t events_out = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   /// Records shed instead of processed: late arrivals a stateful operator
-  /// refused (its monotonicity guard) or frames dropped by a degradation
-  /// policy. 0 for operators that never shed.
+  /// refused (its monotonicity guard). 0 for operators that never shed.
   uint64_t events_shed = 0;
 
   /// Fraction of input events that produced output (1.0 when no input).
@@ -42,74 +42,62 @@ struct OperatorStats {
                : static_cast<double>(events_out) /
                      static_cast<double>(events_in);
   }
+};
 
-  /// Element-wise accumulation — the aggregation step behind summing one
-  /// logical operator's counters over its per-partition clones.
-  void Add(const OperatorStats& other) {
-    events_in += other.events_in;
-    events_out += other.events_out;
-    bytes_in += other.bytes_in;
-    bytes_out += other.bytes_out;
-    events_shed += other.events_shed;
+/// \brief The registry instruments holding the flow of one operator, fused
+/// kernel stage or sink under its `op.<path/>Name[#k]` base: `.batch_rows`
+/// (rows per input batch; its sum is the events in), the counters
+/// `.bytes_in`, `.events_out`, `.bytes_out`, and `.late_shed` for
+/// operators that shed. Relaxed atomics: any strand records while `Stats`
+/// reads, and key-partition clones sum into one name. Null until bound.
+struct FlowInstruments {
+  metrics::Histogram* batch_rows = nullptr;
+  metrics::Counter* bytes_in = nullptr;
+  metrics::Counter* events_out = nullptr;
+  metrics::Counter* bytes_out = nullptr;
+  metrics::Counter* events_shed = nullptr;  ///< null unless the operator sheds
+
+  static FlowInstruments Bind(metrics::MetricsRegistry* registry,
+                              const std::string& base, bool sheds) {
+    FlowInstruments flow;
+    flow.batch_rows = registry->GetHistogram(base + ".batch_rows");
+    flow.bytes_in = registry->GetCounter(base + ".bytes_in");
+    flow.events_out = registry->GetCounter(base + ".events_out");
+    flow.bytes_out = registry->GetCounter(base + ".bytes_out");
+    if (sheds) flow.events_shed = registry->GetCounter(base + ".late_shed");
+    return flow;
+  }
+
+  bool bound() const { return batch_rows != nullptr; }
+
+  /// One input or output batch of \p events rows and \p bytes bytes.
+  void RecordIn(uint64_t events, uint64_t bytes) const {
+    batch_rows->Record(static_cast<int64_t>(events));
+    bytes_in->Add(bytes);
+  }
+  void RecordOut(uint64_t events, uint64_t bytes) const {
+    events_out->Add(events);
+    bytes_out->Add(bytes);
+  }
+
+  /// The flow recorded so far (bound only).
+  OperatorStats Read() const {
+    OperatorStats s;
+    s.events_in = static_cast<uint64_t>(batch_rows->sum());
+    s.bytes_in = bytes_in->value();
+    s.events_out = events_out->value();
+    s.bytes_out = bytes_out->value();
+    s.events_shed = events_shed != nullptr ? events_shed->value() : 0;
+    return s;
   }
 };
 
-/// \brief The live, updatable form of `OperatorStats`: relaxed atomics so
-/// the engine can count an operator's flow on a worker strand while
-/// another thread snapshots `Stats()` mid-run without a data race.
-/// Increments are atomic, so they stay exact even where strands share an
-/// operator (key-partition clones share their leaf sink); readers see a
-/// near-current snapshot.
-class FlowCounters {
- public:
-  void AddIn(uint64_t events, uint64_t bytes) {
-    events_in_.fetch_add(events, std::memory_order_relaxed);
-    bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  void AddOut(uint64_t events, uint64_t bytes) {
-    events_out_.fetch_add(events, std::memory_order_relaxed);
-    bytes_out_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  void AddShed(uint64_t events) {
-    events_shed_.fetch_add(events, std::memory_order_relaxed);
-  }
-
-  OperatorStats Snapshot() const {
-    OperatorStats s;
-    s.events_in = events_in_.load(std::memory_order_relaxed);
-    s.events_out = events_out_.load(std::memory_order_relaxed);
-    s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-    s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-    s.events_shed = events_shed_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  // Value-copyable (atomics are not), so structs holding counters stay
-  // movable. Only safe while no other thread is mutating `other`.
-  FlowCounters() = default;
-  FlowCounters(const FlowCounters& other) { *this = other; }
-  FlowCounters& operator=(const FlowCounters& other) {
-    events_in_.store(other.events_in_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    events_out_.store(other.events_out_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    bytes_in_.store(other.bytes_in_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    bytes_out_.store(other.bytes_out_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    events_shed_.store(other.events_shed_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
-
- private:
-  std::atomic<uint64_t> events_in_{0};
-  std::atomic<uint64_t> events_out_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> events_shed_{0};
+/// \brief One `QueryStats::operator_stats` entry as bound: its key (the DAG
+/// path prefix and the operator or stage name, "0/Filter") and the
+/// instruments its flow is read from.
+struct FlowEntry {
+  std::string key;
+  FlowInstruments flow;
 };
 
 /// \brief Shared runtime services for one query execution.
@@ -167,6 +155,10 @@ class InstrumentNamer {
     return base;
   }
 
+  /// The `operator_stats` key of an operator named \p name on this path
+  /// (`<path/>N`, the same for every repeat of the name).
+  std::string Key(const std::string& name) const { return prefix_ + name; }
+
  private:
   std::string prefix_;
   std::map<std::string, int> seen_;
@@ -177,8 +169,9 @@ class InstrumentNamer {
 /// One contract: batches in, sealed batches out. The engine is the only
 /// caller — it pushes each batch through `ProcessBatch`, flushes with
 /// `Finish` at end of stream, and records every operator's flow (events
-/// and bytes in and out) around those calls. Operators count only the
-/// records they shed (`CountShed`).
+/// and bytes in and out) around those calls into the instruments
+/// `BindMetrics` resolved. Operators record only the records they shed
+/// (`CountShed`).
 class Operator {
  public:
   /// Downstream hand-off: the operator calls this once per output batch.
@@ -214,80 +207,50 @@ class Operator {
   /// End-of-stream: flush any remaining state (window panes, open runs).
   virtual Status Finish(const BatchEmitFn& /*emit*/) { return Status::OK(); }
 
-  /// Flow counters snapshot (safe to call while the operator runs on a
-  /// different thread; see `FlowCounters`).
-  OperatorStats stats() const { return stats_.Snapshot(); }
-
-  /// Engine-side flow accounting: records one batch (selected rows only)
-  /// into or out of this operator. The engine calls these where it times
-  /// the operator; operators never do.
-  void CountIn(const exec::Batch& batch) {
-    stats_.AddIn(batch.NumRows(), batch.SizeBytes());
-  }
-  void CountOut(const exec::Batch& batch) {
-    stats_.AddOut(batch.NumRows(), batch.SizeBytes());
-  }
-
-  /// Appends this operator's flow counters to \p out keyed by
-  /// `prefix + name()`. Fused batch-kernel operators expand to one entry
-  /// per fused logical stage, in chain order, so plan-shaped consumers
-  /// (`QueryStats::operator_stats`, the placement pass) see the same
-  /// sequence whether or not the chain was fused. Thread-safe: counters
-  /// are snapshotted atomically per entry.
-  virtual void AppendStats(
-      const std::string& prefix,
-      std::vector<std::pair<std::string, OperatorStats>>* out) const {
-    out->emplace_back(prefix + name(), stats_.Snapshot());
-  }
-
   /// Resolves this operator's instruments from \p registry under the next
-  /// name \p names hands out for `name()`: the process-latency and
-  /// batch-size histograms `<base>.process_micros` / `.batch_rows` that
-  /// the engine records into around each `ProcessBatch` call (self-time:
-  /// downstream time is subtracted), plus `<base>.late_shed` for
-  /// operators that shed late records. Fused batch-kernel operators
-  /// override this to bind one histogram pair per fused stage under the
-  /// original chained names ("Filter", "Map", ...) and time stages
-  /// themselves — metric names then match the unfused chain, the same
-  /// parity contract `AppendStats` keeps. Called once before the query
-  /// starts; instrument pointers stay valid as long as the registry (the
-  /// running query).
+  /// name \p names hands out for `name()` — its `FlowInstruments`, also
+  /// appended to \p entries as its `operator_stats` entry, and the
+  /// self-time histogram `<base>.process_micros` — once before the query
+  /// starts; the pointers live as long as the registry. Fused batch-kernel
+  /// operators bind one set per fused stage under the original chained
+  /// names ("Filter", "Map", ...), so names and entries match the unfused
+  /// chain.
   virtual void BindMetrics(metrics::MetricsRegistry* registry,
-                           InstrumentNamer* names) {
+                           InstrumentNamer* names,
+                           std::vector<FlowEntry>* entries) {
     const std::string base = names->Next(name());
     process_micros_ = registry->GetHistogram(base + ".process_micros");
-    batch_rows_ = registry->GetHistogram(base + ".batch_rows");
-    if (ShedsLateRecords()) {
-      late_shed_counter_ = registry->GetCounter(base + ".late_shed");
-    }
+    flow_ = FlowInstruments::Bind(registry, base, ShedsLateRecords());
+    entries->push_back({names->Key(name()), flow_});
   }
 
-  /// Records one timed `ProcessBatch` call (engine-side; no-op until
-  /// `BindMetrics` ran). Lock-free.
-  void RecordProcess(int64_t self_micros, uint64_t rows_in) {
-    if (process_micros_ == nullptr) return;
+  /// Engine-side recording, lock-free: one `ProcessBatch` call's self
+  /// time and input batch, and each batch the operator forwards (selected
+  /// rows only). No-ops until bound, and for fused operators, whose stages
+  /// record themselves.
+  void RecordProcess(int64_t self_micros, const exec::Batch& input) const {
+    if (!flow_.bound()) return;
     process_micros_->Record(self_micros);
-    batch_rows_->Record(static_cast<int64_t>(rows_in));
+    flow_.RecordIn(input.NumRows(), input.SizeBytes());
+  }
+  void RecordOut(const exec::Batch& batch) const {
+    if (flow_.bound()) flow_.RecordOut(batch.NumRows(), batch.SizeBytes());
   }
 
  protected:
   /// Stateful operators with a monotonicity guard return true, so
-  /// `BindMetrics` surfaces their `<base>.late_shed` counter.
+  /// `BindMetrics` binds their `<base>.late_shed` counter.
   virtual bool ShedsLateRecords() const { return false; }
 
-  /// Records \p events records shed by a monotonicity guard or
-  /// degradation policy, mirroring into the `late_shed` instrument when
-  /// one is bound.
-  void CountShed(uint64_t events) {
-    stats_.AddShed(events);
-    if (late_shed_counter_ != nullptr) late_shed_counter_->Add(events);
+  /// Records \p events records shed by a monotonicity guard (no-op until
+  /// bound).
+  void CountShed(uint64_t events) const {
+    if (flow_.events_shed != nullptr) flow_.events_shed->Add(events);
   }
 
   ExecutionContext* ctx_ = nullptr;
-  FlowCounters stats_;
+  FlowInstruments flow_;
   metrics::Histogram* process_micros_ = nullptr;  ///< null until bound
-  metrics::Histogram* batch_rows_ = nullptr;      ///< null until bound
-  metrics::Counter* late_shed_counter_ = nullptr;  ///< null until bound
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -114,8 +114,9 @@ struct PlacementPassOptions {
   uint64_t source_bytes = 0;
 };
 
-/// \brief The per-branch placement pass — `OptimizeCutPlacement`
-/// generalized from one cut of a linear chain to one cut per DAG path.
+/// \brief The per-branch placement pass: one edge→cloud cut per DAG path,
+/// the decision NebulaStream's incremental query placement makes per
+/// operator.
 ///
 /// Annotates every `LogicalOperator` with a target node id: each
 /// root-to-leaf path gets the edge→cloud cut that ships the fewest bytes

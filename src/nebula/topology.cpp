@@ -135,52 +135,6 @@ Topology Topology::SncbReference(int num_trains, double uplink_bytes_per_sec,
   return topo;
 }
 
-Result<DeploymentReport> SimulateDeployment(
-    const Topology& topology,
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, const Placement& placement) {
-  DeploymentReport report;
-  const int chain_length = static_cast<int>(op_stats.size());
-  // Bytes flowing on chain edge (i -> i+1): output of element i, where
-  // i == -1 is the source.
-  for (int i = -1; i < chain_length - 1; ++i) {
-    auto from_it = placement.node_of.find(i);
-    auto to_it = placement.node_of.find(i + 1);
-    if (from_it == placement.node_of.end() ||
-        to_it == placement.node_of.end()) {
-      return Status::InvalidArgument("placement missing operator " +
-                                     std::to_string(i));
-    }
-    if (from_it->second == to_it->second) continue;  // same node: free
-    // Nodes without a direct link still communicate: data relays over the
-    // cheapest multi-hop route (e.g. train -> cloud worker -> coordinator
-    // in the SNCB reference topology, whose trains only link to the cloud
-    // worker).
-    NM_ASSIGN_OR_RETURN(std::vector<TopologyLink> route,
-                        topology.ShortestPath(from_it->second, to_it->second));
-    const uint64_t bytes = i < 0
-                               ? source_bytes
-                               : op_stats[static_cast<size_t>(i)].second.bytes_out;
-    for (const TopologyLink& link : route) {
-      const auto key = std::make_pair(link.from, link.to);
-      report.link_bytes[key] += bytes;
-      const double seconds = static_cast<double>(bytes) /
-                                 link.bandwidth_bytes_per_sec +
-                             ToSeconds(link.latency);
-      report.link_seconds[key] += seconds;
-      report.total_transfer_seconds += seconds;
-      NM_ASSIGN_OR_RETURN(TopologyNode from_node,
-                          topology.GetNode(link.from));
-      NM_ASSIGN_OR_RETURN(TopologyNode to_node, topology.GetNode(link.to));
-      if (from_node.kind == NodeKind::kEdgeWorker &&
-          to_node.kind != NodeKind::kEdgeWorker) {
-        report.uplink_bytes += bytes;
-      }
-    }
-  }
-  return report;
-}
-
 Result<std::shared_ptr<NetworkChannel>> NetworkChannel::Connect(
     const Topology& topology, int from, int to) {
   if (from == to) {
@@ -288,7 +242,6 @@ void NetworkChannel::Send(uint64_t seq, std::vector<uint8_t> frame,
     return;
   }
   frames_ += 1;
-  events_ += events;
   payload_bytes_ += payload_bytes;
   wire_bytes_ += frame.size();
   transfer_seconds_ += frame_seconds;
@@ -410,7 +363,6 @@ Status NetworkChannel::RequestRetransmit(uint64_t seq) {
   retransmits_ += 1;
   if (m_retransmits_ != nullptr) m_retransmits_->Increment();
   frames_ += 1;
-  events_ += entry.events;
   payload_bytes_ += entry.payload_bytes;
   wire_bytes_ += entry.frame.size();
   transfer_seconds_ += RouteSeconds(entry.frame.size()) + backoff;
@@ -506,59 +458,6 @@ Result<DeploymentReport> MeasureDeployment(
     }
   }
   return report;
-}
-
-Placement EdgePushdownPlacement(size_t chain_length, int edge_node,
-                                int cloud_node) {
-  Placement p;
-  p.node_of[-1] = edge_node;
-  for (size_t i = 0; i + 1 < chain_length; ++i) {
-    p.node_of[static_cast<int>(i)] = edge_node;
-  }
-  // The sink (last chain element) runs in the cloud: results ship up.
-  if (chain_length > 0) {
-    p.node_of[static_cast<int>(chain_length - 1)] = cloud_node;
-  }
-  return p;
-}
-
-Placement CloudPlacement(size_t chain_length, int edge_node, int cloud_node) {
-  Placement p;
-  p.node_of[-1] = edge_node;  // sensors are on the train
-  for (size_t i = 0; i < chain_length; ++i) {
-    p.node_of[static_cast<int>(i)] = cloud_node;
-  }
-  return p;
-}
-
-Placement OptimizeCutPlacement(
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, int edge_node, int cloud_node,
-    uint64_t* out_uplink_bytes) {
-  const int n = static_cast<int>(op_stats.size());
-  // Cut after element `cut` (−1 = source only on the edge); the bytes that
-  // cross are that element's output. The sink (element n−1) stays cloud-side,
-  // so cuts range over [−1, n−2].
-  int best_cut = -1;
-  uint64_t best_bytes = source_bytes;
-  for (int cut = 0; cut <= n - 2; ++cut) {
-    const uint64_t bytes = op_stats[static_cast<size_t>(cut)].second.bytes_out;
-    // <= not <: a tie moves the cut deeper, keeping the tied operator on
-    // the edge (maximal pushdown) instead of shipping the same bytes and
-    // spending cloud compute on work the train could have done.
-    if (bytes <= best_bytes) {
-      best_bytes = bytes;
-      best_cut = cut;
-    }
-  }
-  Placement p;
-  p.node_of[-1] = edge_node;
-  for (int i = 0; i < n; ++i) {
-    p.node_of[i] = i <= best_cut ? edge_node : cloud_node;
-  }
-  if (n > 0) p.node_of[n - 1] = cloud_node;  // sink in the cloud
-  if (out_uplink_bytes != nullptr) *out_uplink_bytes = best_bytes;
-  return p;
 }
 
 }  // namespace nebulameos::nebula

@@ -12,11 +12,8 @@
 /// (optimizer.hpp) annotates a plan with target nodes, `CompilePlan`
 /// lowers node transitions to `NetworkChannelSink`/`NetworkChannelSource`
 /// pairs over these channels, and `NodeEngine::Deployment` reports the
-/// traffic each channel actually carried.
-///
-/// The older post-hoc pricing path (`SimulateDeployment` over a
-/// chain-indexed `Placement`) is kept for linear chains and as the
-/// reference the measured channel counters are tested against.
+/// traffic each channel actually carried — the only way a
+/// `DeploymentReport` is made.
 
 #pragma once
 
@@ -31,7 +28,7 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "nebula/fault.hpp"
-#include "nebula/operator.hpp"
+#include "nebula/metrics/metrics.hpp"
 
 namespace nebulameos::nebula {
 
@@ -97,38 +94,27 @@ class Topology {
   std::vector<TopologyLink> links_;
 };
 
-/// \brief Placement of a compiled chain onto nodes: `node_of[i]` is the node
-/// executing operator `i`; index `-1` denotes the source, `size` the sink.
-struct Placement {
-  std::map<int, int> node_of;
-
-  /// Node of operator \p op_index (must be present).
-  int NodeOf(int op_index) const { return node_of.at(op_index); }
-};
-
-/// \brief Traffic and latency accounting of one deployed query.
-///
-/// Produced two ways: *priced* after the fact by `SimulateDeployment`
-/// (record payload bytes only, one transfer per chain edge), or *measured*
-/// from executed `NetworkChannel` traffic by `NodeEngine::Deployment`
-/// (payload bytes per hop plus serialized wire bytes and frame counts).
+/// \brief Traffic and latency accounting of one deployed query, measured
+/// from the traffic its executed `NetworkChannel`s carried
+/// (`MeasureDeployment`, read through `NodeEngine::Deployment`): payload
+/// bytes per hop plus serialized wire bytes and frame counts.
 struct DeploymentReport {
   /// Record payload bytes crossing each used link, keyed by (from, to).
   std::map<std::pair<int, int>, uint64_t> link_bytes;
-  /// Serialization+propagation seconds per link.
+  /// Serialization+propagation seconds per link: the wire bytes over the
+  /// link's bandwidth plus one latency per frame.
   std::map<std::pair<int, int>, double> link_seconds;
   /// Total record payload bytes entering non-edge nodes from edge nodes.
   uint64_t uplink_bytes = 0;
-  /// Sum over links of bytes/bandwidth + latency (sequential path model).
+  /// Sum over channels of their frames' transfer seconds along the route
+  /// (sequential path model), retransmission backoff included.
   double total_transfer_seconds = 0.0;
-  /// Serialized bytes including frame headers (measured reports only;
-  /// stays 0 for priced reports, which know nothing about framing).
+  /// Serialized bytes including frame headers.
   uint64_t wire_bytes = 0;
-  /// Frames shipped across all channels (measured reports only).
+  /// Frames shipped across all channels.
   uint64_t frames = 0;
 
-  // --- Fault accounting (measured reports only; all zero when every
-  // channel ran fault-free) ---
+  // --- Fault accounting (all zero when every channel ran fault-free) ---
   uint64_t frames_dropped = 0;     ///< injected in-transit losses
   uint64_t frames_duplicated = 0;  ///< injected duplicate deliveries
   uint64_t frames_reordered = 0;   ///< injected swaps with a later frame
@@ -150,8 +136,8 @@ struct DeploymentReport {
 /// and pushes it here; the paired `NetworkChannelSource` pops and
 /// deserializes (operators.hpp). The channel accounts every transfer —
 /// frames, record payload bytes, serialized wire bytes, and the transfer
-/// seconds implied by each hop's bandwidth and latency — so a deployment
-/// report can be *measured* instead of priced.
+/// seconds implied by each hop's bandwidth and latency — and
+/// `MeasureDeployment` reads those counts into the deployment report.
 ///
 /// Channels are reliable by default. `ConfigureFaults` arms a seeded
 /// `FaultInjector` (fault.hpp) that drops, duplicates, reorders, delays
@@ -173,7 +159,6 @@ class NetworkChannel {
 
   int from_node() const { return from_; }
   int to_node() const { return to_; }
-  const std::vector<TopologyLink>& route() const { return route_; }
   std::string EndpointsString() const {
     return std::to_string(from_) + "->" + std::to_string(to_);
   }
@@ -222,22 +207,6 @@ class NetworkChannel {
   /// frames: the mid-run disconnect the degradation tests script, and the
   /// fate a `disconnect_after_frames` profile triggers on its own.
   void Kill();
-
-  // --- Traffic counters (readable while the query runs; each accessor
-  // takes the channel lock the sender writes under) ---
-
-  uint64_t frames() const { return Locked(frames_); }
-  uint64_t events() const { return Locked(events_); }
-  /// Record payload bytes shipped (comparable to `SimulateDeployment`
-  /// link pricing, which also counts record bytes).
-  uint64_t payload_bytes() const { return Locked(payload_bytes_); }
-  /// Serialized bytes shipped, frame headers included.
-  uint64_t wire_bytes() const { return Locked(wire_bytes_); }
-  /// Sum over frames and hops of wire_bytes/bandwidth + latency, plus
-  /// retransmission backoff.
-  double transfer_seconds() const { return Locked(transfer_seconds_); }
-  /// True when any hop leaves an edge worker for a non-edge node.
-  bool crosses_uplink() const { return crosses_uplink_; }
 
   // --- Fault state (all zero / Healthy on the reliable path) ---
 
@@ -296,11 +265,7 @@ class NetworkChannel {
       : from_(from),
         to_(to),
         route_(std::move(route)),
-        hop_is_uplink_(std::move(hop_is_uplink)) {
-    for (const bool uplink : hop_is_uplink_) {
-      crosses_uplink_ = crosses_uplink_ || uplink;
-    }
-  }
+        hop_is_uplink_(std::move(hop_is_uplink)) {}
 
   friend Result<DeploymentReport> MeasureDeployment(
       const std::vector<std::shared_ptr<NetworkChannel>>& channels);
@@ -333,12 +298,10 @@ class NetworkChannel {
   int to_ = 0;
   std::vector<TopologyLink> route_;
   std::vector<bool> hop_is_uplink_;
-  bool crosses_uplink_ = false;
 
   mutable std::mutex mutex_;
   std::deque<std::vector<uint8_t>> in_flight_;
   uint64_t frames_ = 0;
-  uint64_t events_ = 0;
   uint64_t payload_bytes_ = 0;
   uint64_t wire_bytes_ = 0;
   double transfer_seconds_ = 0.0;
@@ -385,53 +348,8 @@ class NetworkChannel {
 
 /// \brief Aggregates the traffic a set of executed channels carried into
 /// one `DeploymentReport` (per-hop payload bytes and seconds, uplink
-/// bytes, wire bytes, frames). The measured counterpart of
-/// `SimulateDeployment`.
+/// bytes, wire bytes, frames).
 Result<DeploymentReport> MeasureDeployment(
     const std::vector<std::shared_ptr<NetworkChannel>>& channels);
-
-/// \brief Prices a placement using measured per-operator flow.
-///
-/// \p op_stats is the engine's chain-ordered stats (operators then sink);
-/// \p source_bytes is what the source produced. Each chain edge whose two
-/// endpoints are placed on different nodes ships the upstream operator's
-/// output bytes across the cheapest (possibly multi-hop) route between
-/// the two nodes.
-///
-/// \deprecated Linear chains and post-hoc pricing only. New code should
-/// annotate the plan (`MakePlacementPass`, optimizer.hpp), execute it on
-/// an engine with a topology, and read the *measured* report from
-/// `NodeEngine::Deployment`.
-Result<DeploymentReport> SimulateDeployment(
-    const Topology& topology,
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, const Placement& placement);
-
-/// All-on-edge placement: every operator on \p edge_node, sink on
-/// \p cloud_node (results ship up).
-Placement EdgePushdownPlacement(size_t chain_length, int edge_node,
-                                int cloud_node);
-
-/// Ship-raw placement: source on \p edge_node, everything else on
-/// \p cloud_node.
-Placement CloudPlacement(size_t chain_length, int edge_node, int cloud_node);
-
-/// \brief Incremental placement optimization: chooses the pipeline cut
-/// (edge prefix → cloud suffix) that minimizes uplink bytes, using the
-/// measured per-operator flow. The sink (final chain element) stays in the
-/// cloud — results must reach the operations center. Byte-count ties break
-/// toward the *deepest* cut (maximal edge pushdown — the paper's Figure 1
-/// point: keep operators on the train whenever the uplink pays nothing
-/// for it). Returns the placement and, through \p out_uplink_bytes
-/// (optional), its uplink cost.
-///
-/// This is the decision NebulaStream's incremental query placement makes
-/// per operator; here it reduces to the optimal single cut of a linear
-/// chain. The DAG-aware generalization (one cut per fan-out branch) lives
-/// in the optimizer as `MakePlacementPass`.
-Placement OptimizeCutPlacement(
-    const std::vector<std::pair<std::string, OperatorStats>>& op_stats,
-    uint64_t source_bytes, int edge_node, int cloud_node,
-    uint64_t* out_uplink_bytes = nullptr);
 
 }  // namespace nebulameos::nebula

@@ -1,10 +1,19 @@
 // End-to-end engine tests: query API, plan emission and compilation,
-// operators through the NodeEngine, cancellation, statistics, plan
+// operators through the NodeEngine, cancellation, statistics (one
+// accounting plane: `Stats` reads the metrics registry), plan
 // introspection.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <map>
+#include <thread>
+#include <tuple>
+
 #include "nebula/engine.hpp"
+#include "queries/queries.hpp"
 
 namespace nebulameos::nebula {
 namespace {
@@ -347,6 +356,199 @@ TEST(Engine, CsvRoundTrip) {
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_DOUBLE_EQ(ValueAsDouble(rows[4][2]), 4.0);
   std::remove(path.c_str());
+}
+
+// --- One accounting plane ------------------------------------------------
+
+// Every `operator_stats` and `sink_stats` entry of `stats` reads the same
+// numbers from the snapshot `m`: `batch_rows` sum, counters and
+// `late_shed` of `op.<key>` (`op.<key>#k` for the k-th entry of one key).
+// Ingest reads the engine counters, and so does the emitted total when
+// `all_sinks` (no sink that ran has left `stats`).
+void ExpectOnePlane(const QueryStats& stats, const metrics::MetricsSnapshot& m,
+                    bool all_sinks) {
+  auto counter = [&m](const std::string& name) { return m.counters.at(name); };
+  auto events_in = [&m](const std::string& base) {
+    return static_cast<uint64_t>(m.histograms.at(base + ".batch_rows").sum);
+  };
+  EXPECT_EQ(stats.events_ingested, counter("engine.events_ingested"));
+  EXPECT_EQ(stats.bytes_ingested, counter("engine.bytes_ingested"));
+  if (all_sinks) {
+    EXPECT_EQ(stats.events_emitted, counter("engine.events_emitted"));
+    EXPECT_EQ(stats.bytes_emitted, counter("engine.bytes_emitted"));
+  }
+  std::map<std::string, int> seen;
+  for (const auto& [key, flow] : stats.operator_stats) {
+    const int k = ++seen[key];
+    const std::string base =
+        "op." + key + (k >= 2 ? "#" + std::to_string(k) : "");
+    const auto shed = m.counters.find(base + ".late_shed");
+    EXPECT_EQ(std::make_tuple(flow.events_in, flow.bytes_in, flow.events_out,
+                              flow.bytes_out, flow.events_shed),
+              std::make_tuple(events_in(base), counter(base + ".bytes_in"),
+                              counter(base + ".events_out"),
+                              counter(base + ".bytes_out"),
+                              shed == m.counters.end() ? 0 : shed->second))
+        << base;
+  }
+  for (const SinkStats& sink : stats.sink_stats) {
+    const std::string base =
+        "op." + (sink.path.empty() ? "" : sink.path + "/") + sink.name;
+    EXPECT_EQ(sink.events_emitted, events_in(base)) << base;
+    EXPECT_EQ(sink.bytes_emitted, counter(base + ".bytes_in")) << base;
+  }
+}
+
+// A keyed plan partitioned 4 ways (with late rows its windows shed), the
+// paper's shared-ingest fan-out, and that fan-out placed over channel
+// pairs, each run at 4 workers.
+TEST(OneAccountingPlane, PartitionedFanOutAndPlacedPlans) {
+  std::vector<std::vector<Value>> rows = MakeRows(3000);
+  for (int64_t key = 0; key < 3; ++key) {  // each window fired long ago
+    rows.push_back({Value(key), Value(Seconds(5)), Value(50.0)});
+  }
+  auto keyed =
+      Query::From(std::make_unique<MemorySource>(EventSchema(),
+                                                 std::move(rows), 1, "ts"))
+          .Filter(Ge(Attribute("value"), Lit(10.0)))
+          .KeyBy("key")
+          .TumblingWindow(Seconds(100), "ts")
+          .Aggregate({AggregateSpec::Count("n")})
+          .Map("twice", Mul(Attribute("n"), Lit(int64_t{2})))
+          .Build();
+  ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
+  keyed->SetSink(std::make_shared<CountingSink>(*keyed->OutputSchema()));
+  CompileOptions four;
+  four.partitions = 4;
+  auto pipe = CompilePlan(EventSchema(), *keyed, nullptr, four);
+  ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
+  ASSERT_EQ(pipe->partitions.size(), 4u);
+
+  auto env = queries::DemoEnvironment::Create();
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  queries::QueryOptions fan_out_options;
+  fan_out_options.max_events = 20'000;
+  auto fan_out = queries::BuildSharedIngestFanOut(**env, fan_out_options);
+  auto placed = queries::BuildSharedIngestFanOut(**env, fan_out_options);
+  ASSERT_TRUE(fan_out.ok() && placed.ok());
+  AnnotateEdgePushdownPlacement(&placed->plan, 2, 1);
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+
+  LogicalPlan plans[] = {std::move(*keyed), std::move(fan_out->plan),
+                         std::move(placed->plan)};
+  for (size_t p = 0; p < 3; ++p) {
+    SCOPED_TRACE("plan " + std::to_string(p));
+    EngineOptions options;
+    options.worker_threads = 4;
+    options.topology = p == 2 ? &topo : nullptr;
+    NodeEngine engine(options);
+    auto id = engine.Submit(std::move(plans[p]));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+    auto stats = engine.Stats(*id);
+    auto metrics = engine.Metrics(*id);
+    ASSERT_TRUE(stats.ok() && metrics.ok());
+    EXPECT_GT(stats->events_emitted, 0u);
+    ExpectOnePlane(*stats, *metrics, /*all_sinks=*/true);
+    uint64_t shed = 0;
+    bool channels = false;
+    for (const auto& [key, flow] : stats->operator_stats) {
+      shed += flow.events_shed;
+      channels = channels || key.find("NetworkChannel") != std::string::npos;
+    }
+    EXPECT_EQ(shed, p == 0 ? 3u : 0u);
+    EXPECT_EQ(stats->sink_stats.size(), p == 0 ? 1u : 2u);
+    EXPECT_EQ(channels, p == 2);
+  }
+}
+
+// Waits up to ~10 s for `cond`.
+bool Eventually(const std::function<bool()>& cond) {
+  for (int t = 0; t < 10'000 && !cond(); ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return cond();
+}
+
+// A 4-worker shared host over an endless stream: branch A attaches before
+// the start, B and C mid-stream, and C detaches again, while a second
+// thread polls `Stats`, `BranchStats` and `Metrics` (the TSan job runs
+// this). Once stopped, the host's stats (A, B) and each branch's read
+// the host's one registry.
+TEST(OneAccountingPlane, SharedHostPolledWhileBranchesAttachAndDetach) {
+  EngineOptions options;
+  options.worker_threads = 4;
+  NodeEngine engine(options);
+  LogicalPlan prefix;
+  prefix.SetSource(std::make_unique<GeneratorSource>(
+      EventSchema(),
+      [i = int64_t{0}](RecordWriter* w) mutable {
+        w->SetInt64(0, i % 3);
+        w->SetInt64(1, Seconds(i));
+        w->SetDouble(2, static_cast<double>(i % 2000));
+        ++i;
+        return true;
+      },
+      /*max_events=*/0, "ts"));
+  prefix.Append(std::make_unique<FilterNode>(Ge(Attribute("value"), Lit(10.0))));
+  auto host = engine.SubmitShared(std::move(prefix));
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  auto attach = [&engine, &host](double min_value) {
+    std::vector<LogicalOperatorPtr> suffix;
+    suffix.push_back(
+        std::make_unique<FilterNode>(Ge(Attribute("value"), Lit(min_value))));
+    suffix.push_back(std::make_unique<SinkNode>(
+        std::make_shared<CountingSink>(EventSchema())));
+    auto id = engine.AttachBranch(*host, std::move(suffix));
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() ? *id : 0;
+  };
+  auto emitted = [&engine, &host](int branch) {
+    auto stats = engine.BranchStats(*host, branch);
+    return stats.ok() ? stats->events_emitted : 0;
+  };
+  const int a = attach(1000.0);
+  std::atomic<int> b{0};
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    uint64_t last_ingested = 0;
+    while (!done.load()) {
+      auto stats = engine.Stats(*host);
+      EXPECT_TRUE(stats.ok() && engine.BranchStats(*host, a).ok() &&
+                  engine.Metrics(*host).ok());
+      if (stats.ok()) {
+        EXPECT_GE(stats->events_ingested, last_ingested);
+        last_ingested = stats->events_ingested;
+      }
+      if (const int id = b.load(); id != 0) {
+        EXPECT_TRUE(engine.BranchStats(*host, id).ok());
+      }
+    }
+  });
+  ASSERT_TRUE(engine.Start(*host).ok());
+  EXPECT_TRUE(Eventually([&] { return emitted(a) > 0; }));
+  b.store(attach(1500.0));
+  const int c = attach(500.0);
+  EXPECT_TRUE(Eventually([&] { return emitted(c) > 0; }));
+  EXPECT_TRUE(engine.DetachBranch(*host, c).ok());
+  const uint64_t at_detach = emitted(b);
+  EXPECT_TRUE(Eventually([&] { return emitted(b) > at_detach; }));
+  EXPECT_TRUE(engine.Cancel(*host).ok());
+  done.store(true);
+  poller.join();
+
+  auto metrics = engine.Metrics(*host);
+  auto stats = engine.Stats(*host);
+  ASSERT_TRUE(metrics.ok() && stats.ok());
+  EXPECT_EQ(stats->sink_stats.size(), 2u);
+  // C's rows count in the engine's emitted counter, not in the host's.
+  ExpectOnePlane(*stats, *metrics, /*all_sinks=*/false);
+  for (const int branch : {a, b.load(), c}) {
+    SCOPED_TRACE("branch " + std::to_string(branch));
+    auto branch_stats = engine.BranchStats(*host, branch);
+    ASSERT_TRUE(branch_stats.ok()) << branch_stats.status().ToString();
+    ExpectOnePlane(*branch_stats, *metrics, /*all_sinks=*/false);
+  }
 }
 
 }  // namespace

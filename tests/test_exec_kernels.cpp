@@ -293,6 +293,7 @@ TEST(CompiledExpr, LambdaKernelsMatchInterpreter) {
       And(Fn("test.longer_than", {Attribute("value"), Lit(std::string(""))}),
           Attribute("flag")),
       Fn("test.halve", {Attribute("value")}),
+      Lt(Lit(1.1), Fn("test.halve", {Attribute("value")})),
       Fn("test.int_identity", {Lit(int64_t{7})}),  // every argument constant
   };
   for (const ExprPtr& expr : exprs) ExpectKernelMatchesEval(expr, schema, *buf);
@@ -356,14 +357,16 @@ TEST(CompilePlanFusion, FilterMapProjectFuseIntoOneBatchPass) {
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   ASSERT_EQ(fused->operators.size(), 1u);
   EXPECT_EQ(fused->operators[0]->name(), "BatchKernels(Filter+Map+Project)");
-  // Stats expand per fused stage under the original operator names, in
-  // chain order — the contract the placement pass depends on.
-  std::vector<std::pair<std::string, OperatorStats>> stats;
-  fused->operators[0]->AppendStats("0/", &stats);
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].first, "0/Filter");
-  EXPECT_EQ(stats[1].first, "0/Map");
-  EXPECT_EQ(stats[2].first, "0/Project");
+  // Flow entries expand per fused stage under the original operator
+  // names, in chain order — the contract the placement pass depends on.
+  metrics::MetricsRegistry registry;
+  InstrumentNamer names("0/");
+  std::vector<FlowEntry> entries;
+  fused->operators[0]->BindMetrics(&registry, &names, &entries);
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].key, "0/Filter");
+  EXPECT_EQ(entries[1].key, "0/Map");
+  EXPECT_EQ(entries[2].key, "0/Project");
 
   CompileOptions interpreted;
   interpreted.compiled_kernels = false;
@@ -825,23 +828,24 @@ void AppendRows(const exec::Batch& batch, Rows* rows) {
 
 // Drives `chain` as the engine does: `batch` into operator `from`, every
 // emitted batch into the next one, and what leaves the last into `rows`,
-// counting each operator's flow where the engine counts it. A null
-// `batch` runs the end-of-stream cascade from `from` instead.
+// recording each operator's flow where the engine records it (once
+// `BindChain` bound its instruments). A null `batch` runs the
+// end-of-stream cascade from `from` instead.
 Status DriveChain(const std::vector<OperatorPtr>& chain, size_t from,
                   const exec::Batch* batch, Rows* rows) {
   if (from == chain.size()) {
     if (batch != nullptr) AppendRows(*batch, rows);
     return Status::OK();
   }
-  if (batch != nullptr) chain[from]->CountIn(*batch);
   Status inner = Status::OK();
   auto forward = [&](const exec::Batch& out) {
-    chain[from]->CountOut(out);
+    chain[from]->RecordOut(out);
     const Status st = DriveChain(chain, from + 1, &out, rows);
     if (!st.ok() && inner.ok()) inner = st;
   };
   const Status s = batch != nullptr ? chain[from]->ProcessBatch(*batch, forward)
                                     : chain[from]->Finish(forward);
+  if (batch != nullptr) chain[from]->RecordProcess(0, *batch);
   NM_RETURN_NOT_OK(s);
   NM_RETURN_NOT_OK(inner);
   if (batch == nullptr) return DriveChain(chain, from + 1, nullptr, rows);
@@ -1098,6 +1102,7 @@ class ExprGen {
 
   bool reads_computed() const { return reads_computed_; }
   bool used_halve() const { return used_halve_; }
+  bool nested_halve() const { return nested_halve_; }
   bool used_text_compare() const { return used_text_compare_; }
 
   // An integer-typed expression (bool fields read as 0/1).
@@ -1124,12 +1129,13 @@ class ExprGen {
     }
   }
 
-  // `test.halve`: a lambda declared int64 that returns a double. As a
-  // whole map spec its value is stored converted to int64 on both paths,
-  // and later stages read the stored value.
-  ExprPtr Halve() {
+  // `test.halve`: a lambda declared int64 that returns a double. Both
+  // paths read its value converted to int64, as a whole map spec and
+  // inside an expression alike.
+  ExprPtr Halve(int depth) {
     used_halve_ = true;
-    return Fn("test.halve", {Fn("clamp", {Num(1), Lit(-1e9), Lit(1e9)})});
+    return Fn("test.halve",
+              {Fn("clamp", {Num(depth), Lit(-1e9), Lit(1e9)})});
   }
 
   // A numeric expression: integer or double.
@@ -1141,7 +1147,7 @@ class ExprGen {
       }
       return Lit(static_cast<double>(Uniform(21)) * 0.5 - 5.0);
     }
-    switch (Uniform(6)) {
+    switch (Uniform(7)) {
       case 0:
         return Add(Num(depth - 1), Num(depth - 1));
       case 1:
@@ -1153,6 +1159,9 @@ class ExprGen {
         return Div(Num(depth - 1), Num(depth - 1));
       case 4:
         return Fn("abs", {Num(depth - 1)});
+      case 5:
+        nested_halve_ = true;
+        return Halve(depth - 1);
       default:
         return Fn("clamp", {Num(depth - 1), Lit(-2.0), Lit(2.5)});
     }
@@ -1236,6 +1245,7 @@ class ExprGen {
   std::set<std::string> computed_;
   bool reads_computed_ = false;
   bool used_halve_ = false;
+  bool nested_halve_ = false;
   bool used_text_compare_ = false;
 };
 
@@ -1248,6 +1258,7 @@ enum ChainFeature : size_t {
   kTextCompareAfterMap,
   kSharedOnOrRightReadAgain,
   kInt64DeclaredDoubleLambda,
+  kLambdaInsideExpression,
   kNumChainFeatures,
 };
 
@@ -1318,6 +1329,8 @@ class ChainGenerator {
     if (gen.used_text_compare() && map_seen_) {
       ++features_[kTextCompareAfterMap];
     }
+    if (gen.used_halve()) ++features_[kInt64DeclaredDoubleLambda];
+    if (gen.nested_halve()) ++features_[kLambdaInsideExpression];
     ChainStage stage;
     stage.kind = ChainStage::Kind::kFilter;
     stage.predicate = std::move(predicate);
@@ -1328,6 +1341,7 @@ class ChainGenerator {
               const ExprGen& gen) {
     if (gen.reads_computed()) ++features_[kMapReadsEarlierMap];
     if (gen.used_halve()) ++features_[kInt64DeclaredDoubleLambda];
+    if (gen.nested_halve()) ++features_[kLambdaInsideExpression];
     for (const MapSpec& spec : specs) {
       for (const Field& f : fields_) {
         if (f.name == spec.name && computed_.count(f.name) == 0) {
@@ -1399,7 +1413,7 @@ class ChainGenerator {
       }
       const size_t kind = Uniform(10);
       ExprPtr expr =
-          kind < 6 ? gen.Num(2) : (kind < 9 ? gen.Bool(2) : gen.Halve());
+          kind < 6 ? gen.Num(2) : (kind < 9 ? gen.Bool(2) : gen.Halve(1));
       specs.push_back({std::move(name), std::move(expr)});
     }
     AddMap(chain, std::move(specs), gen);
@@ -1497,21 +1511,24 @@ Result<LogicalPlan> ChainPlan(const std::vector<ChainStage>& chain) {
   return std::move(q).Build();
 }
 
-using StageStats = std::vector<std::pair<std::string, OperatorStats>>;
-
-StageStats ChainStats(const std::vector<OperatorPtr>& ops) {
-  StageStats out;
-  for (const OperatorPtr& op : ops) op->AppendStats("", &out);
-  return out;
+// Binds `ops`' instruments in `registry` as the engine binds a linear
+// plan's, and returns their flow entries.
+std::vector<FlowEntry> BindChain(const std::vector<OperatorPtr>& ops,
+                                 metrics::MetricsRegistry* registry) {
+  InstrumentNamer names("");
+  std::vector<FlowEntry> entries;
+  for (const OperatorPtr& op : ops) op->BindMetrics(registry, &names, &entries);
+  return entries;
 }
 
-void ExpectSameFlow(const StageStats& compiled, const StageStats& interpreted,
+void ExpectSameFlow(const std::vector<FlowEntry>& compiled,
+                    const std::vector<FlowEntry>& interpreted,
                     const std::string& what) {
   ASSERT_EQ(compiled.size(), interpreted.size()) << what;
   for (size_t s = 0; s < compiled.size(); ++s) {
-    const auto& [name, got] = compiled[s];
-    const auto& [want_name, want] = interpreted[s];
-    EXPECT_EQ(name, want_name) << what;
+    const OperatorStats got = compiled[s].flow.Read();
+    const OperatorStats want = interpreted[s].flow.Read();
+    EXPECT_EQ(compiled[s].key, interpreted[s].key) << what;
     EXPECT_EQ(got.events_in, want.events_in) << what << " stage " << s;
     EXPECT_EQ(got.events_out, want.events_out) << what << " stage " << s;
     EXPECT_EQ(got.bytes_in, want.bytes_in) << what << " stage " << s;
@@ -1552,6 +1569,12 @@ TEST(FusedRunDifferential, GeneratedChainsMatchTheInterpreter) {
          {&fused->operators, &reference->operators, &probe->operators}) {
       for (const OperatorPtr& op : *ops) ASSERT_TRUE(op->Open(&ctx).ok());
     }
+    metrics::MetricsRegistry fused_metrics;
+    metrics::MetricsRegistry reference_metrics;
+    const std::vector<FlowEntry> fused_flow =
+        BindChain(fused->operators, &fused_metrics);
+    const std::vector<FlowEntry> reference_flow =
+        BindChain(reference->operators, &reference_metrics);
 
     const TupleBufferPtr buf = DiffBuffer(&data_rng, kRows);
     auto partial = std::make_shared<exec::SelectionVector>();
@@ -1581,18 +1604,45 @@ TEST(FusedRunDifferential, GeneratedChainsMatchTheInterpreter) {
       if (f == 2) {
         EXPECT_TRUE(got.empty()) << feed;
       }
-      ExpectSameFlow(ChainStats(fused->operators),
-                     ChainStats(reference->operators), feed);
+      ExpectSameFlow(fused_flow, reference_flow, feed);
     }
     if (::testing::Test::HasFailure()) break;  // one chain's report is enough
   }
   const char* kFeatureNames[] = {
       "map replaces an input field",  "map reads an earlier map",
       "project drops, map re-adds",   "text comparison after a map",
-      "shared on OR's right, re-read", "int64-declared double lambda"};
+      "shared on OR's right, re-read", "int64-declared double lambda",
+      "lambda inside an expression"};
   for (size_t f = 0; f < kNumChainFeatures; ++f) {
     EXPECT_GT(generator.features()[f], 0u) << kFeatureNames[f];
   }
+}
+
+// `1.1 < test.halve(value)` keeps the same rows compiled and interpreted:
+// both paths read the lambda's double as its declared int64, so no row
+// whose half lies in (1.1, 2) passes.
+TEST(FusedRunDifferential, Int64LambdaReturningDoubleFiltersAlike) {
+  RegisterTestLambdas();
+  auto plan = Query::From(MakeSource(1))
+                  .Filter(Lt(Lit(1.1), Fn("test.halve", {Attribute("value")})))
+                  .To(std::make_shared<CountingSink>(EventSchema()))
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const exec::Batch batch(MakeBuffer(14));  // values -3 .. 6 in steps of 1.5
+  Rows rows[2];
+  for (const bool compiled : {false, true}) {
+    CompileOptions options;
+    options.compiled_kernels = compiled;
+    auto pipe = CompilePlan(EventSchema(), *plan, nullptr, options);
+    ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
+    EXPECT_EQ(pipe->operators[0]->name(),
+              compiled ? "BatchKernels(Filter)" : "Filter");
+    ASSERT_TRUE(DriveChain(pipe->operators, 0, &batch, &rows[compiled]).ok());
+  }
+  EXPECT_EQ(rows[1], rows[0]);
+  // halve(3) = 1.5 reads as 1; only 4.5 and 6 (halves 2.25, 3) pass.
+  ASSERT_EQ(rows[0].size(), 4u);
+  for (const auto& row : rows[0]) EXPECT_GE(std::get<double>(row[2]), 4.5);
 }
 
 // Counts its calls; true for a positive argument.

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "nebula/engine.hpp"
-#include "nebula/topology.hpp"
 #include "sncb/records.hpp"
 
 namespace nebulameos::nebula {
@@ -235,39 +234,6 @@ TEST(TemporalLookupJoin, WeatherStreamJoinsFleet) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine.RunToCompletion(*id).ok());
   EXPECT_EQ(sink->events(), 60u);  // every position matched an observation
-}
-
-TEST(Topology, OptimizeCutPlacementPicksSmallestFlow) {
-  // Chain: Filter (10 MB -> 100 KB), Map (100 KB -> 200 KB), Sink.
-  OperatorStats filter;
-  filter.bytes_out = 100'000;
-  OperatorStats map;
-  map.bytes_out = 200'000;
-  OperatorStats sink;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"Filter", filter}, {"Map", map}, {"CountingSink", sink}};
-  uint64_t uplink = 0;
-  const Placement p =
-      OptimizeCutPlacement(chain, 10'000'000, /*edge=*/2, /*cloud=*/1, &uplink);
-  // Best cut: after the filter (100 KB crosses).
-  EXPECT_EQ(uplink, 100'000u);
-  EXPECT_EQ(p.NodeOf(-1), 2);
-  EXPECT_EQ(p.NodeOf(0), 2);   // filter on the edge
-  EXPECT_EQ(p.NodeOf(1), 1);   // map in the cloud
-  EXPECT_EQ(p.NodeOf(2), 1);   // sink in the cloud
-}
-
-TEST(Topology, OptimizeCutKeepsSourceOnlyWhenNothingHelps) {
-  // An expansive chain (every operator grows the stream).
-  OperatorStats grow;
-  grow.bytes_out = 50'000'000;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"Map", grow}, {"CountingSink", OperatorStats{}}};
-  uint64_t uplink = 0;
-  const Placement p =
-      OptimizeCutPlacement(chain, 10'000'000, 2, 1, &uplink);
-  EXPECT_EQ(uplink, 10'000'000u);  // ship raw: cheaper than after the map
-  EXPECT_EQ(p.NodeOf(0), 1);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tier-2 tests of the placement pass and its network-channel lowering:
 // per-branch cuts on fan-out plans, prefix cuts when every branch would
-// ship more than the raw stream, placement on/off result equivalence
-// through real channel execution, and measured channel byte counters
-// matching the legacy post-hoc SimulateDeployment pricing on a linear
-// chain.
+// ship more than the raw stream, the cut a linear plan gets, placement
+// on/off result equivalence through real channel execution, and the
+// deployment report measured from the channels a placed plan ran over:
+// bytes per hop and across the uplink, multi-hop relays, per-hop transfer
+// time, and route and placement errors.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 
 #include "nebula/engine.hpp"
@@ -68,15 +70,20 @@ Result<LogicalPlan> MakeFanOutPlan(int n,
 }
 
 // Runs `plan` to completion on a fresh engine (optimizer off so the
-// compiled shape matches the logical plan 1:1) and returns its stats.
+// compiled shape matches the logical plan 1:1) and returns its stats, and
+// its measured deployment report through `report` when given.
 Result<QueryStats> MeasureRun(LogicalPlan plan,
-                              const Topology* topology = nullptr) {
+                              const Topology* topology = nullptr,
+                              DeploymentReport* report = nullptr) {
   EngineOptions options;
   options.optimizer.enable = false;
   options.topology = topology;
   NodeEngine engine(options);
   NM_ASSIGN_OR_RETURN(const int id, engine.Submit(std::move(plan)));
   NM_RETURN_NOT_OK(engine.RunToCompletion(id));
+  if (report != nullptr) {
+    NM_ASSIGN_OR_RETURN(*report, engine.Deployment(id));
+  }
   return engine.Stats(id);
 }
 
@@ -191,6 +198,54 @@ TEST(PlacementPass, PrefixCutWhenEveryBranchExpands) {
   EXPECT_FALSE(changed);
 }
 
+// Filter(value >= min_value) → Map(scaled = 2 * value) → a CollectSink,
+// over `n` events with values 0 .. n-1.
+LogicalPlan LinearPlan(int n, double min_value = 2.0) {
+  auto plan = Query::From(MakeSource(n))
+                  .Filter(Ge(Attribute("value"), Lit(min_value)))
+                  .Map("scaled", Mul(Attribute("value"), Lit(2.0)))
+                  .Build();
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  plan->SetSink(std::make_shared<CollectSink>(*plan->OutputSchema()));
+  return std::move(*plan);
+}
+
+// Places `LinearPlan` from hand-written measurements: the Filter's and
+// the Map's bytes out, over `source_bytes` ingested. Returns the nodes of
+// the source, Filter, Map and sink.
+std::vector<int> CutLinear(uint64_t filter_bytes, uint64_t map_bytes,
+                           uint64_t source_bytes) {
+  LogicalPlan plan = LinearPlan(10);
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  PlacementPassOptions options;
+  options.topology = &topo;
+  options.edge_node = kEdge;
+  options.cloud_node = kCloud;
+  options.measured = {{"Filter", {0, 0, 0, filter_bytes}},
+                      {"Map", {0, 0, 0, map_bytes}},
+                      {"CollectSink", {}}};
+  options.source_bytes = source_bytes;
+  bool changed = false;
+  EXPECT_TRUE(
+      MakePlacementPass(std::move(options))->Apply(&plan, &changed).ok());
+  std::vector<int> nodes{plan.source_placement()};
+  for (const auto& op : plan.ops()) nodes.push_back(op->placement());
+  return nodes;
+}
+
+TEST(PlacementPass, LinearPlanCutsAtTheSmallestFlow) {
+  // Filter 10 MB -> 100 KB, Map 100 KB -> 200 KB: cut after the filter.
+  EXPECT_EQ(CutLinear(100'000, 200'000, 10'000'000),
+            (std::vector<int>{kEdge, kEdge, kCloud, kCloud}));
+  // Every operator grows the stream: only the source stays on the edge.
+  EXPECT_EQ(CutLinear(20'000'000, 50'000'000, 10'000'000),
+            (std::vector<int>{kEdge, kCloud, kCloud, kCloud}));
+  // Filter and Map both emit 100 KB: ties break toward the deepest cut
+  // (maximal pushdown), so the Map stays on the edge too.
+  EXPECT_EQ(CutLinear(100'000, 100'000, 10'000'000),
+            (std::vector<int>{kEdge, kEdge, kEdge, kCloud}));
+}
+
 TEST(Placement, SubmitDoesNotRewritePlacedPlans) {
   // Two adjacent filters would normally fuse; on a placed plan the
   // rewriter must not run — placement annotations are tied to the exact
@@ -266,77 +321,152 @@ TEST(Placement, PlacedAndUnplacedRunsAgree) {
   EXPECT_FALSE(agg->Rows().empty());
 }
 
-TEST(Placement, ChannelCountersMatchLegacyPricingOnLinearChain) {
-  auto build = [](std::shared_ptr<CollectSink>* sink) {
-    auto plan = Query::From(MakeSource(100))
-                    .Filter(Ge(Attribute("value"), Lit(2.0)))
-                    .Map("scaled", Mul(Attribute("value"), Lit(2.0)))
-                    .Build();
-    if (!plan.ok()) return plan;
-    auto schema = plan->OutputSchema();
-    if (!schema.ok()) return Result<LogicalPlan>(schema.status());
-    *sink = std::make_shared<CollectSink>(*schema);
-    plan->SetSink(*sink);
-    return plan;
-  };
-  std::shared_ptr<CollectSink> sink;
-  auto measured_plan = build(&sink);
-  ASSERT_TRUE(measured_plan.ok()) << measured_plan.status().ToString();
-  auto stats = MeasureRun(std::move(*measured_plan));
-  ASSERT_TRUE(stats.ok());
-
-  // Legacy post-hoc pricing of the cut after the filter.
-  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
-  Placement cut_after_filter;
-  cut_after_filter.node_of[-1] = kEdge;
-  cut_after_filter.node_of[0] = kEdge;   // Filter
-  cut_after_filter.node_of[1] = kCloud;  // Map
-  cut_after_filter.node_of[2] = kCloud;  // Sink
-  auto priced = SimulateDeployment(topo, stats->operator_stats,
-                                   stats->bytes_ingested, cut_after_filter);
-  ASSERT_TRUE(priced.ok()) << priced.status().ToString();
-
-  // Executed deployment of the same cut, measured from channel traffic.
-  auto placed_plan = build(&sink);
-  ASSERT_TRUE(placed_plan.ok());
-  placed_plan->set_source_placement(kEdge);
-  placed_plan->mutable_ops()[0]->set_placement(kEdge);
-  placed_plan->mutable_ops()[1]->set_placement(kCloud);
-  placed_plan->mutable_ops()[2]->set_placement(kCloud);
-  EngineOptions engine_options;
-  engine_options.optimizer.enable = false;
-  engine_options.topology = &topo;
-  NodeEngine engine(engine_options);
-  auto id = engine.Submit(std::move(*placed_plan));
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  ASSERT_TRUE(engine.RunToCompletion(*id).ok());
-  auto measured = engine.Deployment(*id);
-  ASSERT_TRUE(measured.ok()) << measured.status().ToString();
-
-  if (std::getenv("NM_FAULT_PROFILE") != nullptr) {
-    // Under an injected fault profile (the CHECK_FAULTS=1 gate) the
-    // channel re-ships duplicated and retransmitted frames, so measured
-    // traffic can only meet or exceed the fault-free pricing.
-    EXPECT_GE(measured->uplink_bytes, priced->uplink_bytes);
-    for (const auto& [edge, bytes] : priced->link_bytes) {
-      auto it = measured->link_bytes.find(edge);
-      ASSERT_NE(it, measured->link_bytes.end());
-      EXPECT_GE(it->second, bytes);
-    }
-    ASSERT_GT(measured->frames, 0u);
-    EXPECT_GE(measured->wire_bytes,
-              measured->uplink_bytes +
-                  measured->frames * kWireFrameHeaderBytes);
-    return;
+// `LinearPlan` with its source, Filter, Map and sink on `nodes`.
+LogicalPlan PlacedLinearPlan(std::array<int, 4> nodes, int n = 100,
+                             double min_value = 2.0) {
+  LogicalPlan plan = LinearPlan(n, min_value);
+  plan.set_source_placement(nodes[0]);
+  for (size_t i = 0; i < 3; ++i) {
+    plan.mutable_ops()[i]->set_placement(nodes[i + 1]);
   }
-  // Channel payload byte counters reproduce the legacy pricing exactly.
-  EXPECT_EQ(measured->link_bytes, priced->link_bytes);
-  EXPECT_EQ(measured->uplink_bytes, priced->uplink_bytes);
-  EXPECT_GT(measured->uplink_bytes, 0u);
+  return plan;
+}
+
+// Under an injected channel fault profile (the CHECK_FAULTS=1 gate)
+// channels re-ship duplicated and retransmitted frames and price their
+// backoff, so measured traffic and time can only meet or exceed the
+// fault-free figures.
+bool LossyChannels() { return std::getenv("NM_FAULT_PROFILE") != nullptr; }
+
+void ExpectShipped(uint64_t measured, uint64_t expected) {
+  EXPECT_TRUE(LossyChannels() ? measured >= expected : measured == expected)
+      << measured << " shipped, " << expected << " expected";
+}
+
+TEST(Placement, ChannelCountersMatchFilterFlowOnLinearChain) {
+  auto stats = MeasureRun(LinearPlan(100));
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats->operator_stats[0].first, "Filter");
+  const uint64_t filter_out = stats->operator_stats[0].second.bytes_out;
+  ASSERT_GT(filter_out, 0u);
+
+  // Executed deployment of the cut after the filter: its output crosses
+  // every hop of the edge -> cloud route, and the uplink once; the
+  // same-node transitions before and after the cut ship nothing.
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  DeploymentReport measured;
+  auto placed = MeasureRun(PlacedLinearPlan({kEdge, kEdge, kCloud, kCloud}),
+                           &topo, &measured);
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  auto route = topo.ShortestPath(kEdge, kCloud);
+  ASSERT_TRUE(route.ok()) << route.status().ToString();
+  EXPECT_EQ(measured.link_bytes.size(), route->size());
+  for (const TopologyLink& link : *route) {
+    ExpectShipped(measured.link_bytes.at({link.from, link.to}), filter_out);
+  }
+  ExpectShipped(measured.uplink_bytes, filter_out);
   // The wire adds exactly one frame header per shipped frame.
-  ASSERT_GT(measured->frames, 0u);
-  EXPECT_EQ(measured->wire_bytes,
-            measured->uplink_bytes + measured->frames * kWireFrameHeaderBytes);
+  ASSERT_GT(measured.frames, 0u);
+  ExpectShipped(measured.wire_bytes,
+                measured.uplink_bytes + measured.frames * kWireFrameHeaderBytes);
+}
+
+TEST(Deployment, EdgePushdownShipsOnlyResultsAndShipRawTheWholeStream) {
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  // The filter keeps 1% of 2000 events.
+  DeploymentReport edge, raw;
+  auto edge_stats = MeasureRun(
+      PlacedLinearPlan({kEdge, kEdge, kEdge, kCloud}, 2000, 1980.0), &topo,
+      &edge);
+  auto raw_stats = MeasureRun(
+      PlacedLinearPlan({kEdge, kCloud, kCloud, kCloud}, 2000, 1980.0), &topo,
+      &raw);
+  ASSERT_TRUE(edge_stats.ok()) << edge_stats.status().ToString();
+  ASSERT_TRUE(raw_stats.ok()) << raw_stats.status().ToString();
+  // Edge pushdown ships only the results the sink took in; ship-raw ships
+  // the whole source stream, so pushdown wins by the selectivity.
+  EXPECT_EQ(edge_stats->events_emitted, 20u);
+  ExpectShipped(edge.uplink_bytes, edge_stats->bytes_emitted);
+  ExpectShipped(raw.uplink_bytes, raw_stats->bytes_ingested);
+  EXPECT_GT(raw.uplink_bytes, edge.uplink_bytes * 50);
+  EXPECT_GT(raw.total_transfer_seconds, edge.total_transfer_seconds);
+}
+
+// Two placed nodes without a direct link still communicate: the stream
+// relays over the cheapest multi-hop route (train -> cloud worker ->
+// coordinator in the SNCB reference topology, whose trains only link to
+// the cloud worker). Each hop's time is its wire bytes over the link's
+// bandwidth plus one latency per frame.
+TEST(Deployment, RoutesOverMultiHopPathsAndPricesEachHop) {
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  constexpr int kCoordinator = 0;
+  DeploymentReport report;
+  auto stats = MeasureRun(
+      PlacedLinearPlan({kEdge, kCoordinator, kCoordinator, kCoordinator},
+                       500, 0.0),
+      &topo, &report);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto route = topo.ShortestPath(kEdge, kCoordinator);
+  ASSERT_TRUE(route.ok());
+  ASSERT_EQ(route->size(), 2u);
+  ASSERT_EQ(report.link_bytes.size(), 2u);
+  ASSERT_GT(report.frames, 0u);
+  double hops = 0.0;
+  for (const TopologyLink& link : *route) {
+    // Both hops carried the stream.
+    ExpectShipped(report.link_bytes.at({link.from, link.to}),
+                  stats->bytes_ingested);
+    const double seconds =
+        static_cast<double>(report.wire_bytes) / link.bandwidth_bytes_per_sec +
+        static_cast<double>(report.frames) * ToSeconds(link.latency);
+    EXPECT_NEAR(report.link_seconds.at({link.from, link.to}), seconds,
+                1e-9 * seconds);
+    hops += seconds;
+  }
+  // The cellular hop counts as uplink once.
+  ExpectShipped(report.uplink_bytes, stats->bytes_ingested);
+  // Under faults the total also holds retransmission backoff.
+  EXPECT_GE(report.total_transfer_seconds, hops * (1 - 1e-9));
+  if (!LossyChannels()) {
+    EXPECT_LE(report.total_transfer_seconds, hops * (1 + 1e-9));
+  }
+}
+
+// A plan placed on one node ships nothing (see also the same-node
+// transitions of the linear chain above).
+TEST(Deployment, SameNodeTransfersAreFree) {
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  DeploymentReport report;
+  auto stats = MeasureRun(
+      PlacedLinearPlan({kCloud, kCloud, kCloud, kCloud}, 200, 150.0), &topo,
+      &report);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->events_emitted, 50u);
+  EXPECT_EQ(report.frames, 0u);
+  EXPECT_EQ(report.uplink_bytes, 0u);
+  EXPECT_TRUE(report.link_bytes.empty());
+  EXPECT_DOUBLE_EQ(report.total_transfer_seconds, 0.0);
+}
+
+TEST(Deployment, MissingRouteOrPlacementErrors) {
+  // No link between the nodes: the transition has no channel to lower to.
+  Topology unlinked;
+  ASSERT_TRUE(unlinked.AddNode({1, NodeKind::kEdgeWorker, "edge", 1.0}).ok());
+  ASSERT_TRUE(
+      unlinked.AddNode({2, NodeKind::kCloudWorker, "cloud", 1.0}).ok());
+  EXPECT_FALSE(MeasureRun(PlacedLinearPlan({1, 1, 2, 2}), &unlinked).ok());
+  // An operator left unplaced inside a placed plan is refused by the
+  // placement-soundness check instead of running wherever the previous
+  // operator sits.
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
+  EngineOptions options;
+  options.topology = &topo;
+  options.optimizer.verify_each = true;
+  const auto partial = NodeEngine(options).Submit(
+      PlacedLinearPlan({kEdge, kEdge, LogicalOperator::kUnplaced, kCloud}));
+  ASSERT_FALSE(partial.ok());
+  EXPECT_NE(partial.status().message().find("unplaced"), std::string::npos)
+      << partial.status().ToString();
 }
 
 TEST(Placement, UnplacedQueryReportsNoTraffic) {

@@ -1,5 +1,6 @@
 // Tests for the topology simulation (src/nebula/topology) — Figure 1's
-// edge architecture as a measurable model.
+// edge architecture as a measurable model. Deployment reports measured
+// from executed channels are tested in test_placement.cpp.
 
 #include <gtest/gtest.h>
 
@@ -55,84 +56,6 @@ TEST(Topology, SncbReferenceShape) {
   }
 }
 
-// A measured chain: filter keeping 1% (selectivity), then the sink.
-std::vector<std::pair<std::string, OperatorStats>> MeasuredChain(
-    uint64_t source_bytes) {
-  OperatorStats filter;
-  filter.events_in = 100'000;
-  filter.bytes_in = source_bytes;
-  filter.events_out = 1'000;
-  filter.bytes_out = source_bytes / 100;
-  OperatorStats sink;
-  sink.events_in = filter.events_out;
-  sink.bytes_in = filter.bytes_out;
-  return {{"Filter", filter}, {"CollectSink", sink}};
-}
-
-TEST(Deployment, EdgePushdownShipsOnlyResults) {
-  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
-  const uint64_t source_bytes = 10'000'000;
-  const auto chain = MeasuredChain(source_bytes);
-  const Placement placement = EdgePushdownPlacement(chain.size(), 2, 1);
-  auto report = SimulateDeployment(topo, chain, source_bytes, placement);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // Only the filter's output crosses the uplink.
-  EXPECT_EQ(report->uplink_bytes, source_bytes / 100);
-}
-
-TEST(Deployment, CloudPlacementShipsRawStream) {
-  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
-  const uint64_t source_bytes = 10'000'000;
-  const auto chain = MeasuredChain(source_bytes);
-  const Placement placement = CloudPlacement(chain.size(), 2, 1);
-  auto report = SimulateDeployment(topo, chain, source_bytes, placement);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->uplink_bytes, source_bytes);
-  // Edge pushdown wins by the filter's selectivity.
-  const auto pushdown = SimulateDeployment(
-      topo, chain, source_bytes, EdgePushdownPlacement(chain.size(), 2, 1));
-  ASSERT_TRUE(pushdown.ok());
-  EXPECT_GT(report->uplink_bytes, pushdown->uplink_bytes * 50);
-  EXPECT_GT(report->total_transfer_seconds,
-            pushdown->total_transfer_seconds);
-}
-
-TEST(Deployment, TransferTimeUsesBandwidthAndLatency) {
-  Topology topo;
-  ASSERT_TRUE(topo.AddNode({1, NodeKind::kEdgeWorker, "edge", 1.0}).ok());
-  ASSERT_TRUE(topo.AddNode({2, NodeKind::kCloudWorker, "cloud", 1.0}).ok());
-  ASSERT_TRUE(topo.AddLink({1, 2, 1000.0, Millis(500)}).ok());
-  OperatorStats sink;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"CountingSink", sink}};
-  Placement placement;
-  placement.node_of[-1] = 1;
-  placement.node_of[0] = 2;
-  auto report = SimulateDeployment(topo, chain, 2000, placement);
-  ASSERT_TRUE(report.ok());
-  // 2000 bytes at 1000 B/s + 0.5 s latency = 2.5 s.
-  EXPECT_NEAR(report->total_transfer_seconds, 2.5, 1e-9);
-  EXPECT_EQ(report->uplink_bytes, 2000u);
-}
-
-TEST(Deployment, MissingLinkOrPlacementErrors) {
-  Topology topo;
-  ASSERT_TRUE(topo.AddNode({1, NodeKind::kEdgeWorker, "edge", 1.0}).ok());
-  ASSERT_TRUE(topo.AddNode({2, NodeKind::kCloudWorker, "cloud", 1.0}).ok());
-  OperatorStats sink;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"CountingSink", sink}};
-  Placement placement;
-  placement.node_of[-1] = 1;
-  placement.node_of[0] = 2;
-  // No link between 1 and 2.
-  EXPECT_FALSE(SimulateDeployment(topo, chain, 100, placement).ok());
-  // Missing operator in placement.
-  Placement incomplete;
-  incomplete.node_of[-1] = 1;
-  EXPECT_FALSE(SimulateDeployment(topo, chain, 100, incomplete).ok());
-}
-
 // Regression: AddLink used to accept duplicate (from, to) pairs, leaving
 // GetLink to silently return whichever was registered first.
 TEST(Topology, AddLinkRejectsDuplicates) {
@@ -167,63 +90,6 @@ TEST(Topology, ShortestPathFindsMultiHopRoute) {
   auto self = topo.ShortestPath(1, 1);
   ASSERT_TRUE(self.ok());
   EXPECT_TRUE(self->empty());
-}
-
-// Regression: SimulateDeployment returned NotFound whenever two placed
-// operators lacked a *direct* link — any placement on the coordinator
-// failed because SncbReference only links trains to the cloud worker.
-TEST(Deployment, RoutesOverMultiHopPaths) {
-  const Topology topo = Topology::SncbReference(1, 1e6, Millis(50));
-  const uint64_t source_bytes = 1'000'000;
-  OperatorStats sink;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"CountingSink", sink}};
-  Placement placement;
-  placement.node_of[-1] = 2;  // train
-  placement.node_of[0] = 0;   // coordinator: no direct train link
-  auto report = SimulateDeployment(topo, chain, source_bytes, placement);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // Both hops carried the stream; the cellular hop counts as uplink once.
-  EXPECT_EQ(report->link_bytes.at({2, 1}), source_bytes);
-  EXPECT_EQ(report->link_bytes.at({1, 0}), source_bytes);
-  EXPECT_EQ(report->uplink_bytes, source_bytes);
-  // Transfer time: 1 MB at 1 MB/s + 50 ms, then 1 MB at 1 GB/s + 1 ms.
-  EXPECT_NEAR(report->total_transfer_seconds, 1.0 + 0.05 + 0.001 + 0.001,
-              1e-9);
-}
-
-// Regression: byte-count ties used to break toward the earliest cut,
-// keeping operators in the cloud when a deeper cut ships the same bytes.
-TEST(Topology, OptimizeCutPrefersDeepestTiedCut) {
-  // Filter and Map both emit exactly 100 KB: cutting after either ships
-  // the same bytes, so the map belongs on the edge too.
-  OperatorStats filter;
-  filter.bytes_out = 100'000;
-  OperatorStats map;
-  map.bytes_out = 100'000;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"Filter", filter}, {"Map", map}, {"CountingSink", OperatorStats{}}};
-  uint64_t uplink = 0;
-  const Placement p = OptimizeCutPlacement(chain, 10'000'000, 2, 1, &uplink);
-  EXPECT_EQ(uplink, 100'000u);
-  EXPECT_EQ(p.NodeOf(0), 2);  // filter on the edge
-  EXPECT_EQ(p.NodeOf(1), 2);  // tied map pushed down too
-  EXPECT_EQ(p.NodeOf(2), 1);  // sink in the cloud
-}
-
-TEST(Deployment, SameNodeTransfersAreFree) {
-  Topology topo;
-  ASSERT_TRUE(topo.AddNode({1, NodeKind::kEdgeWorker, "edge", 1.0}).ok());
-  OperatorStats sink;
-  std::vector<std::pair<std::string, OperatorStats>> chain = {
-      {"CountingSink", sink}};
-  Placement placement;
-  placement.node_of[-1] = 1;
-  placement.node_of[0] = 1;
-  auto report = SimulateDeployment(topo, chain, 1'000'000, placement);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->uplink_bytes, 0u);
-  EXPECT_DOUBLE_EQ(report->total_transfer_seconds, 0.0);
 }
 
 }  // namespace
