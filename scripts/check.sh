@@ -8,7 +8,8 @@
 # suite with NM_WORKER_THREADS=4, forcing every engine test through the
 # morsel-driven multi-core path under the race detector, then repeats
 # test_buffer_manager 20 times to race the pools' on-demand buffer
-# creation.
+# creation, and the suites that drive fan-out, key-partition and
+# shared-host branches 20 times at 4 workers to race their hand-offs.
 #
 # Opt-in fault-injection gate (mirrors the CI `fault-injection` job):
 #   CHECK_FAULTS=1 scripts/check.sh
@@ -98,6 +99,9 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   cmake --build "$BUILD_DIR" -j
   cd "$BUILD_DIR" && NM_WORKER_THREADS=4 ctest --output-on-failure -j
   ctest -R test_buffer_manager --repeat until-fail:20 --output-on-failure
+  NM_WORKER_THREADS=4 ctest \
+    -R '^(test_engine|test_engine_failures|test_fanout|test_serving)$' \
+    --repeat until-fail:20 --output-on-failure
   exit 0
 fi
 

@@ -223,14 +223,14 @@ Status VerifyStrandOwnership(
   std::map<const void*, std::string> owner_of;
   for (const auto& [path, strand] : strands) {
     if (strand == nullptr) {
-      diags.push_back("branch '" + path + "': no strand");
+      diags.push_back("target '" + path + "': no strand");
       continue;
     }
     auto [it, inserted] = owner_of.emplace(strand, path);
     if (!inserted) {
-      diags.push_back("branch '" + path + "' shares a strand with branch '" +
+      diags.push_back("target '" + path + "' shares a strand with target '" +
                       it->second +
-                      "' — the actor guarantee needs one strand per branch");
+                      "' — the actor guarantee needs one strand per target");
     }
   }
   return Report("strand ownership", diags);

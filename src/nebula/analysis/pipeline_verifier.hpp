@@ -11,8 +11,8 @@
 /// sum coherently. `VerifyPipeline` proves those after compilation,
 /// `VerifyBatch` proves the sealed-buffer / ascending-selection contract
 /// on every dispatched batch (verify-each mode), and
-/// `VerifyStrandOwnership` proves each dynamically attached branch owns
-/// exactly one strand (the actor guarantee dynamic fan-out relies on).
+/// `VerifyStrandOwnership` proves that no strand serves two dispatch
+/// targets (the actor guarantee every stateful target relies on).
 
 #pragma once
 
@@ -45,10 +45,12 @@ Status VerifyPipeline(const CompiledPipeline& pipeline,
 /// selection that is strictly ascending with every index in bounds.
 Status VerifyBatch(const exec::Batch& batch);
 
-/// Verifies dynamic-branch strand single-ownership: every (branch path,
-/// strand) pair carries a non-null strand and no strand serves two
-/// branches. \p strands uses opaque pointers so the check stays
-/// independent of the pool's types.
+/// Verifies strand single-ownership over every dispatch target of a
+/// query — fan-out branches, key-partition clones (which share their
+/// segment's path) and shared-host branches: every (target path, strand)
+/// pair carries a non-null strand and no strand serves two targets.
+/// \p strands uses opaque pointers so the check stays independent of the
+/// pool's types.
 Status VerifyStrandOwnership(
     const std::vector<std::pair<std::string, const void*>>& strands);
 

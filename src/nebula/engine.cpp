@@ -80,10 +80,10 @@ std::string PathPrefix(const CompiledPipeline& seg) {
   return seg.path.empty() ? "" : seg.path + "/";
 }
 
-// The `operator_stats` entries of a pipeline tree, or of one dynamic
-// branch, in depth-first order, and each sink's entry index with its
-// `SinkStats` row (counts unset). Built once when the instruments bind
-// and immutable afterwards, so `Stats` reads it without a lock.
+// The `operator_stats` entries of one dispatch target's segment in
+// operator order, and each sink's entry index with its `SinkStats` row
+// (counts unset). Built once when the instruments bind and immutable
+// afterwards, so `Stats` reads it without a lock.
 struct FlowView {
   std::vector<FlowEntry> entries;
   std::vector<std::pair<size_t, SinkStats>> sinks;
@@ -103,15 +103,6 @@ void AppendFlow(const FlowView& view, QueryStats* stats) {
     stats->events_emitted += flow.events_in;
     stats->bytes_emitted += flow.bytes_in;
     stats->sink_stats.push_back(std::move(sink));
-  }
-}
-
-/// Depth-first visit of every segment of a compiled pipeline tree.
-template <typename Fn>
-void ForEachSegment(const CompiledPipeline& seg, const Fn& fn) {
-  fn(seg);
-  for (const CompiledPipeline& branch : seg.branches) {
-    ForEachSegment(branch, fn);
   }
 }
 
@@ -140,8 +131,8 @@ struct NodeEngine::RunningQuery {
 
   // --- Observability (docs/ARCHITECTURE.md "Observability") ---
   // The query's instrument registry. Instruments are resolved once at
-  // submission (BindMetricsTree) and recorded through raw pointers on the
-  // hot path — relaxed atomics, no lock, no map lookup. Declared before
+  // submission (Prepare) and recorded through raw pointers on the hot
+  // path — relaxed atomics, no lock, no map lookup. Declared before
   // `pool` so in-flight worker tasks can still record while the pool
   // destructor drains them.
   metrics::MetricsRegistry metrics;
@@ -152,8 +143,6 @@ struct NodeEngine::RunningQuery {
   // in-bounds selection) at every segment entry. Set from
   // `OptimizerOptions::verify_each` at submission.
   bool verify_batches = false;
-  // The pipeline tree's `operator_stats` entries (BindMetricsTree).
-  FlowView flow;
   // Engine-level flow counters and sampler-derived rate gauges.
   metrics::Counter* m_events_ingested =
       metrics.GetCounter("engine.events_ingested");
@@ -168,65 +157,125 @@ struct NodeEngine::RunningQuery {
   metrics::Gauge* m_emit_rate = metrics.GetGauge("engine.emit_events_per_sec");
   metrics::Counter* m_samples = metrics.GetCounter("engine.metric_samples");
 
-  // Per-dispatch-target backpressure instruments, shared per segment
-  // *path*: partition clones carry their segment's path, so a keyed
-  // suffix split N ways feeds one gauge/histogram pair — metric names do
-  // not depend on the worker count.
+  // The `worker.strand.<path>` backpressure instruments of one
+  // dispatch-target path.
   struct StrandMetrics {
     metrics::Gauge* queue_depth = nullptr;     ///< live queued-batch count
     metrics::Histogram* task_wait = nullptr;   ///< post → run latency
     std::atomic<int64_t> depth{0};
   };
-  std::map<std::string, std::unique_ptr<StrandMetrics>> strand_metrics_by_path;
-  std::map<const CompiledPipeline*, StrandMetrics*> strand_metrics;
 
-  // --- Dynamic branches (shared-query serving) ---
-  // A shared host's root segment ends without a sink; its tail dispatches
-  // to whatever branches are attached *at that moment*. Branches carry
-  // their own compiled pipeline (suffix chain + sink), their own strand
-  // (admitted mid-run, so they cannot live in the immutable `strands`
-  // map), and their own instruments under the `b<id>` path. In-flight
-  // tasks capture the `shared_ptr`, so a detached branch's operator state
-  // survives until its queued work drained.
-  struct DynamicBranch {
-    int id = 0;
-    std::unique_ptr<CompiledPipeline> pipeline;  ///< stable address
-    std::unique_ptr<WorkerPool::Strand> strand;  ///< null until the pool exists
-    StrandMetrics sm;                            ///< own instruments
-    FlowView flow;                               ///< its `operator_stats`
+  // --- Dispatch targets ---
+  // One record per dispatch target: a fan-out branch, a key-partition
+  // clone or a shared-host branch, plus `root`, the segment the ingest
+  // thread runs. `Prepare` builds a record for every segment of the tree
+  // `CompilePlan` built; `AttachBranch` adds one per shared-host branch to
+  // the root's list, and `DetachBranch` drops it from there. Records live
+  // until the query is destroyed, after the pool drained, so a queued task
+  // holds a plain pointer to its target even after a detach.
+  struct Target;
+  using TargetList = std::vector<Target*>;
+  struct Target {
+    CompiledPipeline* pipe = nullptr;  ///< the segment it runs
+    /// Owns `pipe` for a shared-host branch, which runs its own suffix.
+    std::unique_ptr<CompiledPipeline> suffix;
+    /// Where the segment's tail hands each batch: its fan-out branches, its
+    /// key-partition clones (in partition order) or a shared host's
+    /// attached branches. Replaced whole under `dyn_mutex`, never changed
+    /// in place, so a reader keeps one consistent list per batch.
+    std::shared_ptr<const TargetList> targets;
+    std::unique_ptr<WorkerPool::Strand> strand;  ///< null at one worker
+    /// Its path's instruments; the key-partition clones of one segment
+    /// carry its path and share one set, so metric names and queue depth
+    /// do not depend on the worker count.
+    std::shared_ptr<StrandMetrics> sm;
+    FlowView flow;  ///< its segment's `operator_stats` entries
+    // Shared-host branches only (`branch_id` is 0 for every other target).
+    int branch_id = 0;
     std::atomic<bool> detached{false};
-    /// Why the engine force-detached the branch (OK for a clean detach).
-    /// Guarded by the host's dyn_mutex.
+    /// Why the engine detached the branch (OK for a clean detach).
+    /// Guarded by dyn_mutex.
     Status failure;
   };
   bool shared_host = false;  ///< submitted via `SubmitShared`
-  // Guards the branch vector, `next_branch_id`, and (for admission racing
-  // `Start`) pool/strand creation. Never held across engine waits.
+  // Guards every target list, `owned`, `next_branch_id` and (for admission
+  // racing `Start`) pool and strand creation. Never held across engine
+  // waits. Declared, with the targets, before `pool`: a detached branch's
+  // strand may still be in a worker's hands until the pool is gone.
   mutable Mutex dyn_mutex;
-  std::vector<std::shared_ptr<DynamicBranch>> dyn_branches
-      NM_GUARDED_BY(dyn_mutex);
-  // Detached branches parked until host teardown: a branch's strand may
-  // still be under a worker's post-task bookkeeping when the last task
-  // capture releases, so the strand must not die at detach time. Declared
-  // before `pool` — destroyed after the workers joined.
-  std::vector<std::shared_ptr<DynamicBranch>> retired_dyn
-      NM_GUARDED_BY(dyn_mutex);
+  Target root;
+  std::vector<std::unique_ptr<Target>> owned NM_GUARDED_BY(dyn_mutex);
   int next_branch_id NM_GUARDED_BY(dyn_mutex) = 1;
 
-  // Resolves the instruments of `seg`'s own operators, sink and channels
-  // under the names `names` hands out along its DAG path (fused kernels
-  // expanding per stage), appends their flow entries to `view`, and
-  // points `sm` at the strand gauge/histogram pair of its path. Binding a
-  // name twice returns the same instrument, so partition clones and their
-  // shared sink re-bind harmlessly.
-  void BindSegment(CompiledPipeline* seg, StrandMetrics* sm,
-                   InstrumentNamer* names, FlowView* view) {
+  // Morsel execution (worker_threads > 1): every target but the root runs
+  // on its own strand, which keeps its stateful operators single-threaded
+  // and its buffer order intact while distinct targets run concurrently.
+  std::unique_ptr<WorkerPool> pool;
+  // Task failure handling: every error that fails the query is recorded
+  // with the dispatch-target path it occurred on, and `failed` makes later
+  // hand-offs short-circuit. The query's final status is the first *root
+  // cause*: the earliest non-Cancelled error (a worker that trips over a
+  // neighbour's teardown reports Cancelled — a symptom, not the cause),
+  // annotated with its path and the count of secondary errors it masked.
+  struct TaskError {
+    std::string path;
+    Status status;
+  };
+  std::atomic<bool> failed{false};
+  Mutex error_mutex;
+  std::vector<TaskError> errors NM_GUARDED_BY(error_mutex);
+
+  void RecordFailure(const std::string& path, const Status& st) {
+    {
+      MutexLock lock(error_mutex);
+      errors.push_back({path, st});
+    }
+    failed.store(true, std::memory_order_relaxed);
+  }
+
+  Status FirstRootCause() NM_EXCLUDES(error_mutex) {
+    MutexLock lock(error_mutex);
+    if (errors.empty()) return Status::OK();
+    const TaskError* root_cause = &errors.front();
+    for (const TaskError& e : errors) {
+      if (e.status.code() != StatusCode::kCancelled) {
+        root_cause = &e;
+        break;
+      }
+    }
+    std::string msg =
+        "[" + root_cause->path + "] " + root_cause->status.message();
+    if (errors.size() > 1) {
+      msg += " (+" + std::to_string(errors.size() - 1) +
+             " secondary error(s))";
+    }
+    return Status(root_cause->status.code(), std::move(msg));
+  }
+
+  // Opens `t`'s operators and sink, binds their instruments under the
+  // names `names` hands out along its DAG path (fused kernels expanding per
+  // stage) with their flow entries listed in `t->flow` when `listed`, and
+  // binds its channels and its strand instruments (a fresh set unless it
+  // shares its sibling clones'). Then builds and prepares a record for each
+  // fan-out branch or key-partition clone of its segment. Each branch
+  // numbers its repeated operator names afresh; each clone continues from
+  // a copy of its segment's numbering (they share its path), so all clones
+  // of one operator bind the same instruments and the first clone's
+  // entries read them all. Partition clones share their leaf sink, so it
+  // is opened once per clone — Open only stores the context. Runs before
+  // `t` is reachable from another thread.
+  Status Prepare(Target* t, InstrumentNamer names, bool listed) {
+    CompiledPipeline* seg = t->pipe;
     const std::string path_key = PathKey(*seg);
+    FlowView unlisted;
+    FlowView* view = listed ? &t->flow : &unlisted;
     for (OperatorPtr& op : seg->operators) {
-      op->BindMetrics(&metrics, names, &view->entries);
+      NM_RETURN_NOT_OK(op->Open(ctx.get()));
+      op->BindMetrics(&metrics, &names, &view->entries);
     }
     if (seg->sink) {
-      seg->sink->BindMetrics(&metrics, names, &view->entries);
+      NM_RETURN_NOT_OK(seg->sink->Open(ctx.get()));
+      seg->sink->BindMetrics(&metrics, &names, &view->entries);
       view->sinks.emplace_back(view->entries.size() - 1,
                                SinkStats{seg->path, seg->sink->name()});
     }
@@ -244,270 +293,190 @@ struct NodeEngine::RunningQuery {
                            metrics.GetCounter(base + ".retransmits"),
                            metrics.GetCounter(base + ".frames_shed"));
     }
-    sm->queue_depth =
+    if (!t->sm) t->sm = std::make_shared<StrandMetrics>();
+    t->sm->queue_depth =
         metrics.GetGauge("worker.strand." + path_key + ".queue_depth");
-    sm->task_wait =
+    t->sm->task_wait =
         metrics.GetHistogram("worker.strand." + path_key + ".task_wait_micros");
+    const bool clones = !seg->partitions.empty();
+    const auto clones_sm = clones ? std::make_shared<StrandMetrics>() : nullptr;
+    auto targets = std::make_shared<TargetList>();
+    for (CompiledPipeline& below : clones ? seg->partitions : seg->branches) {
+      auto record = std::make_unique<Target>();
+      record->pipe = &below;
+      record->sm = clones_sm;
+      NM_RETURN_NOT_OK(
+          Prepare(record.get(),
+                  clones ? names : InstrumentNamer(PathPrefix(below)),
+                  !clones || targets->empty()));
+      MutexLock lock(dyn_mutex);
+      targets->push_back(owned.emplace_back(std::move(record)).get());
+    }
+    t->targets = std::move(targets);
+    return Status::OK();
   }
 
-  // Binds every segment of the pipeline tree, one strand instrument pair
-  // per segment path, and lists its flow entries in `view` depth-first.
-  // Each branch numbers its repeated operator names afresh; each
-  // key-partition clone continues from a copy of its parent segment's
-  // numbering (they share its path), so all clones of one operator bind
-  // the same instruments and the first clone's entries read them all.
-  void BindMetricsTree(CompiledPipeline* seg, InstrumentNamer names,
-                       FlowView* view) {
-    std::unique_ptr<StrandMetrics>& sm = strand_metrics_by_path[PathKey(*seg)];
-    if (!sm) sm = std::make_unique<StrandMetrics>();
-    BindSegment(seg, sm.get(), &names, view);
-    strand_metrics[seg] = sm.get();
-    for (CompiledPipeline& branch : seg->branches) {
-      BindMetricsTree(&branch, InstrumentNamer(PathPrefix(branch)), view);
-    }
-    for (size_t p = 0; p < seg->partitions.size(); ++p) {
-      FlowView repeated;
-      BindMetricsTree(&seg->partitions[p], names, p == 0 ? view : &repeated);
-    }
+  // The targets `t`'s tail dispatches to right now.
+  std::shared_ptr<const TargetList> Targets(const Target& t) const
+      NM_EXCLUDES(dyn_mutex) {
+    MutexLock lock(dyn_mutex);
+    return t.targets;
   }
 
-  // Morsel execution (worker_threads > 1): one strand per dispatch target
-  // (each fan-out branch, each key partition) keeps that target's
-  // stateful operators single-threaded and its buffer order intact while
-  // distinct targets run concurrently. Built in Start() before any task
-  // is posted, immutable afterwards — lock-free to read. `pool` is
-  // declared after `strands` so its destructor (which runs remaining
-  // strand tasks) fires first.
-  std::map<const CompiledPipeline*, std::unique_ptr<WorkerPool::Strand>>
-      strands;
-  std::unique_ptr<WorkerPool> pool;
-  // Task failure handling: *every* strand/branch error is recorded with
-  // the dispatch-target path it occurred on, and `failed` makes later
-  // tasks short-circuit. The query's final status is the first *root
-  // cause*: the earliest non-Cancelled error (a worker that trips over a
-  // neighbour's teardown reports Cancelled — a symptom, not the cause),
-  // annotated with its path and the count of secondary errors it masked.
-  struct TaskError {
-    std::string path;
-    Status status;
-  };
-  std::atomic<bool> failed{false};
-  Mutex error_mutex;
-  std::vector<TaskError> errors NM_GUARDED_BY(error_mutex);
-
-  void RecordFailure(const Status& st) { RecordFailure("root", st); }
-
-  void RecordFailure(const std::string& path, const Status& st) {
-    {
-      MutexLock lock(error_mutex);
-      errors.push_back({path, st});
-    }
-    failed.store(true, std::memory_order_relaxed);
+  // Depth-first visit of `t` and every target below it.
+  template <typename Fn>
+  void ForEachTarget(Target& t, const Fn& fn) NM_REQUIRES(dyn_mutex) {
+    fn(t);
+    for (Target* below : *t.targets) ForEachTarget(*below, fn);
   }
 
-  Status FirstRootCause() NM_EXCLUDES(error_mutex) {
-    MutexLock lock(error_mutex);
-    if (errors.empty()) return Status::OK();
-    const TaskError* root = &errors.front();
-    for (const TaskError& e : errors) {
-      if (e.status.code() != StatusCode::kCancelled) {
-        root = &e;
-        break;
-      }
-    }
-    std::string msg = "[" + root->path + "] " + root->status.message();
-    if (errors.size() > 1) {
-      msg += " (+" + std::to_string(errors.size() - 1) +
-             " secondary error(s))";
-    }
-    return Status(root->status.code(), std::move(msg));
-  }
-
-  // Creates one strand per dispatch target below `seg` (the root segment
-  // itself runs on the posting thread).
-  void MakeStrands(CompiledPipeline* seg) {
-    for (CompiledPipeline& branch : seg->branches) {
-      strands[&branch] = pool->MakeStrand();
-      MakeStrands(&branch);
-    }
-    for (CompiledPipeline& part : seg->partitions) {
-      strands[&part] = pool->MakeStrand();
-      MakeStrands(&part);
-    }
+  // Gives every target below the root that has none its own strand (the
+  // root runs on the ingest thread), then, under verify-each, proves that
+  // no strand serves two targets: the actor guarantee stateful targets
+  // rely on.
+  Status AssignStrands() NM_REQUIRES(dyn_mutex) {
+    std::vector<std::pair<std::string, const void*>> owners;
+    ForEachTarget(root, [this, &owners](Target& t) {
+      if (&t == &root) return;
+      if (!t.strand) t.strand = pool->MakeStrand();
+      owners.emplace_back(PathKey(*t.pipe), t.strand.get());
+    });
+    return verify_batches ? analysis::VerifyStrandOwnership(owners)
+                          : Status::OK();
   }
 
   // The two units of work a dispatch target receives through `HandOff`:
   // one batch through its chain, and end-of-stream.
   auto Push(const exec::Batch& batch) {
-    return [this, batch](CompiledPipeline* target) {
-      return PushThrough(target, 0, batch);
-    };
+    return [this, batch](Target* t) { return PushThrough(t, 0, batch); };
   }
   auto Finish() {
-    return [this](CompiledPipeline* target) { return FinishSegment(target); };
+    return [this](Target* t) { return FinishSegment(t); };
   }
 
-  // The one strand hand-off, for every dispatch target — fan-out branch,
-  // key partition or dynamic branch (`br` set) — and every unit of
-  // `work`. Without a pool it runs inline and records a zero task wait,
-  // so the strand instruments exist and read 0 at one worker, matching
-  // the multi-worker metric names. With one it posts to the target's
-  // strand, tracking queued depth on post/run and post→run wait per task;
-  // strand FIFO order means a finish task observes every batch posted
-  // before it. A posted task short-circuits once the query failed or was
-  // cancelled (cancel is not end-of-stream, so no further state is
-  // built; the drain that follows only retires the captures), or once its
-  // branch detached. Errors: an inline static error returns to the
-  // caller, so the ingest loop skips FinishAll; a posted one is recorded
-  // with its path; a dynamic branch's force-detaches only that branch.
+  // Whether a hand-off to `t` is skipped: once the query failed or was
+  // cancelled (cancel is not end-of-stream, so no further state is built;
+  // the drain that follows only retires the queued captures), or once its
+  // shared-host branch detached.
+  bool Skip(const Target& t) const {
+    return failed.load(std::memory_order_relaxed) ||
+           cancel.load(std::memory_order_relaxed) ||
+           t.detached.load(std::memory_order_relaxed);
+  }
+
+  // The one hand-off, for every dispatch target and every unit of `work`.
+  // Without a pool it runs inline and records a zero task wait, so the
+  // strand instruments exist and read 0 at one worker, matching the
+  // multi-worker metric names. With one it posts to the target's strand,
+  // tracking queued depth on post/run and post→run wait per task; strand
+  // FIFO order means a finish task observes every batch posted before it.
+  // Inline and posted work fail the same way (`Fail`).
   template <typename Work>
-  Status HandOff(CompiledPipeline* target, std::shared_ptr<DynamicBranch> br,
-                 Work work) {
-    if (br && br->detached.load(std::memory_order_relaxed)) {
-      return Status::OK();
-    }
-    StrandMetrics* sm = br ? &br->sm : strand_metrics.at(target);
+  void HandOff(Target* t, Work work) {
+    if (Skip(*t)) return;
+    StrandMetrics* sm = t->sm.get();
     if (!pool) {
       sm->task_wait->Record(0);
-      const Status st = work(target);
-      if (st.ok() || !br) return st;
-      FailBranch(br, st);
-      return Status::OK();
+      Fail(t, work(t));
+      return;
     }
-    WorkerPool::Strand* strand =
-        br ? br->strand.get() : strands.at(target).get();
     const int64_t posted_at = MonotonicNowMicros();
     sm->queue_depth->Set(static_cast<double>(
         sm->depth.fetch_add(1, std::memory_order_relaxed) + 1));
-    strand->Post([this, target, br = std::move(br), work = std::move(work), sm,
-                  posted_at] {
+    t->strand->Post([this, t, sm, work = std::move(work), posted_at] {
       sm->task_wait->Record(MonotonicNowMicros() - posted_at);
       sm->queue_depth->Set(static_cast<double>(
           sm->depth.fetch_sub(1, std::memory_order_relaxed) - 1));
-      if (failed.load(std::memory_order_relaxed) ||
-          cancel.load(std::memory_order_relaxed) ||
-          (br && br->detached.load(std::memory_order_relaxed))) {
-        return;
-      }
-      const Status st = work(target);
-      if (st.ok()) return;
-      if (br) {
-        FailBranch(br, st);
-      } else {
-        RecordFailure(PathKey(*target), st);
-      }
+      if (!Skip(*t)) Fail(t, work(t));
     });
-    return Status::OK();
   }
 
-  // Tail of a shared host: hands `work` to every branch attached right
-  // now — each sealed batch (the zero-copy fan-out, for branches that
-  // appear and disappear at runtime), then end-of-stream. The snapshot
-  // copies shared_ptrs under the lock and hands off outside it, so
-  // admission/teardown never contends with branch execution, only with
-  // this per-buffer copy.
-  template <typename Work>
-  Status HandOffToBranches(const Work& work) {
-    std::vector<std::shared_ptr<DynamicBranch>> active;
-    {
-      MutexLock lock(dyn_mutex);
-      active = dyn_branches;
+  // The one error path of a hand-off (a no-op for OK). A shared-host
+  // branch whose own operators error is detached with a descriptive status
+  // instead of failing the host: its siblings and the shared ingest keep
+  // running, and its owner reads the failure through `BranchStatus`. Any
+  // other target's error fails the query, tagged with the target's path.
+  void Fail(Target* t, const Status& st) NM_EXCLUDES(dyn_mutex) {
+    if (st.ok()) return;
+    if (t->branch_id == 0) {
+      RecordFailure(PathKey(*t->pipe), st);
+      return;
     }
-    for (std::shared_ptr<DynamicBranch>& br : active) {
-      CompiledPipeline* target = br->pipeline.get();
-      NM_RETURN_NOT_OK(HandOff(target, std::move(br), work));
-    }
-    return Status::OK();
+    t->detached.store(true, std::memory_order_relaxed);
+    MutexLock lock(dyn_mutex);
+    t->failure = Status(st.code(), "branch " + t->pipe->path +
+                                       " detached: " + st.message());
+    NM_LOG_ERROR() << "query " << id << " " << t->failure.ToString();
+    RetireLocked(t);
   }
 
-  // Routes each selected row of `batch` to the partition owning its key
-  // (hash of the key field modulo the partition count) as a selection
+  // Routes each selected row of `batch` to the key-partition clone owning
+  // its key (hash of the key field modulo the clone count) as a selection
   // vector over the *shared* sealed buffer — the hand-off copies row
   // indices, never rows.
-  Status DispatchPartitions(CompiledPipeline* seg, const exec::Batch& batch) {
-    const size_t num_parts = seg->partitions.size();
-    const bool text_key = seg->partition_key_type == DataType::kText16 ||
-                          seg->partition_key_type == DataType::kText32;
-    std::vector<exec::SelectionVector> sels(num_parts);
+  void DispatchPartitions(const CompiledPipeline& seg, const TargetList& clones,
+                          const exec::Batch& batch) {
+    const bool text_key = seg.partition_key_type == DataType::kText16 ||
+                          seg.partition_key_type == DataType::kText32;
+    std::vector<exec::SelectionVector> sels(clones.size());
     for (size_t i = 0; i < batch.NumRows(); ++i) {
       const size_t row = batch.RowAt(i);
       const RecordView rec = batch.data->At(row);
       const uint64_t h =
-          text_key ? HashKeyText(rec.GetText(seg->partition_key_index))
-                   : HashKeyInt(rec.GetInt64(seg->partition_key_index));
-      sels[h % num_parts].push_back(static_cast<uint32_t>(row));
+          text_key ? HashKeyText(rec.GetText(seg.partition_key_index))
+                   : HashKeyInt(rec.GetInt64(seg.partition_key_index));
+      sels[h % clones.size()].push_back(static_cast<uint32_t>(row));
     }
-    for (size_t p = 0; p < num_parts; ++p) {
+    for (size_t p = 0; p < clones.size(); ++p) {
       if (sels[p].empty()) continue;
-      const exec::Batch part(
-          batch.data,
-          std::make_shared<exec::SelectionVector>(std::move(sels[p])));
-      NM_RETURN_NOT_OK(HandOff(&seg->partitions[p], nullptr, Push(part)));
+      HandOff(clones[p],
+              Push(exec::Batch(batch.data,
+                               std::make_shared<exec::SelectionVector>(
+                                   std::move(sels[p])))));
     }
-    return Status::OK();
   }
 
-  // End of a segment's operator chain: route the batch onward — to the
-  // key partitions, once per fan-out branch (every branch receives the
-  // *same* sealed batch; buffers are immutable after seal and filters
-  // refine selection vectors instead of mutating, so the hand-off is
-  // zero-copy), to a shared host's dynamic branches, or into the sink at
-  // a leaf.
-  Status DispatchTail(CompiledPipeline* seg, const exec::Batch& batch) {
-    if (!seg->partitions.empty()) return DispatchPartitions(seg, batch);
-    if (!seg->branches.empty()) {
-      for (CompiledPipeline& branch : seg->branches) {
-        NM_RETURN_NOT_OK(HandOff(&branch, nullptr, Push(batch)));
-      }
+  // End of a segment's operator chain: into the sink at a leaf, else to
+  // the key partitions, or once to every other target (every fan-out or
+  // shared-host branch receives the *same* sealed batch; buffers are
+  // immutable after seal and filters refine selection vectors instead of
+  // mutating, so the hand-off is zero-copy).
+  Status DispatchTail(Target* t, const exec::Batch& batch) {
+    CompiledPipeline* seg = t->pipe;
+    if (seg->sink != nullptr) {
+      const int64_t start = MonotonicNowMicros();
+      const Status st =
+          seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
+      seg->sink->RecordProcess(MonotonicNowMicros() - start, batch);
+      m_events_emitted->Add(batch.NumRows());
+      m_bytes_emitted->Add(batch.SizeBytes());
+      return st;
+    }
+    const std::shared_ptr<const TargetList> targets = Targets(*t);
+    if (!seg->partitions.empty()) {
+      DispatchPartitions(*seg, *targets, batch);
       return Status::OK();
     }
-    if (seg->sink == nullptr) return HandOffToBranches(Push(batch));
-    const int64_t start = MonotonicNowMicros();
-    const Status st = seg->sink->ProcessBatch(batch, [](const exec::Batch&) {});
-    seg->sink->RecordProcess(MonotonicNowMicros() - start, batch);
-    m_events_emitted->Add(batch.NumRows());
-    m_bytes_emitted->Add(batch.SizeBytes());
-    return st;
+    for (Target* target : *targets) HandOff(target, Push(batch));
+    return Status::OK();
   }
 
   // The branch `branch_id` of a shared host, attached or retired (cleanly
   // detached or force-detached after a failure); null if never attached.
-  std::shared_ptr<DynamicBranch> FindBranch(int branch_id) const
-      NM_EXCLUDES(dyn_mutex) {
+  Target* FindBranch(int branch_id) const NM_EXCLUDES(dyn_mutex) {
+    if (branch_id == 0) return nullptr;  // 0 marks every other target
     MutexLock lock(dyn_mutex);
-    for (const auto& br : dyn_branches) {
-      if (br->id == branch_id) return br;
-    }
-    for (const auto& br : retired_dyn) {
-      if (br->id == branch_id) return br;
+    for (const std::unique_ptr<Target>& t : owned) {
+      if (t->branch_id == branch_id) return t.get();
     }
     return nullptr;
   }
 
-  // Moves `br` from the attached to the retired branches; a no-op when it
-  // already retired.
-  void RetireLocked(const DynamicBranch* br) NM_REQUIRES(dyn_mutex) {
-    for (auto it = dyn_branches.begin(); it != dyn_branches.end(); ++it) {
-      if (it->get() != br) continue;
-      retired_dyn.push_back(std::move(*it));
-      dyn_branches.erase(it);
-      return;
-    }
-  }
-
-  // Fault isolation for shared hosts: a branch whose own operators error
-  // is force-detached with a descriptive status instead of failing the
-  // host — its siblings and the shared ingest keep running, and the
-  // branch's owner reads the failure through `BranchStatus`. Does NOT set
-  // `failed`: that flag kills the whole host.
-  void FailBranch(const std::shared_ptr<DynamicBranch>& br,
-                  const Status& st) NM_EXCLUDES(dyn_mutex) {
-    br->detached.store(true, std::memory_order_relaxed);
-    MutexLock lock(dyn_mutex);
-    br->failure = Status(st.code(), "branch " + br->pipeline->path +
-                                        " detached: " + st.message());
-    NM_LOG_ERROR() << "query " << id << " " << br->failure.ToString();
-    RetireLocked(br.get());
+  // Drops `t` from the shared host's list; a no-op once it is gone.
+  void RetireLocked(const Target* t) NM_REQUIRES(dyn_mutex) {
+    auto targets = std::make_shared<TargetList>(*root.targets);
+    std::erase(*targets, t);
+    root.targets = std::move(targets);
   }
 
   // Pushes a batch through segment operators [from..] and onward via
@@ -519,22 +488,21 @@ struct NodeEngine::RunningQuery {
   // Fused batch-kernel operators record their stages internally instead
   // and leave the base instruments unbound, so these hooks no-op for
   // them.
-  Status PushThrough(CompiledPipeline* seg, size_t from,
-                     const exec::Batch& batch) {
+  Status PushThrough(Target* t, size_t from, const exec::Batch& batch) {
     if (verify_batches && from == 0) {
       NM_RETURN_NOT_OK(analysis::VerifyBatch(batch));
     }
-    if (from >= seg->operators.size()) {
-      return DispatchTail(seg, batch);
+    if (from >= t->pipe->operators.size()) {
+      return DispatchTail(t, batch);
     }
-    Operator* op = seg->operators[from].get();
+    Operator* op = t->pipe->operators[from].get();
     int64_t child_micros = 0;
     Status inner = Status::OK();
-    auto forward = [this, seg, from, op, &inner,
+    auto forward = [this, t, from, op, &inner,
                     &child_micros](const exec::Batch& out) {
       op->RecordOut(out);
       const int64_t t0 = MonotonicNowMicros();
-      Status st = PushThrough(seg, from + 1, out);
+      Status st = PushThrough(t, from + 1, out);
       child_micros += MonotonicNowMicros() - t0;
       if (!st.ok() && inner.ok()) inner = st;
     };
@@ -547,39 +515,30 @@ struct NodeEngine::RunningQuery {
 
   // End-of-stream: cascade Finish through the segment's chain (flushed
   // state flows through the rest of the chain and into the downstream
-  // targets), then finish each partition and branch pipeline — or, at a
-  // shared host's sink-less leaf, whatever dynamic branches are attached.
-  Status FinishSegment(CompiledPipeline* seg) {
-    for (size_t i = 0; i < seg->operators.size(); ++i) {
-      Operator* op = seg->operators[i].get();
+  // targets), then finish every target below it.
+  Status FinishSegment(Target* t) {
+    for (size_t i = 0; i < t->pipe->operators.size(); ++i) {
+      Operator* op = t->pipe->operators[i].get();
       Status inner = Status::OK();
-      auto forward = [this, seg, i, op, &inner](const exec::Batch& out) {
+      auto forward = [this, t, i, op, &inner](const exec::Batch& out) {
         op->RecordOut(out);
-        Status st = PushThrough(seg, i + 1, out);
+        Status st = PushThrough(t, i + 1, out);
         if (!st.ok() && inner.ok()) inner = st;
       };
       Status s = op->Finish(forward);
       if (!s.ok()) return s;
       if (!inner.ok()) return inner;
     }
-    for (CompiledPipeline& part : seg->partitions) {
-      NM_RETURN_NOT_OK(HandOff(&part, nullptr, Finish()));
-    }
-    for (CompiledPipeline& branch : seg->branches) {
-      NM_RETURN_NOT_OK(HandOff(&branch, nullptr, Finish()));
-    }
-    if (seg->sink == nullptr && seg->partitions.empty() &&
-        seg->branches.empty()) {
-      return HandOffToBranches(Finish());
-    }
+    const std::shared_ptr<const TargetList> targets = Targets(*t);
+    for (Target* target : *targets) HandOff(target, Finish());
     return Status::OK();
   }
 
-  Status FinishAll() { return FinishSegment(&pipeline); }
-
-  // The run-wide part of `Stats` and `BranchStats`: ingest (the
-  // registry's engine counters), elapsed time, pool and shed counts.
-  QueryStats RunStats() const NM_EXCLUDES(dyn_mutex) {
+  // `Stats` of the whole query (`t` = the root) or `BranchStats` of one
+  // shared-host branch: ingest (the registry's engine counters), elapsed
+  // time, pool and shed counts, and the flow of `t` and every target below
+  // it.
+  QueryStats StatsOf(Target& t) NM_EXCLUDES(dyn_mutex) {
     QueryStats stats;
     stats.events_ingested = m_events_ingested->value();
     stats.bytes_ingested = m_bytes_ingested->value();
@@ -592,24 +551,10 @@ struct NodeEngine::RunningQuery {
     stats.buffers_created = ctx->TotalBuffersCreated();
     MutexLock lock(dyn_mutex);  // Start creates the pool under it
     stats.tasks_shed = pool ? pool->tasks_shed() : 0;
+    ForEachTarget(t, [&stats](const Target& each) {
+      AppendFlow(each.flow, &stats);
+    });
     return stats;
-  }
-
-  // Opens every operator and sink in the tree. Partition clones share
-  // their leaf sink, so it is opened once per clone — Open only stores
-  // the context, which is identical each time.
-  Status OpenAll(CompiledPipeline* seg) {
-    for (OperatorPtr& op : seg->operators) {
-      NM_RETURN_NOT_OK(op->Open(ctx.get()));
-    }
-    if (seg->sink) NM_RETURN_NOT_OK(seg->sink->Open(ctx.get()));
-    for (CompiledPipeline& branch : seg->branches) {
-      NM_RETURN_NOT_OK(OpenAll(&branch));
-    }
-    for (CompiledPipeline& part : seg->partitions) {
-      NM_RETURN_NOT_OK(OpenAll(&part));
-    }
-    return Status::OK();
   }
 };
 
@@ -676,9 +621,9 @@ Result<int> NodeEngine::Register(std::unique_ptr<RunningQuery> rq,
   rq->source = std::move(source);
   rq->ctx = std::make_unique<ExecutionContext>(options_.tuples_per_buffer,
                                                kBuffersPerPool);
-  NM_RETURN_NOT_OK(rq->OpenAll(&rq->pipeline));
-  rq->BindMetricsTree(&rq->pipeline, InstrumentNamer(PathPrefix(rq->pipeline)),
-                      &rq->flow);
+  rq->root.pipe = &rq->pipeline;
+  NM_RETURN_NOT_OK(rq->Prepare(
+      &rq->root, InstrumentNamer(PathPrefix(rq->pipeline)), true));
   MutexLock lock(mutex_);
   const int id = next_id_++;
   rq->id = id;
@@ -739,18 +684,10 @@ Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
       }
     }
     if (end_node != LogicalOperator::kUnplaced && end_node != delivery_node) {
-      NM_ASSIGN_OR_RETURN(std::shared_ptr<NetworkChannel> channel,
-                          NetworkChannel::Connect(*options_.topology,
-                                                  end_node, delivery_node));
-      channel->ConfigureFaults(options_.faults.profile, options_.faults.retry);
-      const Schema& schema = rq->pipeline.output_schema;
-      NM_ASSIGN_OR_RETURN(OperatorPtr channel_sink,
-                          NetworkChannelSink::Make(schema, channel));
-      NM_ASSIGN_OR_RETURN(OperatorPtr channel_source,
-                          NetworkChannelSource::Make(schema, channel));
-      rq->pipeline.operators.push_back(std::move(channel_sink));
-      rq->pipeline.operators.push_back(std::move(channel_source));
-      rq->pipeline.channels.push_back(std::move(channel));
+      NM_RETURN_NOT_OK(LowerTransition(*options_.topology, end_node,
+                                       delivery_node,
+                                       rq->pipeline.output_schema,
+                                       options_.faults, &rq->pipeline));
     }
   }
   if (options_.optimizer.verify_each) {
@@ -779,90 +716,80 @@ Result<int> NodeEngine::AttachBranch(
           "branch suffix must be linear; attach one branch per leaf");
     }
   }
-  auto br = std::make_shared<RunningQuery::DynamicBranch>();
+  auto br = std::make_unique<RunningQuery::Target>();
   {
     MutexLock lock(rq->dyn_mutex);
-    br->id = rq->next_branch_id++;
+    br->branch_id = rq->next_branch_id++;
   }
-  // Compiled single-node against the prefix's output schema: the suffix
-  // runs where the shared stream was delivered, so branch placement
-  // annotations (matched structurally by the serving layer) never open a
-  // second channel.
+  // Compiled single-node with one partition against the prefix's output
+  // schema: the suffix runs where the shared stream was delivered, so
+  // branch placement annotations (matched structurally by the serving
+  // layer) never open a second channel, and a `MergeNode` input sink sees
+  // its arrivals from one strand.
   LogicalPlan suffix_plan;
   for (LogicalOperatorPtr& op : suffix_ops) suffix_plan.Append(std::move(op));
   CompileOptions copts;
   copts.compiled_kernels = options_.compiled_kernels;
   copts.partitions = 1;
   copts.faults = options_.faults;
-  br->pipeline = std::make_unique<CompiledPipeline>();
-  NM_ASSIGN_OR_RETURN(*br->pipeline,
+  br->suffix = std::make_unique<CompiledPipeline>();
+  NM_ASSIGN_OR_RETURN(*br->suffix,
                       CompilePlan(rq->pipeline.output_schema, suffix_plan,
                                   nullptr, copts));
-  if (br->pipeline->sink == nullptr || !br->pipeline->branches.empty()) {
+  br->pipe = br->suffix.get();
+  if (br->pipe->sink == nullptr || !br->pipe->branches.empty()) {
     return Status::InvalidArgument(
         "branch suffix must compile to one linear chain ending in a sink");
   }
-  br->pipeline->path = "b" + std::to_string(br->id);
+  br->pipe->path = "b" + std::to_string(br->branch_id);
   if (options_.optimizer.verify_each) {
     analysis::PipelineVerifyContext pctx;
-    pctx.root_path = br->pipeline->path;
-    NM_RETURN_NOT_OK(analysis::VerifyPipeline(*br->pipeline, pctx));
+    pctx.root_path = br->pipe->path;
+    NM_RETURN_NOT_OK(analysis::VerifyPipeline(*br->pipe, pctx));
   }
-  NM_RETURN_NOT_OK(rq->OpenAll(br->pipeline.get()));
-  InstrumentNamer names(PathPrefix(*br->pipeline));
-  rq->BindSegment(br->pipeline.get(), &br->sm, &names, &br->flow);
-  // Publication point: the next HandOffToBranches snapshot sees the
-  // branch, so it joins the stream at a buffer boundary.
+  NM_RETURN_NOT_OK(
+      rq->Prepare(br.get(), InstrumentNamer(PathPrefix(*br->pipe)), true));
+  // Publication point: the next dispatch from the host's root sees the
+  // branch, so it joins the stream at a buffer boundary — with its strand,
+  // which it gets under the same lock once the pool exists.
+  const int branch_id = br->branch_id;
   MutexLock lock(rq->dyn_mutex);
-  if (rq->pool) br->strand = rq->pool->MakeStrand();
-  const int branch_id = br->id;
-  rq->dyn_branches.push_back(std::move(br));
-  if (options_.optimizer.verify_each && rq->pool) {
-    std::vector<std::pair<std::string, const void*>> owners;
-    owners.reserve(rq->dyn_branches.size());
-    for (const auto& b : rq->dyn_branches) {
-      owners.emplace_back(b->pipeline->path, b->strand.get());
-    }
-    NM_RETURN_NOT_OK(analysis::VerifyStrandOwnership(owners));
-  }
+  auto targets = std::make_shared<RunningQuery::TargetList>(*rq->root.targets);
+  targets->push_back(rq->owned.emplace_back(std::move(br)).get());
+  rq->root.targets = std::move(targets);
+  if (rq->pool) NM_RETURN_NOT_OK(rq->AssignStrands());
   return branch_id;
 }
 
 Status NodeEngine::DetachBranch(int host_id, int branch_id) {
   NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(host_id));
-  const std::shared_ptr<RunningQuery::DynamicBranch> br =
-      rq->FindBranch(branch_id);
-  if (!br) return Status::NotFound("unknown branch id");
+  RunningQuery::Target* br = rq->FindBranch(branch_id);
+  if (br == nullptr) return Status::NotFound("unknown branch id");
   // Flag first: tasks already queued on the branch's strand check the
-  // flag and fall through without touching operator state. The branch
-  // itself parks in `retired_dyn` rather than dying here — its strand
-  // may still be in a worker's hands — and is destroyed with the host.
-  // Detaching a retired branch (detached earlier, or force-detached after
-  // a failure, which stays readable through BranchStatus) is a no-op.
+  // flag and fall through without touching operator state. The record
+  // itself lives on with the host — its strand may still be in a worker's
+  // hands. Detaching a retired branch (detached earlier, or force-detached
+  // after a failure, which stays readable through BranchStatus) is a no-op.
   br->detached.store(true, std::memory_order_relaxed);
   MutexLock lock(rq->dyn_mutex);
-  rq->RetireLocked(br.get());
+  rq->RetireLocked(br);
   return Status::OK();
 }
 
 Status NodeEngine::BranchStatus(int host_id, int branch_id) const {
   NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
-  const std::shared_ptr<RunningQuery::DynamicBranch> br =
-      rq->FindBranch(branch_id);
-  if (!br) return Status::NotFound("unknown branch id");
+  const RunningQuery::Target* br = rq->FindBranch(branch_id);
+  if (br == nullptr) return Status::NotFound("unknown branch id");
   MutexLock lock(rq->dyn_mutex);
   return br->failure;
 }
 
 Result<QueryStats> NodeEngine::BranchStats(int host_id, int branch_id) const {
-  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(host_id));
-  const std::shared_ptr<RunningQuery::DynamicBranch> br =
-      rq->FindBranch(branch_id);
-  if (!br) return Status::NotFound("unknown branch id");
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(host_id));
+  RunningQuery::Target* br = rq->FindBranch(branch_id);
+  if (br == nullptr) return Status::NotFound("unknown branch id");
   // Shared ingest: every branch of the host rides the same source stream.
-  QueryStats stats = rq->RunStats();
-  AppendFlow(br->flow, &stats);
-  return stats;
+  return rq->StatsOf(*br);
 }
 
 Result<QueryPlanText> NodeEngine::Explain(int query_id) const {
@@ -883,15 +810,15 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
     rq->m_bytes_ingested->Add(buf->SizeBytes());
     if (!buf->empty()) {
       buf->Seal();
-      status = rq->PushThrough(&rq->pipeline, 0, exec::Batch(std::move(buf)));
+      status = rq->PushThrough(&rq->root, 0, exec::Batch(std::move(buf)));
       if (!status.ok()) break;
     }
     if (!*more) break;
   }
   // Cancellation is not end-of-stream: a cancelled query must not flush
-  // its window/CEP state as if the stream completed, so FinishAll is
+  // its window/CEP state as if the stream completed, so the finish is
   // skipped — partial panes are simply dropped with the query.
-  if (status.ok() && !rq->cancel.load()) status = rq->FinishAll();
+  if (status.ok() && !rq->cancel.load()) status = rq->FinishSegment(&rq->root);
   // Run every dispatched morsel (including the finish cascades just
   // posted) to completion before reading the task-side error slot; the
   // drain also guarantees task-captured buffer handles have recycled —
@@ -904,7 +831,7 @@ void NodeEngine::RunLoop(RunningQuery* rq) {
   // Ingest/finish errors join the same all-errors model the strand tasks
   // record into, so the reported status is uniformly "first root cause,
   // tagged with its task path, plus a secondary-error count".
-  if (!status.ok()) rq->RecordFailure(status);
+  if (!status.ok()) rq->RecordFailure("root", status);
   status = rq->FirstRootCause();
   if (!status.ok()) {
     NM_LOG_ERROR() << "query " << rq->id << " failed: " << status.ToString();
@@ -924,23 +851,12 @@ Status NodeEngine::Start(int query_id) {
     // The ingest thread blocks once a target falls kStrandCapacity sealed
     // batches behind (worker-side posts never block — see
     // worker_pool.hpp). Created under dyn_mutex so a concurrent
-    // AttachBranch either sees the pool (and makes its own strand) or is
+    // AttachBranch either sees the pool (and gets its strand there) or is
     // seen here (and gets one).
     MutexLock lock(rq->dyn_mutex);
     rq->pool = std::make_unique<WorkerPool>(worker_threads_, kStrandCapacity,
                                             options_.faults.retry.shed_policy);
-    rq->MakeStrands(&rq->pipeline);
-    for (const auto& br : rq->dyn_branches) {
-      if (!br->strand) br->strand = rq->pool->MakeStrand();
-    }
-    if (rq->verify_batches && !rq->dyn_branches.empty()) {
-      std::vector<std::pair<std::string, const void*>> owners;
-      owners.reserve(rq->dyn_branches.size());
-      for (const auto& br : rq->dyn_branches) {
-        owners.emplace_back(br->pipeline->path, br->strand.get());
-      }
-      NM_RETURN_NOT_OK(analysis::VerifyStrandOwnership(owners));
-    }
+    NM_RETURN_NOT_OK(rq->AssignStrands());
   }
   if (options_.metrics_interval > 0) {
     // Windowed rates: each tick divides the counter delta since the last
@@ -989,20 +905,10 @@ Status NodeEngine::RunToCompletion(int query_id) {
 }
 
 Result<QueryStats> NodeEngine::Stats(int query_id) const {
-  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
-  QueryStats stats = rq->RunStats();
-  AppendFlow(rq->flow, &stats);
-  // Shared hosts carry their attached branches' flow too, so the host
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(query_id));
+  // A shared host carries its attached branches' flow too, so the host
   // view sums emitted counts across every client riding the prefix.
-  if (rq->shared_host) {
-    std::vector<std::shared_ptr<RunningQuery::DynamicBranch>> branches;
-    {
-      MutexLock lock(rq->dyn_mutex);
-      branches = rq->dyn_branches;
-    }
-    for (const auto& br : branches) AppendFlow(br->flow, &stats);
-  }
-  return stats;
+  return rq->StatsOf(rq->root);
 }
 
 Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
@@ -1011,13 +917,16 @@ Result<metrics::MetricsSnapshot> NodeEngine::Metrics(int query_id) const {
 }
 
 Result<DeploymentReport> NodeEngine::Deployment(int query_id) const {
-  NM_ASSIGN_OR_RETURN(const RunningQuery* rq, Find(query_id));
-  // Every channel lowered anywhere in the pipeline tree, depth-first.
+  NM_ASSIGN_OR_RETURN(RunningQuery* rq, Find(query_id));
+  // Every channel lowered into any target's segment, depth-first.
   std::vector<std::shared_ptr<NetworkChannel>> channels;
-  ForEachSegment(rq->pipeline, [&channels](const CompiledPipeline& seg) {
-    channels.insert(channels.end(), seg.channels.begin(),
-                    seg.channels.end());
-  });
+  {
+    MutexLock lock(rq->dyn_mutex);
+    rq->ForEachTarget(rq->root, [&channels](const RunningQuery::Target& t) {
+      channels.insert(channels.end(), t.pipe->channels.begin(),
+                      t.pipe->channels.end());
+    });
+  }
   return MeasureDeployment(channels);
 }
 

@@ -13,13 +13,20 @@
 /// hand-off copies the engine used to pay per branch. Multiple queries
 /// run concurrently on their own threads.
 ///
-/// With `EngineOptions::worker_threads > 1` execution is *morsel-driven*
-/// (docs/ARCHITECTURE.md "Threading model"): a fixed worker pool pulls
-/// (dispatch-target, sealed-batch) morsels from per-target strands — each
-/// fan-out branch runs concurrently per ingested buffer, and a qualifying
-/// keyed stateful suffix is compiled once per worker and fed by hashing
-/// the key into per-partition selection vectors, so every clone owns
-/// disjoint state and per-key results match sequential execution.
+/// Every place a segment's tail hands batches on is a *dispatch target*:
+/// a fan-out branch, a key-partition clone of a keyed stateful suffix, or
+/// a branch attached to a shared host (`AttachBranch`). The engine keeps
+/// one runtime record per target — its strand, its strand instruments,
+/// and for a shared-host branch its detached flag and failure — and moves
+/// every batch and end-of-stream through one hand-off, with one error
+/// path. With `EngineOptions::worker_threads > 1` execution is
+/// *morsel-driven* (docs/ARCHITECTURE.md "Threading model"): a fixed
+/// worker pool pulls (target, sealed-batch) morsels from per-target
+/// strands — each fan-out branch runs concurrently per ingested buffer,
+/// and a qualifying keyed stateful suffix is compiled once per worker and
+/// fed by hashing the key into per-partition selection vectors, so every
+/// clone owns disjoint state and per-key results match sequential
+/// execution.
 ///
 /// The engine tracks per-query statistics — events/bytes ingested and
 /// emitted, wall-clock time, derived e/s and MB/s, per-operator flow keyed
@@ -180,39 +187,48 @@ class NodeEngine {
   //
   // A *shared host* is a query whose plan is a sink-less linear operator
   // prefix: the source and prefix execute once per buffer, and any number
-  // of *dynamic branches* — operator suffixes ending in a sink — attach
-  // below it, each receiving the same sealed output batch (the zero-copy
-  // fan-out contract, extended to branches that appear and disappear at
-  // runtime). The serving layer merges structurally prefix-equal client
-  // queries onto one host; these engine hooks are the mechanism.
+  // of *shared-host branches* — operator suffixes ending in a sink —
+  // attach below it, each receiving the same sealed output batch. They are
+  // dispatch targets like a fan-out's branches, added and retired at
+  // runtime instead of at submit. The serving layer merges structurally
+  // prefix-equal client queries onto one host; these engine hooks are the
+  // mechanism.
 
-  /// Submits a shared host. \p prefix_plan must be linear (no fan-out) and
-  /// carry no sink; it is compiled verbatim (the serving manager
-  /// pre-optimizes — rewriting here could change the shape branch suffixes
-  /// were matched against) and never partition-parallelized (branches own
-  /// the stateful tails). When \p delivery_node names a topology node
-  /// different from the prefix's last placed node, the shared stream is
-  /// shipped there once over a single network channel — every attached
-  /// branch then consumes node-local data, which is what makes the fleet
-  /// uplink cost independent of the number of branch queries.
+  /// Submits a shared host: a query whose root target list starts empty
+  /// and holds the branches `AttachBranch` adds. \p prefix_plan must be
+  /// linear (no fan-out) and carry no sink; it is compiled verbatim (the
+  /// serving manager pre-optimizes — rewriting here could change the
+  /// shape branch suffixes were matched against) and never
+  /// partition-parallelized (branches own the stateful tails). When
+  /// \p delivery_node names a topology node different from the prefix's
+  /// last placed node, the shared stream is shipped there once over a
+  /// single network channel, lowered as `CompilePlan` lowers any placement
+  /// transition (`LowerTransition`) — every attached branch then consumes
+  /// node-local data, which is what makes the fleet uplink cost
+  /// independent of the number of branch queries.
   Result<int> SubmitShared(LogicalPlan prefix_plan,
                            int delivery_node = LogicalOperator::kUnplaced);
 
   /// Attaches \p suffix_ops (a linear chain ending in a `SinkNode`) as a
-  /// new dynamic branch of shared host \p host_id and returns the branch
-  /// id. Valid before `Start` and *while the host runs* — runtime
-  /// admission: the branch starts consuming from the next dispatched
-  /// buffer boundary, with its own strand (actor-serialized state) and its
-  /// own metrics under the `b<id>/` DAG path.
+  /// new branch of shared host \p host_id — one more dispatch target in
+  /// the host's root list — and returns the branch id. Valid before
+  /// `Start` and *while the host runs* — runtime admission: the branch
+  /// starts consuming from the next dispatched buffer boundary, with its
+  /// own strand (actor-serialized state) and its own metrics under the
+  /// `b<id>/` DAG path. The suffix compiles single-node with one
+  /// partition: it runs where the shared stream was delivered, and a
+  /// `MergeNode` input sink must see its arrivals from one strand. Its
+  /// failure detaches only this branch (`BranchStatus`); every other
+  /// target's failure fails its query, tagged with the target's path.
   Result<int> AttachBranch(int host_id,
                            std::vector<LogicalOperatorPtr> suffix_ops);
 
-  /// Detaches one dynamic branch: it stops receiving batches at the next
-  /// buffer boundary and its queued in-flight tasks drain harmlessly (the
-  /// branch's operator state outlives the detach until the last queued
-  /// task released it). The host keeps running for the remaining branches;
-  /// cancelling the host when the *last* branch leaves is the serving
-  /// layer's job.
+  /// Detaches one shared-host branch: it stops receiving batches at the
+  /// next buffer boundary and its queued in-flight tasks drain harmlessly
+  /// (the branch's record, with its operator state and statistics, lives
+  /// until the host is destroyed). The host keeps running for the
+  /// remaining branches; cancelling the host when the *last* branch leaves
+  /// is the serving layer's job.
   Status DetachBranch(int host_id, int branch_id);
 
   /// Per-branch statistics: the host's shared ingest counters plus the
@@ -220,7 +236,7 @@ class NodeEngine {
   /// serving layer sees for its virtual query.
   Result<QueryStats> BranchStats(int host_id, int branch_id) const;
 
-  /// Health of one dynamic branch: OK while the branch is attached (or
+  /// Health of one shared-host branch: OK while the branch is attached (or
   /// was detached cleanly), or the failure that force-detached it — a
   /// branch whose own operators error is detached by the engine with a
   /// descriptive `Status` while its siblings and the shared ingest keep
@@ -277,9 +293,10 @@ class NodeEngine {
  private:
   struct RunningQuery;
 
-  /// Shared tail of `Submit` and `SubmitShared`: opens the compiled
-  /// pipeline, binds its instruments and registers the query with its
-  /// source under a fresh id.
+  /// Shared tail of `Submit` and `SubmitShared`: builds a dispatch target
+  /// record for every segment of the compiled pipeline, opening and
+  /// binding each, and registers the query with its source under a fresh
+  /// id.
   Result<int> Register(std::unique_ptr<RunningQuery> rq, SourcePtr source);
   Result<RunningQuery*> Find(int query_id) const;
   void RunLoop(RunningQuery* rq);

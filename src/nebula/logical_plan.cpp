@@ -537,28 +537,6 @@ void ExplainChain(const Chain& ops, const std::string& indent,
   }
 }
 
-// Lowers a placement transition from `from_node` to `to_node`: a
-// `NetworkChannelSink`/`NetworkChannelSource` pair sharing one channel,
-// appended to `pipe` so every record crossing the boundary travels as a
-// serialized wire frame over the (possibly multi-hop) route. The channel
-// arms the compile-level fault profile (combined with the route's link
-// profiles) and the retry/repair policy.
-Status LowerTransition(const Topology& topology, int from_node, int to_node,
-                       const Schema& schema, const FaultToleranceOptions& ft,
-                       CompiledPipeline* pipe) {
-  NM_ASSIGN_OR_RETURN(std::shared_ptr<NetworkChannel> channel,
-                      NetworkChannel::Connect(topology, from_node, to_node));
-  channel->ConfigureFaults(ft.profile, ft.retry);
-  NM_ASSIGN_OR_RETURN(OperatorPtr channel_sink,
-                      NetworkChannelSink::Make(schema, channel));
-  NM_ASSIGN_OR_RETURN(OperatorPtr channel_source,
-                      NetworkChannelSource::Make(schema, channel));
-  pipe->operators.push_back(std::move(channel_sink));
-  pipe->operators.push_back(std::move(channel_source));
-  pipe->channels.push_back(std::move(channel));
-  return Status::OK();
-}
-
 // The key field a keyed stateful node partitions its state by: the folded
 // KeyBy field when one is pending, else the node's own key option. Empty
 // when the node is not a keyed stateful operator (including global
@@ -934,6 +912,22 @@ Status CompileChain(const Chain& ops, size_t begin,
 }
 
 }  // namespace
+
+Status LowerTransition(const Topology& topology, int from_node, int to_node,
+                       const Schema& schema, const FaultToleranceOptions& ft,
+                       CompiledPipeline* pipe) {
+  NM_ASSIGN_OR_RETURN(std::shared_ptr<NetworkChannel> channel,
+                      NetworkChannel::Connect(topology, from_node, to_node));
+  channel->ConfigureFaults(ft.profile, ft.retry);
+  NM_ASSIGN_OR_RETURN(OperatorPtr channel_sink,
+                      NetworkChannelSink::Make(schema, channel));
+  NM_ASSIGN_OR_RETURN(OperatorPtr channel_source,
+                      NetworkChannelSource::Make(schema, channel));
+  pipe->operators.push_back(std::move(channel_sink));
+  pipe->operators.push_back(std::move(channel_source));
+  pipe->channels.push_back(std::move(channel));
+  return Status::OK();
+}
 
 void LogicalPlan::SetSink(std::shared_ptr<SinkOperator> sink) {
   if (!ops_.empty() && ops_.back()->kind() == LogicalOperator::Kind::kSink) {

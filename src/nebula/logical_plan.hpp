@@ -486,4 +486,16 @@ Result<CompiledPipeline> CompilePlan(const Schema& source_schema,
                                      const Topology* topology = nullptr,
                                      const CompileOptions& options = {});
 
+/// \brief Lowers a placement transition from \p from_node to \p to_node:
+/// a `NetworkChannelSink`/`NetworkChannelSource` pair sharing one channel,
+/// appended to \p pipe so every record of \p schema crossing the boundary
+/// travels as a serialized wire frame over the (possibly multi-hop)
+/// route. The channel arms \p ft's fault profile (combined with the
+/// route's link profiles) and retry/repair policy. `CompilePlan` lowers
+/// every transition of a placed plan this way, and a shared host its
+/// delivery channel.
+Status LowerTransition(const Topology& topology, int from_node, int to_node,
+                       const Schema& schema, const FaultToleranceOptions& ft,
+                       CompiledPipeline* pipe);
+
 }  // namespace nebulameos::nebula

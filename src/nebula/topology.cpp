@@ -226,20 +226,19 @@ void NetworkChannel::Kill() {
 void NetworkChannel::Send(uint64_t seq, std::vector<uint8_t> frame,
                           uint64_t payload_bytes, uint64_t events) {
   const double frame_seconds = RouteSeconds(frame.size());
-  // Metrics record lock-free (bound before the run, immutable after).
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (disconnected_) {
+    // Sends into a dead channel vanish, counted only as lost; the
+    // receiver's accounting against `seq_end_` is what surfaces the loss.
+    lost_ += 1;
+    return;
+  }
+  // The registry counts the sends the channel's own counters count.
   if (m_wire_bytes_ != nullptr) {
     m_wire_bytes_->Add(frame.size());
     m_frames_->Increment();
     m_events_->Add(events);
     m_transfer_micros_->Record(static_cast<int64_t>(frame_seconds * 1e6));
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (disconnected_) {
-    // Sends into a dead channel vanish; the receiver's accounting against
-    // `seq_end_` is what surfaces the loss.
-    lost_ += 1;
-    if (m_dropped_ != nullptr) m_dropped_->Increment();
-    return;
   }
   frames_ += 1;
   payload_bytes_ += payload_bytes;

@@ -179,7 +179,8 @@ class NetworkChannel {
   /// carrying \p events records under channel sequence number \p seq
   /// (sender-assigned, contiguous from 0), accounting the transfer on
   /// every hop and applying the injected fault fate, if any. Sends on a
-  /// disconnected channel are silently lost (counted).
+  /// disconnected channel are silently lost: counted as lost, and in no
+  /// wire, frame or drop count of the channel or its instruments.
   void Send(uint64_t seq, std::vector<uint8_t> frame, uint64_t payload_bytes,
             uint64_t events);
 
@@ -237,9 +238,10 @@ class NetworkChannel {
 
   /// Resolves this channel's live instruments: wire-byte/frame/event
   /// counters plus a per-frame transfer-latency histogram, recorded on
-  /// every `Send`. Pointers must outlive the channel (the engine binds
-  /// them out of the query's registry before the run starts). All four
-  /// must be set together; unbound channels record nothing.
+  /// every `Send` into a live channel and every retransmit. Pointers must
+  /// outlive the channel (the engine binds them out of the query's
+  /// registry before the run starts). All four must be set together;
+  /// unbound channels record nothing.
   void BindMetrics(metrics::Counter* wire_bytes, metrics::Counter* frames,
                    metrics::Counter* events,
                    metrics::Histogram* transfer_micros) {
@@ -336,7 +338,7 @@ class NetworkChannel {
   uint64_t lost_ = 0;
 
   // Metrics instruments (null until bound; set before the run starts and
-  // immutable afterwards, so the sender reads them without the lock).
+  // immutable afterwards). They count what the fields above count.
   metrics::Counter* m_wire_bytes_ = nullptr;
   metrics::Counter* m_frames_ = nullptr;
   metrics::Counter* m_events_ = nullptr;

@@ -1,7 +1,7 @@
 // Failure-injection and robustness tests: source errors mid-stream,
 // logging levels, execution-context pooling, CSV parse errors, the
-// all-errors root-cause model, shared-host branch-failure isolation, and
-// concurrent waiters.
+// all-errors root-cause model, fan-out branch failures, shared-host
+// branch-failure isolation, and concurrent waiters.
 
 #include <gtest/gtest.h>
 
@@ -280,6 +280,38 @@ TEST(EngineFailures, SharedHostIsolatesFailedBranchSingleWorker) {
 
 TEST(EngineFailures, SharedHostIsolatesFailedBranchFourWorkers) {
   RunSharedHostBranchIsolation(4);
+}
+
+// A submitted fan-out whose branch-1 sink fails: the query fails with the
+// branch's path, inline at one worker as posted at four, and every later
+// hand-off is skipped, so the status carries no secondary error.
+void RunFanOutBranchFailure(size_t workers) {
+  SetLogLevel(LogLevel::kOff);
+  EngineOptions options;
+  options.worker_threads = workers;
+  options.tuples_per_buffer = 8;
+  NodeEngine engine(options);
+  auto healthy = std::make_shared<CountingSink>(EventSchema());
+  SplitQuery split = Query::From(SharedNamedSource(200)).Split(2);
+  std::move(split[0]).To(healthy);
+  std::move(split[1]).To(std::make_shared<FailingSink>(EventSchema(), 32));
+  auto plan = std::move(split).Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto id = engine.Submit(std::move(*plan));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const Status status = engine.RunToCompletion(*id);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "[1] downstream store rejected the write")
+      << status.ToString();
+  SetLogLevel(LogLevel::kWarn);
+}
+
+TEST(EngineFailures, FanOutBranchFailureCarriesBranchPathSingleWorker) {
+  RunFanOutBranchFailure(1);
+}
+
+TEST(EngineFailures, FanOutBranchFailureCarriesBranchPathFourWorkers) {
+  RunFanOutBranchFailure(4);
 }
 
 // Calls every `waits[i]` on its own thread and returns their statuses,

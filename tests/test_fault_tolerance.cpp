@@ -482,6 +482,47 @@ TEST(EngineFaultTolerance, ShedPolicySkipsUnrecoverableGaps) {
   SetLogLevel(LogLevel::kWarn);
 }
 
+// The registry's channel counters count each send as the channel's own
+// counters, which `Deployment()` reads, count it: once the channel died,
+// a send is lost, and neither a wire frame nor a drop.
+TEST(EngineFaultTolerance, ChannelInstrumentsMatchDeploymentAfterDisconnect) {
+  SetLogLevel(LogLevel::kOff);
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(1));
+  std::shared_ptr<CollectSink> sink;
+  auto plan = MakePlacedLinearPlan(200, &sink);
+  ASSERT_TRUE(plan.ok());
+  ScopedProfileOverride disconnect("disconnect_after=3,seed=1");
+  EngineOptions options;
+  options.optimizer.enable = false;
+  options.topology = &topo;
+  options.tuples_per_buffer = 8;
+  options.faults.profile.disconnect_after_frames = 3;
+  options.faults.retry.shed_policy = ShedPolicy::kDropOldest;
+  NodeEngine engine(options);
+  auto id = engine.Submit(std::move(*plan));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+  auto report = engine.Deployment(*id);
+  auto snapshot = engine.Metrics(*id);
+  ASSERT_TRUE(report.ok() && snapshot.ok());
+  // One counter family summed over the query's channels.
+  auto sum = [&snapshot](const std::string& suffix) {
+    uint64_t total = 0;
+    for (const auto& [name, value] : snapshot->counters) {
+      if (name.starts_with("channel.") && name.ends_with(suffix)) {
+        total += value;
+      }
+    }
+    return total;
+  };
+  EXPECT_EQ(report->frames, 3u);
+  EXPECT_GT(report->frames_lost, 0u);
+  EXPECT_EQ(sum(".wire_bytes"), report->wire_bytes);
+  EXPECT_EQ(sum(".frames"), report->frames);
+  EXPECT_EQ(sum(".frames_dropped"), report->frames_dropped);
+  SetLogLevel(LogLevel::kWarn);
+}
+
 // --- Stateful-operator monotonicity guards -----------------------------
 
 TEST(MonotonicityGuards, WindowAggShedsLateRecordsInsteadOfRefiring) {
