@@ -33,8 +33,10 @@
 #   CHECK_BENCH=1 scripts/check.sh
 # builds perfbench/ (the replay benchmark BENCHMARK.json declares, into
 # $CARGO_TARGET_DIR or .bench_build/) and runs the geofence, fanout and
-# fleet workloads for 2 s each. The benchmark exits non-zero on a failed
-# query or on any row that differs from its reference run, so engine API
+# fleet workloads for 2 s each untraced, then once more for 1 s each
+# traced (`--trace 1`: plan verification and the time-accounting gate).
+# The benchmark exits non-zero on a failed query, on any row that differs
+# from its reference run, or on a failed traced-path check, so engine API
 # drift or a wrong result fails the gate. The engine-forcing variables
 # the benchmark refuses to run under are cleared for it.
 set -euo pipefail
@@ -46,6 +48,13 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     env -u NM_WORKER_THREADS -u NM_FAULT_PROFILE -u NM_VERIFY_EACH \
       python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
       --trace 0
+  done
+  # The traced path: plan verification of the placed paper plans and the
+  # fleet plans, per-layer spans, and the 1-worker time-accounting gate.
+  for workload in geofence fanout fleet; do
+    env -u NM_WORKER_THREADS -u NM_FAULT_PROFILE -u NM_VERIFY_EACH \
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 1
   done
   echo "perfbench smoke: OK"
   exit 0

@@ -1,8 +1,10 @@
 #include "nebula/analysis/plan_verifier.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <variant>
+#include <vector>
 
 namespace nebulameos::nebula::analysis {
 
@@ -10,6 +12,66 @@ namespace {
 
 using Kind = LogicalOperator::Kind;
 using Chain = std::vector<LogicalOperatorPtr>;
+
+// One verifier finding, addressable enough to act on.
+struct Diagnostic {
+  std::string rule;     ///< check that fired ("field-provenance", ...)
+  std::string path;     ///< DAG path of the chain ("" = root chain)
+  size_t index = 0;     ///< operator position within that chain
+  std::string op;       ///< `LogicalOperator::ToString()` of the culprit
+  int placement = LogicalOperator::kUnplaced;  ///< its `@node` annotation
+  std::string message;  ///< what is violated, in plan vocabulary
+
+  /// The path/placement vocabulary `LogicalPlan::Explain` renders.
+  std::string ToString() const {
+    std::string out = "[" + rule + "] ";
+    if (op.empty()) return out + "plan: " + message;
+    out += path.empty() ? "root chain" : "branch '" + path + "'";
+    out += " op #" + std::to_string(index) + " -> " + op;
+    if (placement != LogicalOperator::kUnplaced) {
+      out += "  @node" + std::to_string(placement);
+    }
+    return out + ": " + message;
+  }
+};
+
+// The facts every check reads, derived once per verification: every
+// operator in DFS order with its DAG path, chain index, the schema
+// entering it and the KeyBy field pending as it is reached. Schemas
+// derive through `LowerNode`, the step `CompilePlan` lowers each node
+// with, so the verifier accepts precisely the plans that lower; its
+// refusals become `schema-derivation` diagnostics, and the nodes
+// downstream of one carry a null input schema that schema-dependent
+// checks skip.
+struct PlanFacts {
+  struct Node {
+    const LogicalOperator* op = nullptr;
+    std::string path;
+    size_t index = 0;
+    const Schema* input = nullptr;  ///< schema entering; null = unknown
+    std::string pending_key;        ///< KeyBy field awaiting its consumer
+  };
+
+  explicit PlanFacts(const LogicalPlan& p) : plan(p) {
+    Walk(p.ops(), "",
+         p.source() != nullptr ? Intern(p.source()->schema()) : nullptr);
+  }
+
+  const LogicalPlan& plan;
+  std::vector<Node> nodes;
+  std::vector<Diagnostic> derivation_diags;
+
+ private:
+  const Schema* Intern(Schema schema) {
+    schemas_.push_back(std::make_unique<Schema>(std::move(schema)));
+    return schemas_.back().get();
+  }
+
+  void Walk(const Chain& ops, const std::string& path, const Schema* input);
+
+  /// Owns derived schemas; unique_ptr keeps `Node::input` stable.
+  std::vector<std::unique_ptr<Schema>> schemas_;
+};
 
 Diagnostic MakeDiag(std::string rule, const PlanFacts::Node& node,
                     std::string message) {
@@ -30,84 +92,36 @@ Diagnostic PlanLevelDiag(std::string rule, std::string message) {
   return d;
 }
 
-/// Derives the schema leaving \p op when fed \p input — by constructing
-/// the physical operator exactly as `CompilePlan` would, so the verifier
-/// accepts precisely the plans that lower. \p pending_key carries a
-/// `KeyBy` marker to the stateful node that consumes it (the same folding
-/// `CompileChain` performs).
-Result<Schema> DeriveOutputSchema(const Schema& input,
-                                  const LogicalOperator& op,
-                                  std::string* pending_key) {
-  switch (op.kind()) {
-    case Kind::kFilter: {
-      NM_ASSIGN_OR_RETURN(
-          OperatorPtr phys,
-          FilterOperator::Make(input,
-                               static_cast<const FilterNode&>(op).predicate()));
-      return phys->output_schema();
-    }
-    case Kind::kMap: {
-      NM_ASSIGN_OR_RETURN(
-          OperatorPtr phys,
-          MapOperator::Make(input, static_cast<const MapNode&>(op).specs()));
-      return phys->output_schema();
-    }
-    case Kind::kProject: {
-      NM_ASSIGN_OR_RETURN(
-          OperatorPtr phys,
-          ProjectOperator::Make(input,
-                                static_cast<const ProjectNode&>(op).fields()));
-      return phys->output_schema();
-    }
-    case Kind::kKeyBy:
-      *pending_key = static_cast<const KeyByNode&>(op).field();
-      return input;
-    case Kind::kWindowAgg: {
-      WindowAggOptions opts = static_cast<const WindowAggNode&>(op).options();
-      if (!pending_key->empty()) {
-        opts.key_field = *pending_key;
-        pending_key->clear();
+void PlanFacts::Walk(const Chain& ops, const std::string& path,
+                     const Schema* input) {
+  const Schema* current = input;
+  std::string pending_key;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const LogicalOperator& op = *ops[i];
+    nodes.push_back({&op, path, i, current, pending_key});
+    if (current != nullptr) {  // else upstream derivation failed
+      Result<OperatorPtr> lowered = LowerNode(op, *current, &pending_key);
+      if (!lowered.ok()) {
+        derivation_diags.push_back(MakeDiag(
+            "schema-derivation", nodes.back(), lowered.status().message()));
+        current = nullptr;
+      } else if (*lowered != nullptr) {
+        current = Intern((*lowered)->output_schema());
       }
-      NM_ASSIGN_OR_RETURN(OperatorPtr phys,
-                          WindowAggOperator::Make(input, std::move(opts)));
-      return phys->output_schema();
     }
-    case Kind::kThresholdWindow: {
-      ThresholdWindowOptions opts =
-          static_cast<const ThresholdWindowNode&>(op).options();
-      if (!pending_key->empty()) {
-        opts.key_field = *pending_key;
-        pending_key->clear();
+    if (op.kind() == Kind::kFanOut) {
+      const auto& fan = static_cast<const FanOutNode&>(op);
+      for (size_t b = 0; b < fan.branches().size(); ++b) {
+        Walk(fan.branches()[b], DagBranchPath(path, b), current);
       }
-      NM_ASSIGN_OR_RETURN(OperatorPtr phys,
-                          ThresholdWindowOperator::Make(input, std::move(opts)));
-      return phys->output_schema();
     }
-    case Kind::kCep: {
-      const auto& cep = static_cast<const CepNode&>(op);
-      Pattern pattern = cep.pattern();
-      if (pattern.key_field.empty() && !pending_key->empty()) {
-        pattern.key_field = *pending_key;
-      }
-      pending_key->clear();
-      NM_ASSIGN_OR_RETURN(
-          OperatorPtr phys,
-          CepOperator::Make(input, std::move(pattern), cep.measures()));
-      return phys->output_schema();
+    // A fan-out or sink should end its chain; if the chain (illegally)
+    // continues, keep walking with an unknown schema so the structure
+    // rule sees, and can name, the trailing operators.
+    if (op.kind() == Kind::kFanOut || op.kind() == Kind::kSink) {
+      current = nullptr;
     }
-    case Kind::kLookupJoin: {
-      NM_ASSIGN_OR_RETURN(
-          OperatorPtr phys,
-          TemporalLookupJoinOperator::Make(
-              input, static_cast<const LookupJoinNode&>(op).options()));
-      return phys->output_schema();
-    }
-    case Kind::kFanOut:
-    case Kind::kSink:
-      // Terminal: handled by the walker, never derived through.
-      return input;
   }
-  return Status::Internal("unknown logical operator kind");
 }
 
 // Checks every field \p expr provably reads against \p input; unknown
@@ -135,229 +149,126 @@ void CheckExprFields(const ExprPtr& expr, const Schema& input,
 
 // --- structure ---------------------------------------------------------------
 
-/// `LogicalPlan::Validate` wrapped as a rule (termination, fan-out arity,
-/// KeyBy consumption, window aggregates). Shared-prefix plans are
-/// deliberately sink-less, so they instead get the `SubmitShared` shape
-/// gate: a pure operator chain with no sinks or fan-outs.
-class StructureRule : public PlanRule {
- public:
-  std::string name() const override { return "structure"; }
-
-  void Check(const PlanFacts& facts, const VerifyContext& ctx,
-             std::vector<Diagnostic>* out) const override {
-    if (ctx.shared_prefix) {
-      for (const PlanFacts::Node& node : facts.nodes()) {
-        if (node.op->kind() == Kind::kSink ||
-            node.op->kind() == Kind::kFanOut) {
-          out->push_back(MakeDiag(
-              name(), node,
-              "a shared-host prefix must be a pure operator chain — sinks "
-              "and fan-outs are per-client and attach as branches"));
-        }
-      }
-      return;
-    }
-    if (ctx.allow_unterminated) {
-      // Mid-rewrite: sinks may not be attached yet, so check every
-      // structural invariant except chain termination, per node.
-      CheckRelaxed(facts, out);
-      return;
-    }
-    const Status st = facts.plan().Validate();
-    if (!st.ok()) out->push_back(PlanLevelDiag(name(), st.message()));
+// `CheckStructure` in the mode the context asks for: termination required
+// for a finished plan, waived mid-rewrite, and the `SubmitShared` gate (a
+// pure operator chain) for a shared-host prefix.
+void CheckStructureRule(const PlanFacts& facts, const VerifyContext& ctx,
+                        std::vector<Diagnostic>* out) {
+  const ChainTermination termination =
+      ctx.shared_prefix        ? ChainTermination::kSharedPrefix
+      : ctx.allow_unterminated ? ChainTermination::kWaived
+                               : ChainTermination::kRequired;
+  if (termination == ChainTermination::kRequired &&
+      facts.plan.source() == nullptr) {
+    out->push_back(PlanLevelDiag("structure", "plan has no source"));
   }
-
- private:
-  void CheckRelaxed(const PlanFacts& facts,
-                    std::vector<Diagnostic>* out) const {
-    const auto& nodes = facts.nodes();
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const PlanFacts::Node& node = nodes[i];
-      // The next operator of the same chain, if any. Usually the adjacent
-      // DFS entry — but after a (malformed) non-terminal fan-out the
-      // chain's continuation lands behind the branch subtrees, so search.
-      const LogicalOperator* next = nullptr;
-      for (size_t j = i + 1; j < nodes.size() && next == nullptr; ++j) {
-        if (nodes[j].path == node.path && nodes[j].index == node.index + 1) {
-          next = nodes[j].op;
-        }
-      }
-      switch (node.op->kind()) {
-        case Kind::kSink:
-          if (next != nullptr) {
-            out->push_back(MakeDiag(
-                name(), node, "sink must be the terminal node of its chain"));
-          }
-          if (static_cast<const SinkNode&>(*node.op).sink() == nullptr) {
-            out->push_back(MakeDiag(name(), node, "sink node without a sink"));
-          }
-          break;
-        case Kind::kFanOut: {
-          if (next != nullptr) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "fan-out must be the terminal node of its chain"));
-          }
-          const auto& fan = static_cast<const FanOutNode&>(*node.op);
-          if (fan.branches().size() < 2) {
-            out->push_back(MakeDiag(name(), node,
-                                    "fan-out needs at least two branches"));
-          }
-          for (size_t b = 0; b < fan.branches().size(); ++b) {
-            if (fan.branches()[b].empty()) {
-              out->push_back(MakeDiag(name(), node,
-                                      "fan-out branch " + std::to_string(b) +
-                                          " is empty"));
-            }
-          }
-          break;
-        }
-        case Kind::kKeyBy: {
-          const auto& key = static_cast<const KeyByNode&>(*node.op);
-          if (key.field().empty()) {
-            out->push_back(
-                MakeDiag(name(), node, "KeyBy with an empty field"));
-          }
-          // A trailing KeyBy may still be awaiting its window; an
-          // *interior* unconsumed KeyBy is a hard error even mid-rewrite.
-          if (next != nullptr && next->kind() != Kind::kWindowAgg &&
-              next->kind() != Kind::kThresholdWindow &&
-              next->kind() != Kind::kCep) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "KeyBy(" + key.field() +
-                    ") is never consumed: it must be immediately followed "
-                    "by a window aggregation or CEP step"));
-          }
-          break;
-        }
-        case Kind::kWindowAgg: {
-          const auto& opts =
-              static_cast<const WindowAggNode&>(*node.op).options();
-          if (opts.aggregates.empty() && opts.custom_aggregators.empty()) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "window aggregation without aggregates (missing "
-                "Aggregate?)"));
-          }
-          break;
-        }
-        case Kind::kThresholdWindow: {
-          const auto& opts =
-              static_cast<const ThresholdWindowNode&>(*node.op).options();
-          if (opts.aggregates.empty() && opts.custom_aggregators.empty()) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "threshold window without aggregates (missing Aggregate?)"));
-          }
-          break;
-        }
-        default:
-          break;
-      }
+  for (const StructureFinding& finding :
+       CheckStructure(facts.plan.ops(), termination)) {
+    if (finding.op == nullptr) {  // an empty chain: no node to name
+      out->push_back(
+          PlanLevelDiag("structure", finding.ToStatus().message()));
+      continue;
     }
+    out->push_back(MakeDiag(
+        "structure", {finding.op, finding.path, finding.index, nullptr, ""},
+        finding.message));
   }
-};
+}
 
 // --- field-provenance --------------------------------------------------------
 
-class FieldProvenanceRule : public PlanRule {
- public:
-  std::string name() const override { return "field-provenance"; }
-
-  void Check(const PlanFacts& facts, const VerifyContext&,
-             std::vector<Diagnostic>* out) const override {
-    for (const PlanFacts::Node& node : facts.nodes()) {
-      if (node.input == nullptr) continue;  // upstream derivation failed
-      const Schema& in = *node.input;
-      switch (node.op->kind()) {
-        case Kind::kFilter:
-          CheckExprFields(static_cast<const FilterNode&>(*node.op).predicate(),
-                          in, "filter predicate", node, out);
-          break;
-        case Kind::kMap:
-          for (const MapSpec& spec :
-               static_cast<const MapNode&>(*node.op).specs()) {
-            CheckExprFields(spec.expr, in, "map expr for '" + spec.name + "'",
-                            node, out);
-          }
-          break;
-        case Kind::kProject:
-          for (const std::string& field :
-               static_cast<const ProjectNode&>(*node.op).fields()) {
-            if (!in.HasField(field)) {
-              out->push_back(MakeDiag(
-                  name(), node,
-                  "projects unknown field '" + field +
-                      "' — fields available here: " + in.ToString()));
-            }
-          }
-          break;
-        case Kind::kKeyBy: {
-          const std::string& field =
-              static_cast<const KeyByNode&>(*node.op).field();
+void CheckFieldProvenance(const PlanFacts& facts,
+                          std::vector<Diagnostic>* out) {
+  for (const PlanFacts::Node& node : facts.nodes) {
+    if (node.input == nullptr) continue;  // upstream derivation failed
+    const Schema& in = *node.input;
+    switch (node.op->kind()) {
+      case Kind::kFilter:
+        CheckExprFields(static_cast<const FilterNode&>(*node.op).predicate(),
+                        in, "filter predicate", node, out);
+        break;
+      case Kind::kMap:
+        for (const MapSpec& spec :
+             static_cast<const MapNode&>(*node.op).specs()) {
+          CheckExprFields(spec.expr, in, "map expr for '" + spec.name + "'",
+                          node, out);
+        }
+        break;
+      case Kind::kProject:
+        for (const std::string& field :
+             static_cast<const ProjectNode&>(*node.op).fields()) {
           if (!in.HasField(field)) {
             out->push_back(MakeDiag(
-                name(), node,
-                "keys by unknown field '" + field +
+                "field-provenance", node,
+                "projects unknown field '" + field +
                     "' — fields available here: " + in.ToString()));
           }
-          break;
         }
-        case Kind::kThresholdWindow:
-          CheckExprFields(
-              static_cast<const ThresholdWindowNode&>(*node.op)
-                  .options()
-                  .predicate,
-              in, "threshold predicate", node, out);
-          break;
-        case Kind::kCep:
-          for (const PatternStep& step :
-               static_cast<const CepNode&>(*node.op).pattern().steps) {
-            CheckExprFields(step.predicate, in,
-                            "CEP step '" + step.name + "' predicate", node,
-                            out);
-          }
-          break;
-        case Kind::kLookupJoin: {
-          const auto& opts =
-              static_cast<const LookupJoinNode&>(*node.op).options();
-          if (!opts.left_key.empty() && !in.HasField(opts.left_key)) {
-            out->push_back(MakeDiag(name(), node,
-                                    "join left key '" + opts.left_key +
-                                        "' not in probe schema: " +
-                                        in.ToString()));
-          }
-          if (!opts.left_time.empty() && !in.HasField(opts.left_time)) {
-            out->push_back(MakeDiag(name(), node,
-                                    "join left time '" + opts.left_time +
-                                        "' not in probe schema: " +
-                                        in.ToString()));
-          }
-          if (opts.lookup) {
-            const Schema& right = opts.lookup->schema();
-            if (!opts.right_key.empty() && !right.HasField(opts.right_key)) {
-              out->push_back(MakeDiag(name(), node,
-                                      "join right key '" + opts.right_key +
-                                          "' not in lookup schema: " +
-                                          right.ToString()));
-            }
-            if (!opts.right_time.empty() &&
-                !right.HasField(opts.right_time)) {
-              out->push_back(MakeDiag(name(), node,
-                                      "join right time '" + opts.right_time +
-                                          "' not in lookup schema: " +
-                                          right.ToString()));
-            }
-          }
-          break;
+        break;
+      case Kind::kKeyBy: {
+        const std::string& field =
+            static_cast<const KeyByNode&>(*node.op).field();
+        if (!in.HasField(field)) {
+          out->push_back(MakeDiag(
+              "field-provenance", node,
+              "keys by unknown field '" + field +
+                  "' — fields available here: " + in.ToString()));
         }
-        default:
-          break;
+        break;
       }
+      case Kind::kThresholdWindow:
+        CheckExprFields(
+            static_cast<const ThresholdWindowNode&>(*node.op)
+                .options()
+                .predicate,
+            in, "threshold predicate", node, out);
+        break;
+      case Kind::kCep:
+        for (const PatternStep& step :
+             static_cast<const CepNode&>(*node.op).pattern().steps) {
+          CheckExprFields(step.predicate, in,
+                          "CEP step '" + step.name + "' predicate", node,
+                          out);
+        }
+        break;
+      case Kind::kLookupJoin: {
+        const auto& opts =
+            static_cast<const LookupJoinNode&>(*node.op).options();
+        if (!opts.left_key.empty() && !in.HasField(opts.left_key)) {
+          out->push_back(MakeDiag("field-provenance", node,
+                                  "join left key '" + opts.left_key +
+                                      "' not in probe schema: " +
+                                      in.ToString()));
+        }
+        if (!opts.left_time.empty() && !in.HasField(opts.left_time)) {
+          out->push_back(MakeDiag("field-provenance", node,
+                                  "join left time '" + opts.left_time +
+                                      "' not in probe schema: " +
+                                      in.ToString()));
+        }
+        if (opts.lookup) {
+          const Schema& right = opts.lookup->schema();
+          if (!opts.right_key.empty() && !right.HasField(opts.right_key)) {
+            out->push_back(MakeDiag("field-provenance", node,
+                                    "join right key '" + opts.right_key +
+                                        "' not in lookup schema: " +
+                                        right.ToString()));
+          }
+          if (!opts.right_time.empty() &&
+              !right.HasField(opts.right_time)) {
+            out->push_back(MakeDiag("field-provenance", node,
+                                    "join right time '" + opts.right_time +
+                                        "' not in lookup schema: " +
+                                        right.ToString()));
+          }
+        }
+        break;
+      }
+      default:
+        break;
     }
   }
-};
+}
 
 // --- window-wellformed -------------------------------------------------------
 
@@ -365,386 +276,282 @@ bool IsTimeType(DataType type) {
   return type == DataType::kTimestamp || type == DataType::kInt64;
 }
 
-class WindowWellformedRule : public PlanRule {
- public:
-  std::string name() const override { return "window-wellformed"; }
+void CheckKeyed(const std::string& key, const PlanFacts::Node& node,
+                std::vector<Diagnostic>* out) {
+  if (key.empty() || node.input->HasField(key)) return;
+  out->push_back(MakeDiag("window-wellformed", node,
+                          "keys by unknown field '" + key +
+                              "' — fields available here: " +
+                              node.input->ToString()));
+}
 
-  void Check(const PlanFacts& facts, const VerifyContext&,
-             std::vector<Diagnostic>* out) const override {
-    const auto& nodes = facts.nodes();
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const PlanFacts::Node& node = nodes[i];
-      if (node.input == nullptr) continue;
-      // The key a preceding KeyBy marker folds into this node (nodes of
-      // one chain are DFS-adjacent, so the marker is the previous entry).
-      std::string folded_key;
-      if (i > 0 && nodes[i - 1].path == node.path &&
-          nodes[i - 1].index + 1 == node.index &&
-          nodes[i - 1].op->kind() == Kind::kKeyBy) {
-        folded_key = static_cast<const KeyByNode&>(*nodes[i - 1].op).field();
-      }
-      switch (node.op->kind()) {
-        case Kind::kWindowAgg: {
-          const auto& opts =
-              static_cast<const WindowAggNode&>(*node.op).options();
-          const std::string key =
-              folded_key.empty() ? opts.key_field : folded_key;
-          CheckKeyed(key, node, out);
-          CheckTime(opts.time_field, node, out);
-          CheckAggregates(opts.aggregates, node, out);
-          CheckSpec(opts.window, node, out);
-          break;
-        }
-        case Kind::kThresholdWindow: {
-          const auto& opts =
-              static_cast<const ThresholdWindowNode&>(*node.op).options();
-          const std::string key =
-              folded_key.empty() ? opts.key_field : folded_key;
-          CheckKeyed(key, node, out);
-          CheckTime(opts.time_field, node, out);
-          CheckAggregates(opts.aggregates, node, out);
-          if (!opts.predicate) {
-            out->push_back(
-                MakeDiag(name(), node, "threshold window needs a predicate"));
-          }
-          if (opts.min_duration < 0) {
-            out->push_back(MakeDiag(name(), node,
-                                    "threshold min_duration must be >= 0"));
-          }
-          break;
-        }
-        case Kind::kCep: {
-          const auto& cep = static_cast<const CepNode&>(*node.op);
-          const Pattern& pattern = cep.pattern();
-          const std::string key = pattern.key_field.empty()
-                                      ? folded_key
-                                      : pattern.key_field;
-          CheckKeyed(key, node, out);
-          CheckTime(pattern.time_field, node, out);
-          if (pattern.steps.empty()) {
-            out->push_back(
-                MakeDiag(name(), node, "pattern needs at least one step"));
-          }
-          if (pattern.within < 0) {
-            out->push_back(
-                MakeDiag(name(), node, "pattern 'within' must be >= 0"));
-          }
-          for (const Measure& m : cep.measures()) {
-            const bool step_known = std::any_of(
-                pattern.steps.begin(), pattern.steps.end(),
-                [&m](const PatternStep& s) { return s.name == m.step; });
-            if (!step_known) {
-              out->push_back(MakeDiag(
-                  name(), node,
-                  "measure '" + m.output_name +
-                      "' references unknown step '" + m.step + "'"));
-            }
-            if (m.kind != MeasureKind::kCount &&
-                !node.input->HasField(m.field)) {
-              out->push_back(MakeDiag(
-                  name(), node,
-                  "measure '" + m.output_name + "' over unknown field '" +
-                      m.field + "' — fields available here: " +
-                      node.input->ToString()));
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
+void CheckTime(const std::string& time_field, const PlanFacts::Node& node,
+               std::vector<Diagnostic>* out) {
+  if (time_field.empty()) {
+    out->push_back(
+        MakeDiag("window-wellformed", node, "needs an event-time field"));
+    return;
   }
-
- private:
-  void CheckKeyed(const std::string& key, const PlanFacts::Node& node,
-                  std::vector<Diagnostic>* out) const {
-    if (key.empty() || node.input->HasField(key)) return;
-    out->push_back(MakeDiag(name(), node,
-                            "keys by unknown field '" + key +
-                                "' — fields available here: " +
+  auto idx = node.input->IndexOf(time_field);
+  if (!idx.ok()) {
+    out->push_back(MakeDiag("window-wellformed", node,
+                            "time field '" + time_field +
+                                "' not in input — fields available here: " +
                                 node.input->ToString()));
+    return;
   }
+  const DataType type = node.input->field(*idx).type;
+  if (!IsTimeType(type)) {
+    out->push_back(MakeDiag(
+        "window-wellformed", node,
+        "time field '" + time_field + "' has type " + DataTypeName(type) +
+            " — event time must be TIMESTAMP or INT64 (MEOS faults on "
+            "non-monotonic sequences, so ordering is a correctness "
+            "invariant)"));
+  }
+}
 
-  void CheckTime(const std::string& time_field, const PlanFacts::Node& node,
-                 std::vector<Diagnostic>* out) const {
-    if (time_field.empty()) {
-      out->push_back(MakeDiag(name(), node, "needs an event-time field"));
-      return;
-    }
-    auto idx = node.input->IndexOf(time_field);
+void CheckAggregates(const std::vector<AggregateSpec>& aggs,
+                     const PlanFacts::Node& node,
+                     std::vector<Diagnostic>* out) {
+  for (const AggregateSpec& spec : aggs) {
+    if (spec.kind == AggKind::kCount && spec.field.empty()) continue;
+    auto idx = node.input->IndexOf(spec.field);
     if (!idx.ok()) {
-      out->push_back(MakeDiag(name(), node,
-                              "time field '" + time_field +
-                                  "' not in input — fields available here: " +
-                                  node.input->ToString()));
-      return;
+      out->push_back(MakeDiag(
+          "window-wellformed", node,
+          "aggregate '" + spec.output_name + "' over unknown field '" +
+              spec.field + "' — fields available here: " +
+              node.input->ToString()));
+      continue;
     }
     const DataType type = node.input->field(*idx).type;
-    if (!IsTimeType(type)) {
-      out->push_back(MakeDiag(
-          name(), node,
-          "time field '" + time_field + "' has type " + DataTypeName(type) +
-              " — event time must be TIMESTAMP or INT64 (MEOS faults on "
-              "non-monotonic sequences, so ordering is a correctness "
-              "invariant)"));
+    if (!IsNumeric(type) && type != DataType::kBool) {
+      out->push_back(MakeDiag("window-wellformed", node,
+                              "aggregate '" + spec.output_name +
+                                  "' over non-numeric field '" + spec.field +
+                                  "' of type " + DataTypeName(type)));
     }
   }
+}
 
-  void CheckAggregates(const std::vector<AggregateSpec>& aggs,
-                       const PlanFacts::Node& node,
-                       std::vector<Diagnostic>* out) const {
-    for (const AggregateSpec& spec : aggs) {
-      if (spec.kind == AggKind::kCount && spec.field.empty()) continue;
-      auto idx = node.input->IndexOf(spec.field);
-      if (!idx.ok()) {
-        out->push_back(MakeDiag(
-            name(), node,
-            "aggregate '" + spec.output_name + "' over unknown field '" +
-                spec.field + "' — fields available here: " +
-                node.input->ToString()));
-        continue;
-      }
-      const DataType type = node.input->field(*idx).type;
-      if (!IsNumeric(type) && type != DataType::kBool) {
-        out->push_back(MakeDiag(name(), node,
-                                "aggregate '" + spec.output_name +
-                                    "' over non-numeric field '" + spec.field +
-                                    "' of type " + DataTypeName(type)));
-      }
+void CheckSpec(const WindowSpec& spec, const PlanFacts::Node& node,
+               std::vector<Diagnostic>* out) {
+  if (const auto* tumbling = std::get_if<TumblingWindowSpec>(&spec)) {
+    if (tumbling->size <= 0) {
+      out->push_back(MakeDiag("window-wellformed", node,
+                              "tumbling window size must be > 0"));
     }
+  } else if (const auto* sliding = std::get_if<SlidingWindowSpec>(&spec)) {
+    if (sliding->size <= 0 || sliding->slide <= 0) {
+      out->push_back(MakeDiag("window-wellformed", node,
+                              "sliding window size/slide must be > 0"));
+    } else if (sliding->slide > sliding->size) {
+      out->push_back(MakeDiag("window-wellformed", node,
+                              "sliding window slide must be <= size"));
+    }
+  } else {
+    out->push_back(MakeDiag(
+        "window-wellformed", node,
+        "WindowAgg carries a threshold spec — use a ThresholdWindow node"));
   }
+}
 
-  void CheckSpec(const WindowSpec& spec, const PlanFacts::Node& node,
-                 std::vector<Diagnostic>* out) const {
-    if (const auto* tumbling = std::get_if<TumblingWindowSpec>(&spec)) {
-      if (tumbling->size <= 0) {
-        out->push_back(
-            MakeDiag(name(), node, "tumbling window size must be > 0"));
+void CheckWindowWellformed(const PlanFacts& facts,
+                           std::vector<Diagnostic>* out) {
+  for (const PlanFacts::Node& node : facts.nodes) {
+    if (node.input == nullptr) continue;
+    // Empty, so unchecked, for every node but a keyed stateful one.
+    CheckKeyed(FoldedKeyField(*node.op, node.pending_key), node, out);
+    switch (node.op->kind()) {
+      case Kind::kWindowAgg: {
+        const auto& opts =
+            static_cast<const WindowAggNode&>(*node.op).options();
+        CheckTime(opts.time_field, node, out);
+        CheckAggregates(opts.aggregates, node, out);
+        CheckSpec(opts.window, node, out);
+        break;
       }
-    } else if (const auto* sliding = std::get_if<SlidingWindowSpec>(&spec)) {
-      if (sliding->size <= 0 || sliding->slide <= 0) {
-        out->push_back(
-            MakeDiag(name(), node, "sliding window size/slide must be > 0"));
-      } else if (sliding->slide > sliding->size) {
-        out->push_back(
-            MakeDiag(name(), node, "sliding window slide must be <= size"));
+      case Kind::kThresholdWindow: {
+        const auto& opts =
+            static_cast<const ThresholdWindowNode&>(*node.op).options();
+        CheckTime(opts.time_field, node, out);
+        CheckAggregates(opts.aggregates, node, out);
+        if (!opts.predicate) {
+          out->push_back(MakeDiag("window-wellformed", node,
+                                  "threshold window needs a predicate"));
+        }
+        if (opts.min_duration < 0) {
+          out->push_back(MakeDiag("window-wellformed", node,
+                                  "threshold min_duration must be >= 0"));
+        }
+        break;
       }
-    } else {
-      out->push_back(MakeDiag(
-          name(), node,
-          "WindowAgg carries a threshold spec — use a ThresholdWindow node"));
+      case Kind::kCep: {
+        const auto& cep = static_cast<const CepNode&>(*node.op);
+        const Pattern& pattern = cep.pattern();
+        CheckTime(pattern.time_field, node, out);
+        if (pattern.steps.empty()) {
+          out->push_back(MakeDiag("window-wellformed", node,
+                                  "pattern needs at least one step"));
+        }
+        if (pattern.within < 0) {
+          out->push_back(MakeDiag("window-wellformed", node,
+                                  "pattern 'within' must be >= 0"));
+        }
+        for (const Measure& m : cep.measures()) {
+          const bool step_known = std::any_of(
+              pattern.steps.begin(), pattern.steps.end(),
+              [&m](const PatternStep& s) { return s.name == m.step; });
+          if (!step_known) {
+            out->push_back(MakeDiag(
+                "window-wellformed", node,
+                "measure '" + m.output_name +
+                    "' references unknown step '" + m.step + "'"));
+          }
+          if (m.kind != MeasureKind::kCount &&
+              !node.input->HasField(m.field)) {
+            out->push_back(MakeDiag(
+                "window-wellformed", node,
+                "measure '" + m.output_name + "' over unknown field '" +
+                    m.field + "' — fields available here: " +
+                    node.input->ToString()));
+          }
+        }
+        break;
+      }
+      default:
+        break;
     }
   }
-};
+}
 
 // --- placement-soundness -----------------------------------------------------
 
-class PlacementSoundnessRule : public PlanRule {
- public:
-  std::string name() const override { return "placement-soundness"; }
-
-  void Check(const PlanFacts& facts, const VerifyContext& ctx,
-             std::vector<Diagnostic>* out) const override {
-    const LogicalPlan& plan = facts.plan();
-    if (!plan.IsPlaced()) return;  // unplaced plans have nothing to prove
-    if (plan.source_placement() == LogicalOperator::kUnplaced) {
-      out->push_back(PlanLevelDiag(
-          name(),
-          "plan carries placement annotations but its source is unplaced — "
-          "annotate the source node (the placement pass pins it to the "
-          "edge worker)"));
-    }
-    std::set<int> left;
-    WalkChain(plan.ops(), "", plan.source_placement(), left, ctx, out);
-  }
-
- private:
-  // True when `node_id` resolves to an edge worker (unknown ids resolve
-  // to "not edge": the route check reports those).
-  static bool IsEdge(const Topology& topology, int node_id) {
-    auto node = topology.GetNode(node_id);
-    return node.ok() && node->kind == NodeKind::kEdgeWorker;
-  }
-
-  void WalkChain(const Chain& ops, const std::string& path, int current,
-                 std::set<int> left, const VerifyContext& ctx,
-                 std::vector<Diagnostic>* out) const {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      const LogicalOperator& op = *ops[i];
-      PlanFacts::Node node{&op, path, i, nullptr};
-      const int target = op.placement();
-      if (target == LogicalOperator::kUnplaced) {
-        out->push_back(MakeDiag(
-            name(), node,
-            "operator is unplaced inside a placed plan — `CompilePlan` "
-            "would run it wherever the previous operator sits, silently"));
-        continue;
-      }
-      if (target != current && current != LogicalOperator::kUnplaced) {
-        if (left.count(target) != 0) {
-          out->push_back(MakeDiag(
-              name(), node,
-              "placement returns to node " + std::to_string(target) +
-                  " after the chain already left it — placement must be "
-                  "monotone along every path"));
-        }
-        if (ctx.topology != nullptr) {
-          const Status route =
-              ctx.topology->ShortestPath(current, target).status();
-          if (!route.ok()) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "no topology route from node " + std::to_string(current) +
-                    " to node " + std::to_string(target) + ": " +
-                    route.message()));
-          }
-          if (!IsEdge(*ctx.topology, current) &&
-              IsEdge(*ctx.topology, target)) {
-            out->push_back(MakeDiag(
-                name(), node,
-                "placement moves from non-edge node " +
-                    std::to_string(current) + " back to edge worker " +
-                    std::to_string(target) +
-                    " — the edge→cloud direction is one-way"));
-          }
-        }
-        left.insert(current);
-        current = target;
-      } else if (current == LogicalOperator::kUnplaced) {
-        current = target;
-      }
-      if (op.kind() == Kind::kSink && ctx.topology != nullptr &&
-          IsEdge(*ctx.topology, target)) {
-        out->push_back(MakeDiag(
-            name(), node,
-            "sink is placed on edge worker " + std::to_string(target) +
-                " — results must reach the operations center (cloud side)"));
-      }
-      if (op.kind() == Kind::kFanOut) {
-        const auto& fan = static_cast<const FanOutNode&>(op);
-        for (size_t b = 0; b < fan.branches().size(); ++b) {
-          WalkChain(fan.branches()[b], DagBranchPath(path, b), current, left,
-                    ctx, out);
-        }
-      }
-    }
-  }
-};
-
-// --- merge-safety ------------------------------------------------------------
-
-class MergeSafetyRule : public PlanRule {
- public:
-  std::string name() const override { return "merge-safety"; }
-
-  void Check(const PlanFacts& facts, const VerifyContext& ctx,
-             std::vector<Diagnostic>* out) const override {
-    if (!ctx.shared_prefix) return;
-    for (const PlanFacts::Node& node : facts.nodes()) {
-      std::string why;
-      if (!OperatorMergeSafe(*node.op, &why)) {
-        out->push_back(MakeDiag(name(), node, why));
-      }
-    }
-  }
-};
-
-// --- branch-schema-coherence -------------------------------------------------
-
-class BranchSchemaCoherenceRule : public PlanRule {
- public:
-  std::string name() const override { return "branch-schema-coherence"; }
-
-  void Check(const PlanFacts& facts, const VerifyContext&,
-             std::vector<Diagnostic>* out) const override {
-    for (const PlanFacts::Node& node : facts.nodes()) {
-      if (node.op->kind() != Kind::kSink || node.input == nullptr) continue;
-      const auto& sink = static_cast<const SinkNode&>(*node.op);
-      if (!sink.sink()) {
-        out->push_back(MakeDiag(name(), node, "sink node without a sink"));
-        continue;
-      }
-      const Schema& declared = sink.sink()->output_schema();
-      if (!(declared == *node.input)) {
-        out->push_back(MakeDiag(
-            name(), node,
-            "sink expects (" + declared.ToString() +
-                ") but its leaf derives (" + node.input->ToString() + ")"));
-      }
-    }
-  }
-};
-
-}  // namespace
-
-// --- Diagnostic --------------------------------------------------------------
-
-std::string Diagnostic::ToString() const {
-  std::string out = "[" + rule + "] ";
-  if (op.empty()) {
-    out += "plan: " + message;
-    return out;
-  }
-  out += path.empty() ? "root chain" : "branch '" + path + "'";
-  out += " op #" + std::to_string(index) + " -> " + op;
-  if (placement != LogicalOperator::kUnplaced) {
-    out += "  @node" + std::to_string(placement);
-  }
-  out += ": " + message;
-  return out;
+// True when `node_id` resolves to an edge worker (unknown ids resolve
+// to "not edge": the route check reports those).
+bool IsEdge(const Topology& topology, int node_id) {
+  auto node = topology.GetNode(node_id);
+  return node.ok() && node->kind == NodeKind::kEdgeWorker;
 }
 
-// --- PlanFacts ---------------------------------------------------------------
-
-PlanFacts::PlanFacts(const LogicalPlan& plan) : plan_(&plan) {
-  if (plan.source() != nullptr) {
-    source_schema_ = Intern(plan.source()->schema());
-  }
-  WalkChain(plan.ops(), "", source_schema_);
-}
-
-const Schema* PlanFacts::Intern(Schema schema) {
-  schemas_.push_back(std::make_unique<Schema>(std::move(schema)));
-  return schemas_.back().get();
-}
-
-void PlanFacts::WalkChain(const Chain& ops, const std::string& path,
-                          const Schema* input) {
-  const Schema* current = input;
-  std::string pending_key;
+// Checks one chain whose input sits on topology node `current`, having
+// left the nodes in `left`; recurses at a fan-out.
+void CheckPlacementChain(const Chain& ops, const std::string& path,
+                         int current, std::set<int> left,
+                         const VerifyContext& ctx,
+                         std::vector<Diagnostic>* out) {
   for (size_t i = 0; i < ops.size(); ++i) {
     const LogicalOperator& op = *ops[i];
-    nodes_.push_back({&op, path, i, current});
+    const PlanFacts::Node node{&op, path, i, nullptr, ""};
+    const int target = op.placement();
+    if (target == LogicalOperator::kUnplaced) {
+      out->push_back(MakeDiag(
+          "placement-soundness", node,
+          "operator is unplaced inside a placed plan — `CompilePlan` "
+          "would run it wherever the previous operator sits, silently"));
+      continue;
+    }
+    if (target != current && current != LogicalOperator::kUnplaced) {
+      if (left.count(target) != 0) {
+        out->push_back(MakeDiag(
+            "placement-soundness", node,
+            "placement returns to node " + std::to_string(target) +
+                " after the chain already left it — placement must be "
+                "monotone along every path"));
+      }
+      if (ctx.topology != nullptr) {
+        const Status route =
+            ctx.topology->ShortestPath(current, target).status();
+        if (!route.ok()) {
+          out->push_back(MakeDiag(
+              "placement-soundness", node,
+              "no topology route from node " + std::to_string(current) +
+                  " to node " + std::to_string(target) + ": " +
+                  route.message()));
+        }
+        if (!IsEdge(*ctx.topology, current) &&
+            IsEdge(*ctx.topology, target)) {
+          out->push_back(MakeDiag(
+              "placement-soundness", node,
+              "placement moves from non-edge node " +
+                  std::to_string(current) + " back to edge worker " +
+                  std::to_string(target) +
+                  " — the edge→cloud direction is one-way"));
+        }
+      }
+      left.insert(current);
+      current = target;
+    } else if (current == LogicalOperator::kUnplaced) {
+      current = target;
+    }
+    if (op.kind() == Kind::kSink && ctx.topology != nullptr &&
+        IsEdge(*ctx.topology, target)) {
+      out->push_back(MakeDiag(
+          "placement-soundness", node,
+          "sink is placed on edge worker " + std::to_string(target) +
+              " — results must reach the operations center (cloud side)"));
+    }
     if (op.kind() == Kind::kFanOut) {
       const auto& fan = static_cast<const FanOutNode&>(op);
       for (size_t b = 0; b < fan.branches().size(); ++b) {
-        WalkChain(fan.branches()[b], DagBranchPath(path, b), current);
+        CheckPlacementChain(fan.branches()[b], DagBranchPath(path, b),
+                            current, left, ctx, out);
       }
-      // A fan-out should be terminal; if the chain (illegally) continues,
-      // keep walking with an unknown schema so the structure rule sees —
-      // and can name — the trailing operators.
-      current = nullptr;
-      continue;
     }
-    if (op.kind() == Kind::kSink) {
-      // Same: a sink should be terminal, but trailing operators must
-      // still enter the facts for the structure rule to flag them.
-      current = nullptr;
-      continue;
-    }
-    if (current == nullptr) continue;      // upstream derivation failed
-    Result<Schema> derived = DeriveOutputSchema(*current, op, &pending_key);
-    if (!derived.ok()) {
-      derivation_diags_.push_back(MakeDiag("schema-derivation",
-                                           nodes_.back(),
-                                           derived.status().message()));
-      current = nullptr;
-      continue;
-    }
-    current = Intern(std::move(derived).value());
   }
 }
+
+void CheckPlacementSoundness(const PlanFacts& facts, const VerifyContext& ctx,
+                             std::vector<Diagnostic>* out) {
+  const LogicalPlan& plan = facts.plan;
+  if (!plan.IsPlaced()) return;  // unplaced plans have nothing to prove
+  if (plan.source_placement() == LogicalOperator::kUnplaced) {
+    out->push_back(PlanLevelDiag(
+        "placement-soundness",
+        "plan carries placement annotations but its source is unplaced — "
+        "annotate the source node (the placement pass pins it to the "
+        "edge worker)"));
+  }
+  CheckPlacementChain(plan.ops(), "", plan.source_placement(), {}, ctx, out);
+}
+
+// --- merge-safety ------------------------------------------------------------
+
+void CheckMergeSafety(const PlanFacts& facts, const VerifyContext& ctx,
+                      std::vector<Diagnostic>* out) {
+  if (!ctx.shared_prefix) return;
+  for (const PlanFacts::Node& node : facts.nodes) {
+    std::string why;
+    if (!OperatorMergeSafe(*node.op, &why)) {
+      out->push_back(MakeDiag("merge-safety", node, why));
+    }
+  }
+}
+
+// --- branch-schema-coherence -------------------------------------------------
+
+void CheckBranchSchemaCoherence(const PlanFacts& facts,
+                                std::vector<Diagnostic>* out) {
+  for (const PlanFacts::Node& node : facts.nodes) {
+    if (node.op->kind() != Kind::kSink || node.input == nullptr) continue;
+    const auto& sink = static_cast<const SinkNode&>(*node.op);
+    if (!sink.sink()) {
+      out->push_back(MakeDiag("branch-schema-coherence", node,
+                              "sink node without a sink"));
+      continue;
+    }
+    const Schema& declared = sink.sink()->output_schema();
+    if (!(declared == *node.input)) {
+      out->push_back(MakeDiag(
+          "branch-schema-coherence", node,
+          "sink expects (" + declared.ToString() +
+              ") but its leaf derives (" + node.input->ToString() + ")"));
+    }
+  }
+}
+
+}  // namespace
 
 // --- OperatorMergeSafe -------------------------------------------------------
 
@@ -820,56 +627,17 @@ bool OperatorMergeSafe(const LogicalOperator& op, std::string* why) {
   return fail("unknown operator kind");
 }
 
-// --- Rule factories ----------------------------------------------------------
+// --- VerifyPlan --------------------------------------------------------------
 
-PlanRulePtr MakeStructureRule() { return std::make_unique<StructureRule>(); }
-PlanRulePtr MakeFieldProvenanceRule() {
-  return std::make_unique<FieldProvenanceRule>();
-}
-PlanRulePtr MakeWindowWellformedRule() {
-  return std::make_unique<WindowWellformedRule>();
-}
-PlanRulePtr MakePlacementSoundnessRule() {
-  return std::make_unique<PlacementSoundnessRule>();
-}
-PlanRulePtr MakeMergeSafetyRule() {
-  return std::make_unique<MergeSafetyRule>();
-}
-PlanRulePtr MakeBranchSchemaCoherenceRule() {
-  return std::make_unique<BranchSchemaCoherenceRule>();
-}
-
-// --- PlanVerifier ------------------------------------------------------------
-
-PlanVerifier PlanVerifier::Default() {
-  PlanVerifier v;
-  v.AddRule(MakeStructureRule());
-  v.AddRule(MakeFieldProvenanceRule());
-  v.AddRule(MakeWindowWellformedRule());
-  v.AddRule(MakePlacementSoundnessRule());
-  v.AddRule(MakeMergeSafetyRule());
-  v.AddRule(MakeBranchSchemaCoherenceRule());
-  return v;
-}
-
-PlanVerifier& PlanVerifier::AddRule(PlanRulePtr rule) {
-  rules_.push_back(std::move(rule));
-  return *this;
-}
-
-std::vector<Diagnostic> PlanVerifier::Run(const LogicalPlan& plan,
-                                          const VerifyContext& ctx) const {
-  PlanFacts facts(plan);
-  std::vector<Diagnostic> out = facts.derivation_diagnostics();
-  for (const PlanRulePtr& rule : rules_) {
-    rule->Check(facts, ctx, &out);
-  }
-  return out;
-}
-
-Status PlanVerifier::Verify(const LogicalPlan& plan,
-                            const VerifyContext& ctx) const {
-  const std::vector<Diagnostic> diags = Run(plan, ctx);
+Status VerifyPlan(const LogicalPlan& plan, const VerifyContext& ctx) {
+  const PlanFacts facts(plan);
+  std::vector<Diagnostic> diags = facts.derivation_diags;
+  CheckStructureRule(facts, ctx, &diags);
+  CheckFieldProvenance(facts, &diags);
+  CheckWindowWellformed(facts, &diags);
+  CheckPlacementSoundness(facts, ctx, &diags);
+  CheckMergeSafety(facts, ctx, &diags);
+  CheckBranchSchemaCoherence(facts, &diags);
   if (diags.empty()) return Status::OK();
   std::string msg = "plan verification failed (" +
                     std::to_string(diags.size()) + " diagnostic" +
@@ -879,10 +647,6 @@ Status PlanVerifier::Verify(const LogicalPlan& plan,
   }
   msg += "\nplan:\n" + plan.Explain();
   return Status::FailedPrecondition(std::move(msg));
-}
-
-Status VerifyPlan(const LogicalPlan& plan, const VerifyContext& ctx) {
-  return PlanVerifier::Default().Verify(plan, ctx);
 }
 
 }  // namespace nebulameos::nebula::analysis

@@ -1,16 +1,19 @@
 /// \file plan_verifier.hpp
-/// \brief Static analysis over the `LogicalPlan` IR: a pluggable rule
-/// engine that proves — or refutes, with actionable diagnostics — the
-/// invariants the optimizer, placement pass and serving layer all lean on.
+/// \brief Static analysis over the `LogicalPlan` IR: proves, or refutes
+/// with actionable diagnostics, the invariants the optimizer, placement
+/// pass and serving layer all lean on.
 ///
 /// Eight layers of rewrites (pushdown across joins and fan-outs, fusion,
 /// CSE, placement cuts, prefix merging) mean a subtly malformed plan can
 /// otherwise surface only as wrong rows or a TSan hit much later. The
-/// verifier checks each invariant right where it can still name the
-/// culprit:
+/// verifier derives each operator's input schema once, through the
+/// lowering step `CompilePlan` itself takes (`LowerNode`), and checks
+/// each invariant right where it can still name the culprit:
 ///
-///   - `structure`              — root-to-leaf termination, fan-out arity,
-///                                KeyBy consumption (Validate, rule-wrapped)
+///   - `structure`              — `CheckStructure`, the walk `Validate`
+///                                runs: termination (waived mid-rewrite),
+///                                fan-out arity, KeyBy consumption,
+///                                window aggregates; one finding per node
 ///   - `schema-derivation`      — every operator lowers against the schema
 ///                                reaching it (emitted by the facts walk)
 ///   - `field-provenance`       — every `ReferencedFields` read set,
@@ -37,35 +40,21 @@
 
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "nebula/logical_plan.hpp"
 
 namespace nebulameos::nebula::analysis {
-
-/// \brief One verifier finding, addressable enough to act on.
-struct Diagnostic {
-  std::string rule;      ///< rule that fired ("field-provenance", ...)
-  std::string path;      ///< DAG path of the chain ("" = root chain)
-  size_t index = 0;      ///< operator position within that chain
-  std::string op;        ///< `LogicalOperator::ToString()` of the culprit
-  int placement = LogicalOperator::kUnplaced;  ///< its `@node` annotation
-  std::string message;   ///< what is violated, in plan vocabulary
-
-  /// `[rule] root chain op #1 -> Filter(...) @node2: message` — the same
-  /// path/placement vocabulary `LogicalPlan::Explain` renders.
-  std::string ToString() const;
-};
 
 /// \brief Inputs a verification runs under (beyond the plan itself).
 struct VerifyContext {
   /// Placement routes are resolved against this when set; null skips the
   /// route/node-kind checks (structural placement checks still run).
   const Topology* topology = nullptr;
-  /// The plan is (or is about to become) a shared-host prefix: every
-  /// operator must additionally be merge-safe.
+  /// The plan is (or is about to become) a shared-host prefix: the
+  /// structure walk runs in `ChainTermination::kSharedPrefix` mode (the
+  /// gate `SubmitShared` applies), and every operator must additionally
+  /// be merge-safe.
   bool shared_prefix = false;
   /// The plan is mid-construction (rewrite boundaries): leaf chains may
   /// still be waiting for their sinks (`SetLeafSinks`), so termination is
@@ -73,84 +62,12 @@ struct VerifyContext {
   bool allow_unterminated = false;
 };
 
-/// \brief Precomputed traversal shared by all rules: every operator in
-/// DFS order with its DAG path, chain index, and — where derivable — the
-/// schema entering it. Derivation failures become `schema-derivation`
-/// diagnostics; downstream nodes of a failed derivation carry a null
-/// input schema and schema-dependent rules skip them.
-class PlanFacts {
- public:
-  struct Node {
-    const LogicalOperator* op = nullptr;
-    std::string path;
-    size_t index = 0;
-    const Schema* input = nullptr;  ///< schema entering; null = unknown
-  };
-
-  explicit PlanFacts(const LogicalPlan& plan);
-
-  const LogicalPlan& plan() const { return *plan_; }
-  const std::vector<Node>& nodes() const { return nodes_; }
-  /// Source schema (null when the plan has no source).
-  const Schema* source_schema() const { return source_schema_; }
-  /// Findings of the derivation walk itself (rule "schema-derivation").
-  const std::vector<Diagnostic>& derivation_diagnostics() const {
-    return derivation_diags_;
-  }
-
- private:
-  void WalkChain(const std::vector<LogicalOperatorPtr>& ops,
-                 const std::string& path, const Schema* input);
-  const Schema* Intern(Schema schema);
-
-  const LogicalPlan* plan_;
-  const Schema* source_schema_ = nullptr;
-  std::vector<Node> nodes_;
-  std::vector<Diagnostic> derivation_diags_;
-  /// Owns derived schemas; deque-like stability via unique_ptr.
-  std::vector<std::unique_ptr<Schema>> schemas_;
-};
-
-/// \brief One pluggable invariant check.
-class PlanRule {
- public:
-  virtual ~PlanRule() = default;
-  virtual std::string name() const = 0;
-  virtual void Check(const PlanFacts& facts, const VerifyContext& ctx,
-                     std::vector<Diagnostic>* out) const = 0;
-};
-
-using PlanRulePtr = std::unique_ptr<PlanRule>;
-
-// Built-in rule factories (each checks what its header comment names).
-PlanRulePtr MakeStructureRule();
-PlanRulePtr MakeFieldProvenanceRule();
-PlanRulePtr MakeWindowWellformedRule();
-PlanRulePtr MakePlacementSoundnessRule();
-PlanRulePtr MakeMergeSafetyRule();
-PlanRulePtr MakeBranchSchemaCoherenceRule();
-
-/// \brief The rule engine: runs every rule over one `PlanFacts` build and
-/// either returns the findings (`Run`) or formats them into a
-/// `FailedPrecondition` status with the plan rendering appended
-/// (`Verify`).
-class PlanVerifier {
- public:
-  /// All built-in rules.
-  static PlanVerifier Default();
-
-  PlanVerifier& AddRule(PlanRulePtr rule);
-  size_t NumRules() const { return rules_.size(); }
-
-  std::vector<Diagnostic> Run(const LogicalPlan& plan,
-                              const VerifyContext& ctx = {}) const;
-  Status Verify(const LogicalPlan& plan, const VerifyContext& ctx = {}) const;
-
- private:
-  std::vector<PlanRulePtr> rules_;
-};
-
-/// Convenience: `PlanVerifier::Default().Verify(plan, ctx)`.
+/// \brief Derives the plan's facts once and runs the checks above in a
+/// fixed order. OK when nothing fires; otherwise `FailedPrecondition`
+/// listing every diagnostic, one per line as
+/// `[rule] root chain op #1 -> Filter(...)  @node2: message` (a finding
+/// with no node to name reads `[rule] plan: message`), with the plan
+/// rendering appended.
 Status VerifyPlan(const LogicalPlan& plan, const VerifyContext& ctx = {});
 
 /// \brief True when every expression \p op carries is `ExpressionMergeSafe`

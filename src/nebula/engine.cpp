@@ -643,14 +643,9 @@ Result<int> NodeEngine::SubmitShared(LogicalPlan plan, int delivery_node) {
   if (plan.source() == nullptr) {
     return Status::InvalidArgument("shared plan has no source");
   }
-  for (const LogicalOperatorPtr& op : plan.ops()) {
-    if (op->kind() == LogicalOperator::Kind::kSink ||
-        op->kind() == LogicalOperator::Kind::kFanOut) {
-      return Status::InvalidArgument(
-          "shared prefix must be a sink-less linear chain; consumers "
-          "attach via AttachBranch");
-    }
-  }
+  const std::vector<StructureFinding> findings =
+      CheckStructure(plan.ops(), ChainTermination::kSharedPrefix);
+  if (!findings.empty()) return findings.front().ToStatus();
   auto rq = std::make_unique<RunningQuery>();
   rq->shared_host = true;
   rq->plan_text.logical = plan.Explain();
@@ -706,15 +701,13 @@ Result<int> NodeEngine::AttachBranch(
     return Status::FailedPrecondition(
         "query is not a shared host (SubmitShared)");
   }
-  if (suffix_ops.empty() ||
-      suffix_ops.back()->kind() != LogicalOperator::Kind::kSink) {
-    return Status::InvalidArgument("branch suffix must end in a sink");
-  }
-  for (const LogicalOperatorPtr& op : suffix_ops) {
-    if (op->kind() == LogicalOperator::Kind::kFanOut) {
-      return Status::InvalidArgument(
-          "branch suffix must be linear; attach one branch per leaf");
-    }
+  const std::vector<StructureFinding> findings =
+      CheckStructure(suffix_ops, ChainTermination::kRequired);
+  if (!findings.empty()) return findings.front().ToStatus();
+  // Past the walk, the suffix ends in a sink or in a terminal fan-out.
+  if (suffix_ops.back()->kind() == LogicalOperator::Kind::kFanOut) {
+    return Status::InvalidArgument(
+        "branch suffix must be linear; attach one branch per leaf");
   }
   auto br = std::make_unique<RunningQuery::Target>();
   {
@@ -737,10 +730,6 @@ Result<int> NodeEngine::AttachBranch(
                       CompilePlan(rq->pipeline.output_schema, suffix_plan,
                                   nullptr, copts));
   br->pipe = br->suffix.get();
-  if (br->pipe->sink == nullptr || !br->pipe->branches.empty()) {
-    return Status::InvalidArgument(
-        "branch suffix must compile to one linear chain ending in a sink");
-  }
   br->pipe->path = "b" + std::to_string(br->branch_id);
   if (options_.optimizer.verify_each) {
     analysis::PipelineVerifyContext pctx;

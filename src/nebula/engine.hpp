@@ -195,10 +195,11 @@ class NodeEngine {
   // mechanism.
 
   /// Submits a shared host: a query whose root target list starts empty
-  /// and holds the branches `AttachBranch` adds. \p prefix_plan must be
-  /// linear (no fan-out) and carry no sink; it is compiled verbatim (the
-  /// serving manager pre-optimizes — rewriting here could change the
-  /// shape branch suffixes were matched against) and never
+  /// and holds the branches `AttachBranch` adds. \p prefix_plan must pass
+  /// `CheckStructure` in `ChainTermination::kSharedPrefix` mode (no sink,
+  /// no fan-out; a refusal returns the first finding); it is compiled
+  /// verbatim (the serving manager pre-optimizes — rewriting here could
+  /// change the shape branch suffixes were matched against) and never
   /// partition-parallelized (branches own the stateful tails). When
   /// \p delivery_node names a topology node different from the prefix's
   /// last placed node, the shared stream is shipped there once over a
@@ -211,7 +212,10 @@ class NodeEngine {
 
   /// Attaches \p suffix_ops (a linear chain ending in a `SinkNode`) as a
   /// new branch of shared host \p host_id — one more dispatch target in
-  /// the host's root list — and returns the branch id. Valid before
+  /// the host's root list — and returns the branch id. The suffix must
+  /// pass `CheckStructure` with termination required, as a plan's chain
+  /// does at `Validate`, and must not fan out; a refusal is
+  /// `InvalidArgument` and attaches nothing. Valid before
   /// `Start` and *while the host runs* — runtime admission: the branch
   /// starts consuming from the next dispatched buffer boundary, with its
   /// own strand (actor-serialized state) and its own metrics under the

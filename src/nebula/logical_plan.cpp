@@ -428,78 +428,86 @@ bool ForEachLeafChain(ChainT& chain, const std::string& path, const Fn& fn) {
   return fn(chain, path);
 }
 
-// Structural checks shared by the root chain and every branch chain.
-Status ValidateChain(const Chain& ops, const std::string& path) {
-  const std::string where =
-      path.empty() ? std::string() : " (branch " + path + ")";
-  if (ops.empty() || (ops.back()->kind() != LogicalOperator::Kind::kSink &&
-                      ops.back()->kind() != LogicalOperator::Kind::kFanOut)) {
-    return Status::InvalidArgument("plan has no sink" + where);
+bool IsTerminal(LogicalOperator::Kind kind) {
+  return kind == LogicalOperator::Kind::kSink ||
+         kind == LogicalOperator::Kind::kFanOut;
+}
+
+bool ConsumesKey(LogicalOperator::Kind kind) {
+  return kind == LogicalOperator::Kind::kWindowAgg ||
+         kind == LogicalOperator::Kind::kThresholdWindow ||
+         kind == LogicalOperator::Kind::kCep;
+}
+
+// `CheckStructure` over one chain at `path`, recursing at a fan-out.
+void CheckChain(const Chain& ops, const std::string& path,
+                ChainTermination termination,
+                std::vector<StructureFinding>* out) {
+  const bool required = termination == ChainTermination::kRequired;
+  const auto add = [&](size_t i, std::string message) {
+    out->push_back({ops[i].get(), path, i, std::move(message)});
+  };
+  if (required && ops.empty()) {
+    out->push_back({nullptr, path, 0, "plan has no sink"});
+  } else if (required && !IsTerminal(ops.back()->kind())) {
+    add(ops.size() - 1, "plan has no sink");
   }
   for (size_t i = 0; i < ops.size(); ++i) {
     const LogicalOperator& op = *ops[i];
+    const bool last = i + 1 == ops.size();
+    if (termination == ChainTermination::kSharedPrefix &&
+        IsTerminal(op.kind())) {
+      add(i,
+          "a shared-host prefix must be a pure operator chain — sinks and "
+          "fan-outs are per-client and attach as branches");
+    }
     switch (op.kind()) {
-      case LogicalOperator::Kind::kSink: {
-        if (i + 1 != ops.size()) {
-          return Status::InvalidArgument(
-              "sink must be the terminal node of its chain" + where);
-        }
+      case LogicalOperator::Kind::kSink:
+        if (!last) add(i, "sink must be the terminal node of its chain");
         if (static_cast<const SinkNode&>(op).sink() == nullptr) {
-          return Status::InvalidArgument("plan has a null sink" + where);
+          add(i, "plan has a null sink");
         }
         break;
-      }
       case LogicalOperator::Kind::kFanOut: {
-        if (i + 1 != ops.size()) {
-          return Status::InvalidArgument(
-              "fan-out must be the terminal node of its chain" + where);
+        if (!last) add(i, "fan-out must be the terminal node of its chain");
+        const auto& branches = static_cast<const FanOutNode&>(op).branches();
+        if (branches.size() < 2) add(i, "fan-out needs at least two branches");
+        // With termination required, an empty branch is a chain without
+        // a sink, which the recursion reports.
+        for (size_t b = 0; b < branches.size() && !required; ++b) {
+          if (branches[b].empty()) {
+            add(i, "fan-out branch " + std::to_string(b) + " is empty");
+          }
         }
-        const auto& fan = static_cast<const FanOutNode&>(op);
-        if (fan.branches().size() < 2) {
-          return Status::InvalidArgument(
-              "fan-out needs at least two branches" + where);
-        }
-        for (size_t b = 0; b < fan.branches().size(); ++b) {
-          NM_RETURN_NOT_OK(ValidateChain(fan.branches()[b],
-                                         BranchPath(path, b)));
+        for (size_t b = 0; b < branches.size(); ++b) {
+          CheckChain(branches[b], BranchPath(path, b), termination, out);
         }
         break;
       }
       case LogicalOperator::Kind::kKeyBy: {
-        const auto& key = static_cast<const KeyByNode&>(op);
-        if (key.field().empty()) {
-          return Status::InvalidArgument("KeyBy with an empty field" + where);
-        }
-        const LogicalOperator::Kind next =
-            i + 1 < ops.size() ? ops[i + 1]->kind()
-                               : LogicalOperator::Kind::kSink;
-        if (next != LogicalOperator::Kind::kWindowAgg &&
-            next != LogicalOperator::Kind::kThresholdWindow &&
-            next != LogicalOperator::Kind::kCep) {
-          return Status::InvalidArgument(
-              "KeyBy(" + key.field() +
-              ") is never consumed: it must be immediately followed by a "
-              "window aggregation or CEP step" + where);
+        const std::string& field = static_cast<const KeyByNode&>(op).field();
+        if (field.empty()) add(i, "KeyBy with an empty field");
+        // Once termination is waived, a trailing KeyBy may still be
+        // awaiting its window; an interior unconsumed one never is.
+        if (last ? required : !ConsumesKey(ops[i + 1]->kind())) {
+          add(i, "KeyBy(" + field +
+                     ") is never consumed: it must be immediately followed "
+                     "by a window aggregation or CEP step");
         }
         break;
       }
       case LogicalOperator::Kind::kWindowAgg: {
-        const auto& node = static_cast<const WindowAggNode&>(op);
-        if (node.options().aggregates.empty() &&
-            node.options().custom_aggregators.empty()) {
-          return Status::InvalidArgument(
-              "window aggregation without aggregates (missing Aggregate?)" +
-              where);
+        const auto& opts = static_cast<const WindowAggNode&>(op).options();
+        if (opts.aggregates.empty() && opts.custom_aggregators.empty()) {
+          add(i, "window aggregation without aggregates (missing Aggregate?)");
         }
         break;
       }
       case LogicalOperator::Kind::kThresholdWindow: {
-        const auto& node = static_cast<const ThresholdWindowNode&>(op);
-        if (node.options().aggregates.empty() &&
-            node.options().custom_aggregators.empty()) {
-          return Status::InvalidArgument(
-              "threshold window without aggregates (missing Aggregate?)" +
-              where);
+        const auto& opts =
+            static_cast<const ThresholdWindowNode&>(op).options();
+        if (opts.aggregates.empty() && opts.custom_aggregators.empty()) {
+          add(i, "threshold window without aggregates (missing Aggregate?)");
         }
         break;
       }
@@ -507,7 +515,6 @@ Status ValidateChain(const Chain& ops, const std::string& path) {
         break;
     }
   }
-  return Status::OK();
 }
 
 // Renders one chain. `indent` prefixes every line; nodes of a chain that
@@ -537,29 +544,18 @@ void ExplainChain(const Chain& ops, const std::string& indent,
   }
 }
 
-// The key field a keyed stateful node partitions its state by: the folded
-// KeyBy field when one is pending, else the node's own key option. Empty
-// when the node is not a keyed stateful operator (including global
-// windows). Mirrors the fold rules in `CompileChain` exactly.
-std::string StatefulKeyField(const LogicalOperator& node,
-                             const std::string& pending_key) {
-  switch (node.kind()) {
-    case LogicalOperator::Kind::kWindowAgg: {
-      const auto& opts = static_cast<const WindowAggNode&>(node).options();
-      return pending_key.empty() ? opts.key_field : pending_key;
-    }
-    case LogicalOperator::Kind::kThresholdWindow: {
-      const auto& opts =
-          static_cast<const ThresholdWindowNode&>(node).options();
-      return pending_key.empty() ? opts.key_field : pending_key;
-    }
-    case LogicalOperator::Kind::kCep: {
-      const auto& pattern = static_cast<const CepNode&>(node).pattern();
-      return pattern.key_field.empty() ? pending_key : pattern.key_field;
-    }
-    default:
-      return "";
-  }
+// True when `node` runs on another topology node than `current_node`: a
+// placement transition, which `CompileChain` lowers to a channel pair and
+// which ends fused runs and partitionable suffixes. A KeyBy is a marker
+// folded into its consumer, so it never moves the pipeline on its own.
+// Without a topology, annotations are ignored.
+bool MovesNode(const LogicalOperator& node, const Topology* topology,
+               int current_node) {
+  return topology != nullptr &&
+         node.kind() != LogicalOperator::Kind::kKeyBy &&
+         node.placement() != LogicalOperator::kUnplaced &&
+         current_node != LogicalOperator::kUnplaced &&
+         node.placement() != current_node;
 }
 
 // True when the chain suffix starting at the keyed stateful node at
@@ -585,12 +581,7 @@ bool SuffixPartitionable(const Chain& ops, size_t begin,
       default:
         break;
     }
-    if (topology != nullptr &&
-        node.placement() != LogicalOperator::kUnplaced &&
-        current_node != LogicalOperator::kUnplaced &&
-        node.placement() != current_node) {
-      return false;
-    }
+    if (MovesNode(node, topology, current_node)) return false;
   }
   return true;
 }
@@ -632,10 +623,7 @@ FusedRunCse PlanFusedRunCse(const Chain& ops, size_t idx,
   size_t map_index = ops.size();
   for (size_t i = idx; i < ops.size(); ++i) {
     const LogicalOperator& node = *ops[i];
-    if (topology != nullptr &&
-        node.placement() != LogicalOperator::kUnplaced &&
-        current_node != LogicalOperator::kUnplaced &&
-        node.placement() != current_node) {
+    if (MovesNode(node, topology, current_node)) {
       break;  // fusion barrier: the run ends at the transition
     }
     if (node.kind() == LogicalOperator::Kind::kFilter) {
@@ -710,14 +698,14 @@ Status CompileChain(const Chain& ops, size_t begin,
     fuser.reset();
   };
   for (size_t idx = begin; idx < ops.size(); ++idx) {
-    const LogicalOperatorPtr& node = ops[idx];
+    const LogicalOperator& node = *ops[idx];
     // Partitioned-parallel trigger: a qualifying keyed stateful node ends
     // this segment's sequential chain; its whole suffix (through the
     // sink) compiles once per partition. Checked before placement
     // lowering — a transition anywhere in the suffix disqualifies it, so
     // nothing is lowered twice.
     if (copts.partitions > 1) {
-      const std::string key = StatefulKeyField(*node, pending_key);
+      const std::string key = FoldedKeyField(node, pending_key);
       if (!key.empty() && current.HasField(key) &&
           SuffixPartitionable(ops, idx, topology, current_node)) {
         NM_ASSIGN_OR_RETURN(const size_t key_index, current.IndexOf(key));
@@ -742,19 +730,14 @@ Status CompileChain(const Chain& ops, size_t begin,
         }
       }
     }
-    // Placement lowering (KeyBy is a marker folded into its consumer, so
-    // it never moves the pipeline on its own). A transition is a fusion
-    // barrier: kernels never span two placement segments.
-    if (topology != nullptr &&
-        node->kind() != LogicalOperator::Kind::kKeyBy &&
-        node->placement() != LogicalOperator::kUnplaced &&
-        current_node != LogicalOperator::kUnplaced &&
-        node->placement() != current_node) {
+    // Placement lowering. A transition is a fusion barrier: kernels never
+    // span two placement segments.
+    if (MovesNode(node, topology, current_node)) {
       flush_fused();
       NM_RETURN_NOT_OK(LowerTransition(*topology, current_node,
-                                       node->placement(), current,
+                                       node.placement(), current,
                                        copts.faults, pipe));
-      current_node = node->placement();
+      current_node = node.placement();
     }
     if (copts.compiled_kernels && pending_key.empty()) {
       bool absorbed = false;
@@ -768,14 +751,14 @@ Status CompileChain(const Chain& ops, size_t begin,
         fuser.emplace(current);
         if (cse.cache != nullptr) fuser->AttachCseCache(cse.cache);
       };
-      switch (node->kind()) {
+      switch (node.kind()) {
         case LogicalOperator::Kind::kFilter: {
           open_run();
           const auto rewritten = cse.filter_predicates.find(idx);
           absorbed = fuser->AddFilter(
               rewritten != cse.filter_predicates.end()
                   ? rewritten->second
-                  : static_cast<const FilterNode&>(*node).predicate());
+                  : static_cast<const FilterNode&>(node).predicate());
           break;
         }
         case LogicalOperator::Kind::kMap: {
@@ -784,13 +767,13 @@ Status CompileChain(const Chain& ops, size_t begin,
           absorbed = fuser->AddMap(
               rewritten != cse.map_specs.end()
                   ? rewritten->second
-                  : static_cast<const MapNode&>(*node).specs());
+                  : static_cast<const MapNode&>(node).specs());
           break;
         }
         case LogicalOperator::Kind::kProject: {
           if (!fuser.has_value()) fuser.emplace(current);
           absorbed = fuser->AddProject(
-              static_cast<const ProjectNode&>(*node).fields());
+              static_cast<const ProjectNode&>(node).fields());
           break;
         }
         default:
@@ -804,103 +787,25 @@ Status CompileChain(const Chain& ops, size_t begin,
     // Not (or no longer) fusable: close the run before the interpreted
     // operator binds against the run's output schema.
     flush_fused();
-    OperatorPtr op;
-    switch (node->kind()) {
-      case LogicalOperator::Kind::kFilter: {
-        const auto& filter = static_cast<const FilterNode&>(*node);
-        NM_ASSIGN_OR_RETURN(op,
-                            FilterOperator::Make(current, filter.predicate()));
-        break;
+    NM_ASSIGN_OR_RETURN(OperatorPtr op, LowerNode(node, current, &pending_key));
+    if (op != nullptr) {
+      current = op->output_schema();
+      pipe->operators.push_back(std::move(op));
+    } else if (node.kind() == LogicalOperator::Kind::kSink) {
+      // The engine drives the sink; lowering stops here.
+      pipe->sink = static_cast<const SinkNode&>(node).sink();
+    } else if (node.kind() == LogicalOperator::Kind::kFanOut) {
+      const auto& fan = static_cast<const FanOutNode&>(node);
+      for (size_t b = 0; b < fan.branches().size(); ++b) {
+        CompiledPipeline branch;
+        NM_RETURN_NOT_OK(CompileChain(fan.branches()[b], 0, "", current,
+                                      BranchPath(path, b), &branch, topology,
+                                      current_node, copts));
+        pipe->branches.push_back(std::move(branch));
       }
-      case LogicalOperator::Kind::kMap: {
-        const auto& map = static_cast<const MapNode&>(*node);
-        NM_ASSIGN_OR_RETURN(op, MapOperator::Make(current, map.specs()));
-        break;
-      }
-      case LogicalOperator::Kind::kProject: {
-        const auto& project = static_cast<const ProjectNode&>(*node);
-        NM_ASSIGN_OR_RETURN(op,
-                            ProjectOperator::Make(current, project.fields()));
-        break;
-      }
-      case LogicalOperator::Kind::kKeyBy: {
-        const auto& key = static_cast<const KeyByNode&>(*node);
-        if (!pending_key.empty()) {
-          return Status::InvalidArgument(
-              "KeyBy(" + pending_key + ") is never consumed");
-        }
-        pending_key = key.field();
-        continue;  // marker node: no physical operator
-      }
-      case LogicalOperator::Kind::kWindowAgg: {
-        const auto& win = static_cast<const WindowAggNode&>(*node);
-        WindowAggOptions options = win.options();
-        if (!pending_key.empty()) {
-          options.key_field = pending_key;
-          pending_key.clear();
-        }
-        NM_ASSIGN_OR_RETURN(
-            op, WindowAggOperator::Make(current, std::move(options)));
-        break;
-      }
-      case LogicalOperator::Kind::kThresholdWindow: {
-        const auto& win = static_cast<const ThresholdWindowNode&>(*node);
-        ThresholdWindowOptions options = win.options();
-        if (!pending_key.empty()) {
-          options.key_field = pending_key;
-          pending_key.clear();
-        }
-        NM_ASSIGN_OR_RETURN(
-            op, ThresholdWindowOperator::Make(current, std::move(options)));
-        break;
-      }
-      case LogicalOperator::Kind::kCep: {
-        const auto& cep = static_cast<const CepNode&>(*node);
-        Pattern pattern = cep.pattern();
-        if (!pending_key.empty()) {
-          if (pattern.key_field.empty()) pattern.key_field = pending_key;
-          pending_key.clear();
-        }
-        NM_ASSIGN_OR_RETURN(
-            op, CepOperator::Make(current, std::move(pattern),
-                                  cep.measures()));
-        break;
-      }
-      case LogicalOperator::Kind::kLookupJoin: {
-        const auto& join = static_cast<const LookupJoinNode&>(*node);
-        NM_ASSIGN_OR_RETURN(
-            op, TemporalLookupJoinOperator::Make(current, join.options()));
-        break;
-      }
-      case LogicalOperator::Kind::kFanOut: {
-        if (!pending_key.empty()) {
-          return Status::InvalidArgument(
-              "KeyBy(" + pending_key + ") is never consumed");
-        }
-        const auto& fan = static_cast<const FanOutNode&>(*node);
-        for (size_t b = 0; b < fan.branches().size(); ++b) {
-          CompiledPipeline branch;
-          NM_RETURN_NOT_OK(CompileChain(fan.branches()[b], 0, "", current,
-                                        BranchPath(path, b), &branch,
-                                        topology, current_node, copts));
-          pipe->branches.push_back(std::move(branch));
-        }
-        pipe->output_schema = current;
-        return Status::OK();  // fan-out terminates the chain
-      }
-      case LogicalOperator::Kind::kSink: {
-        // The engine drives the sink; lowering stops here.
-        pipe->sink = static_cast<const SinkNode&>(*node).sink();
-        continue;
-      }
+      pipe->output_schema = current;
+      return Status::OK();  // fan-out terminates the chain
     }
-    if (!pending_key.empty()) {
-      return Status::InvalidArgument(
-          "KeyBy(" + pending_key +
-          ") must be immediately followed by a window or CEP step");
-    }
-    current = op->output_schema();
-    pipe->operators.push_back(std::move(op));
   }
   if (!pending_key.empty()) {
     return Status::InvalidArgument(
@@ -912,6 +817,94 @@ Status CompileChain(const Chain& ops, size_t begin,
 }
 
 }  // namespace
+
+Status StructureFinding::ToStatus() const {
+  return Status::InvalidArgument(
+      path.empty() ? message : message + " (branch " + path + ")");
+}
+
+std::vector<StructureFinding> CheckStructure(const Chain& chain,
+                                             ChainTermination termination) {
+  std::vector<StructureFinding> out;
+  CheckChain(chain, "", termination, &out);
+  return out;
+}
+
+std::string FoldedKeyField(const LogicalOperator& node,
+                           const std::string& pending_key) {
+  switch (node.kind()) {
+    case LogicalOperator::Kind::kWindowAgg: {
+      const auto& opts = static_cast<const WindowAggNode&>(node).options();
+      return pending_key.empty() ? opts.key_field : pending_key;
+    }
+    case LogicalOperator::Kind::kThresholdWindow: {
+      const auto& opts =
+          static_cast<const ThresholdWindowNode&>(node).options();
+      return pending_key.empty() ? opts.key_field : pending_key;
+    }
+    case LogicalOperator::Kind::kCep: {
+      const auto& pattern = static_cast<const CepNode&>(node).pattern();
+      return pattern.key_field.empty() ? pending_key : pattern.key_field;
+    }
+    default:
+      return "";
+  }
+}
+
+Result<OperatorPtr> LowerNode(const LogicalOperator& node, const Schema& input,
+                              std::string* pending_key) {
+  using Kind = LogicalOperator::Kind;
+  if (!pending_key->empty() && !ConsumesKey(node.kind())) {
+    const bool marker_or_end = node.kind() == Kind::kKeyBy ||
+                               IsTerminal(node.kind());
+    return Status::InvalidArgument(
+        "KeyBy(" + *pending_key +
+        (marker_or_end
+             ? ") is never consumed"
+             : ") must be immediately followed by a window or CEP step"));
+  }
+  const std::string key = FoldedKeyField(node, *pending_key);
+  pending_key->clear();
+  switch (node.kind()) {
+    case Kind::kFilter:
+      return FilterOperator::Make(
+          input, static_cast<const FilterNode&>(node).predicate());
+    case Kind::kMap:
+      return MapOperator::Make(input,
+                               static_cast<const MapNode&>(node).specs());
+    case Kind::kProject:
+      return ProjectOperator::Make(
+          input, static_cast<const ProjectNode&>(node).fields());
+    case Kind::kKeyBy:
+      *pending_key = static_cast<const KeyByNode&>(node).field();
+      return OperatorPtr();
+    case Kind::kWindowAgg: {
+      WindowAggOptions options =
+          static_cast<const WindowAggNode&>(node).options();
+      options.key_field = key;
+      return WindowAggOperator::Make(input, std::move(options));
+    }
+    case Kind::kThresholdWindow: {
+      ThresholdWindowOptions options =
+          static_cast<const ThresholdWindowNode&>(node).options();
+      options.key_field = key;
+      return ThresholdWindowOperator::Make(input, std::move(options));
+    }
+    case Kind::kCep: {
+      const auto& cep = static_cast<const CepNode&>(node);
+      Pattern pattern = cep.pattern();
+      pattern.key_field = key;
+      return CepOperator::Make(input, std::move(pattern), cep.measures());
+    }
+    case Kind::kLookupJoin:
+      return TemporalLookupJoinOperator::Make(
+          input, static_cast<const LookupJoinNode&>(node).options());
+    case Kind::kFanOut:
+    case Kind::kSink:
+      return OperatorPtr();
+  }
+  return Status::Internal("unknown logical operator kind");
+}
 
 Status LowerTransition(const Topology& topology, int from_node, int to_node,
                        const Schema& schema, const FaultToleranceOptions& ft,
@@ -1021,7 +1014,9 @@ Status LogicalPlan::Validate() const {
   if (source_ == nullptr) {
     return Status::InvalidArgument("plan has no source");
   }
-  return ValidateChain(ops_, "");
+  const std::vector<StructureFinding> findings =
+      CheckStructure(ops_, ChainTermination::kRequired);
+  return findings.empty() ? Status::OK() : findings.front().ToStatus();
 }
 
 std::string LogicalPlan::Explain() const {

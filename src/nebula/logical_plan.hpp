@@ -312,6 +312,71 @@ size_t StructuralHash(const LogicalOperator& op);
 /// instance.
 LogicalOperatorPtr CloneOperator(const LogicalOperator& op);
 
+// --- Plan-lowering rules -----------------------------------------------------
+//
+// Each rule below is kept once and shared by `CompilePlan`, `Validate`,
+// the engine's shared-host entry points and the plan verifier, so the
+// verifier derives exactly what the compiler lowers.
+
+/// \brief What a structural walk requires of the end of each chain.
+enum class ChainTermination {
+  /// Every chain ends in a sink or a fan-out: a finished plan.
+  kRequired,
+  /// Chains may end anywhere: a plan mid-rewrite, whose sinks attach
+  /// later. A trailing `KeyBy` may still be awaiting its window.
+  kWaived,
+  /// A shared-host prefix: termination is waived, and no sink or fan-out
+  /// may appear anywhere (consumers attach as branches).
+  kSharedPrefix,
+};
+
+/// \brief One structural defect, addressed like a verifier diagnostic.
+struct StructureFinding {
+  /// The culprit node; null when the finding is about an empty chain.
+  const LogicalOperator* op = nullptr;
+  std::string path;   ///< DAG path of the culprit's chain ("" = root)
+  size_t index = 0;   ///< the culprit's position in that chain
+  std::string message;
+
+  /// `InvalidArgument` carrying the message, tagged " (branch <path>)"
+  /// off the root chain: the status `Validate` returns.
+  Status ToStatus() const;
+};
+
+/// \brief The one structural walk over \p chain and every fan-out branch
+/// below it, returning each finding in DFS order:
+/// - the chain ends in a sink or a fan-out (per \p termination);
+/// - sinks and fan-outs are terminal in their chain, sinks are non-null,
+///   and fan-outs have >= 2 non-empty branches;
+/// - every `KeyBy` names a field and is immediately consumed by a window
+///   or CEP node (a dangling key is a hard error, not a silent drop);
+/// - window nodes carry at least one aggregate (i.e. the builder's
+///   `Aggregate` was called).
+std::vector<StructureFinding> CheckStructure(
+    const std::vector<LogicalOperatorPtr>& chain,
+    ChainTermination termination);
+
+/// \brief The key a keyed stateful node (window aggregation, threshold
+/// window, CEP) partitions its state by once \p pending_key, the field of
+/// a `KeyBy` immediately before it (empty when none), folds in. A KeyBy
+/// wins over a window's own `key_field`; a CEP pattern's own `key_field`
+/// wins over a KeyBy. Empty for every other node and for global windows.
+std::string FoldedKeyField(const LogicalOperator& node,
+                           const std::string& pending_key);
+
+/// \brief The one lowering step: builds the interpreted physical operator
+/// of \p node bound against \p input. `CompilePlan` takes it for every
+/// node a fused kernel run does not absorb, and the plan verifier takes it
+/// to derive each node's schema.
+///
+/// A `KeyBy` lowers to nullptr and sets \p pending_key; the next window or
+/// CEP node consumes it (`FoldedKeyField`) and clears it. While a key is
+/// pending, any other node, a second `KeyBy` included, is refused. Fan-out
+/// and sink nodes lower to nullptr: the compiler recurses into the
+/// branches and hands the sink to the engine.
+Result<OperatorPtr> LowerNode(const LogicalOperator& node, const Schema& input,
+                              std::string* pending_key);
+
 /// \brief A complete logical query: source → operator DAG → sink(s).
 ///
 /// Move-only (owns its source). The ops vector is the root chain; a
@@ -375,15 +440,9 @@ class LogicalPlan {
   std::vector<std::pair<std::string, std::shared_ptr<SinkOperator>>> Sinks()
       const;
 
-  /// Structural validation, before any schema is known:
-  /// - a source is present;
-  /// - every root-to-leaf path ends in exactly one sink node;
-  /// - fan-out nodes are terminal in their chain and have >= 2 non-empty
-  ///   branches;
-  /// - every `KeyBy` is immediately consumed by a window/CEP node (a
-  ///   dangling key is a hard error, not a silent drop);
-  /// - window nodes carry at least one aggregate (i.e. the builder's
-  ///   `Aggregate` was called).
+  /// Structural validation, before any schema is known: a source is
+  /// present, and `CheckStructure` with termination required finds
+  /// nothing. Returns the first finding (`StructureFinding::ToStatus`).
   Status Validate() const;
 
   /// Textual rendering of the plan, one node per line. Linear plans render
@@ -469,10 +528,11 @@ struct CompileOptions {
 };
 
 /// \brief Lowers a validated plan to its physical pipeline tree (schemas
-/// propagate source → sinks; expressions bind along the way). `KeyBy`
-/// nodes are folded into the key field of the node they precede; sink
-/// nodes become `CompiledPipeline::sink` (the engine drives them
-/// separately). The plan's source is *not* consumed.
+/// propagate source → sinks; expressions bind along the way). Every node a
+/// fused kernel run does not absorb lowers through `LowerNode`, which
+/// folds `KeyBy` nodes into the node they precede; sink nodes become
+/// `CompiledPipeline::sink` (the engine drives them separately). The
+/// plan's source is *not* consumed.
 ///
 /// When \p topology is non-null and the plan carries placement
 /// annotations, every transition between differently-placed neighbours

@@ -364,11 +364,13 @@ Status NetworkChannel::RequestRetransmit(uint64_t seq) {
   frames_ += 1;
   payload_bytes_ += entry.payload_bytes;
   wire_bytes_ += entry.frame.size();
-  transfer_seconds_ += RouteSeconds(entry.frame.size()) + backoff;
+  const double retry_seconds = RouteSeconds(entry.frame.size()) + backoff;
+  transfer_seconds_ += retry_seconds;
   if (m_wire_bytes_ != nullptr) {
     m_wire_bytes_->Add(entry.frame.size());
     m_frames_->Increment();
     m_events_->Add(entry.events);
+    m_transfer_micros_->Record(static_cast<int64_t>(retry_seconds * 1e6));
   }
   // Retransmissions ride the recovery path directly — re-injecting faults
   // here would make bounded-attempt convergence probabilistic, and the
@@ -393,6 +395,10 @@ void NetworkChannel::FlushFaults() {
 
 HealthState NetworkChannel::health() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return HealthLocked();
+}
+
+HealthState NetworkChannel::HealthLocked() const {
   if (disconnected_) return HealthState::kDisconnected;
   if (dropped_ > 0 || duplicated_ > 0 || reordered_ > 0 || delayed_ > 0 ||
       retransmits_ > 0 || shed_ > 0 || dup_suppressed_ > 0 || lost_ > 0) {
@@ -431,15 +437,7 @@ Result<DeploymentReport> MeasureDeployment(
     report.duplicates_suppressed += channel->dup_suppressed_;
     report.frames_lost += channel->lost_;
     // Worst-of health: one dead channel marks the deployment Disconnected.
-    HealthState ch_health = HealthState::kHealthy;
-    if (channel->disconnected_) {
-      ch_health = HealthState::kDisconnected;
-    } else if (channel->dropped_ > 0 || channel->duplicated_ > 0 ||
-               channel->reordered_ > 0 || channel->delayed_ > 0 ||
-               channel->retransmits_ > 0 || channel->shed_ > 0 ||
-               channel->dup_suppressed_ > 0 || channel->lost_ > 0) {
-      ch_health = HealthState::kDegraded;
-    }
+    const HealthState ch_health = channel->HealthLocked();
     if (static_cast<int>(ch_health) > static_cast<int>(report.health)) {
       report.health = ch_health;
     }

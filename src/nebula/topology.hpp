@@ -238,10 +238,12 @@ class NetworkChannel {
 
   /// Resolves this channel's live instruments: wire-byte/frame/event
   /// counters plus a per-frame transfer-latency histogram, recorded on
-  /// every `Send` into a live channel and every retransmit. Pointers must
-  /// outlive the channel (the engine binds them out of the query's
-  /// registry before the run starts). All four must be set together;
-  /// unbound channels record nothing.
+  /// every `Send` into a live channel (its route time) and every
+  /// retransmit (its route time plus backoff, the seconds it adds to the
+  /// deployment's transfer time), so the histogram's count equals the
+  /// frames counter. Pointers must outlive the channel (the engine binds
+  /// them out of the query's registry before the run starts). All four
+  /// must be set together; unbound channels record nothing.
   void BindMetrics(metrics::Counter* wire_bytes, metrics::Counter* frames,
                    metrics::Counter* events,
                    metrics::Histogram* transfer_micros) {
@@ -288,6 +290,9 @@ class NetworkChannel {
 
   /// Seconds one frame of \p wire_bytes takes across the whole route.
   double RouteSeconds(size_t wire_bytes) const;
+
+  /// `health()`'s rule. Caller holds `mutex_`.
+  HealthState HealthLocked() const;
 
   /// Appends \p frame to the in-flight queue, releasing a held reorder
   /// slot behind it. Caller holds `mutex_`.

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "nebula/analysis/pipeline_verifier.hpp"
 #include "nebula/analysis/plan_verifier.hpp"
 #include "nebula/engine.hpp"
@@ -75,8 +77,9 @@ TEST(PlanVerifier, RejectsDanglingFieldReference) {
   EXPECT_NE(st.message().find("op #"), std::string::npos) << st.message();
 }
 
-// The structure rule wraps `Validate` for finished plans, but tolerates a
-// sink-less chain when the caller says the plan is mid-rewrite.
+// The structure rule runs the walk `Validate` runs, termination required
+// for finished plans, but tolerates a sink-less chain when the caller says
+// the plan is mid-rewrite.
 TEST(PlanVerifier, StructureRequiresTerminationUnlessMidRewrite) {
   auto plan = Query::From(MakeSource())
                   .Filter(Gt(Attribute("value"), Lit(1.0)))
@@ -231,6 +234,151 @@ TEST(PlanVerifier, RejectsBrokenFanOutSinkSchema) {
       << st.message();
   // The diagnostic is branch-addressed: it names the failing branch path.
   EXPECT_NE(st.message().find("branch"), std::string::npos) << st.message();
+}
+
+// --- KeyBy rules: Validate, CompilePlan and VerifyPlan agree ---------------
+
+using Chain = std::vector<LogicalOperatorPtr>;
+
+LogicalOperatorPtr KeyBy(const std::string& field) {
+  return std::make_unique<KeyByNode>(field);
+}
+
+LogicalOperatorPtr CountWindow(const std::string& own_key = "") {
+  WindowAggOptions options;
+  options.window = TumblingWindowSpec{Seconds(10)};
+  options.key_field = own_key;
+  options.time_field = "ts";
+  options.aggregates = {AggregateSpec::Count("n")};
+  return std::make_unique<WindowAggNode>(std::move(options));
+}
+
+LogicalOperatorPtr Detect(const std::string& own_key) {
+  Pattern pattern;
+  pattern.steps.push_back({"high", Gt(Attribute("value"), Lit(5.0))});
+  pattern.key_field = own_key;
+  pattern.time_field = "ts";
+  return std::make_unique<CepNode>(
+      std::move(pattern), std::vector<Measure>{Measure::Count("high", "n")});
+}
+
+LogicalOperatorPtr Above(double limit) {
+  return std::make_unique<FilterNode>(Gt(Attribute("value"), Lit(limit)));
+}
+
+template <typename... Ops>
+Chain MakeChain(Ops... ops) {
+  Chain chain;
+  (chain.push_back(std::move(ops)), ...);
+  return chain;
+}
+
+// A plan whose chain at DAG path `at` ("", "1" or "1.0") is `chain`; every
+// other leaf is an empty chain awaiting its sink.
+LogicalPlan PlanWithChainAt(Chain chain, const std::string& at) {
+  if (at == "1.0") {
+    std::vector<FanOutNode::Branch> inner(2);
+    inner[0] = std::move(chain);
+    chain = MakeChain(LogicalOperatorPtr(
+        std::make_unique<FanOutNode>(std::move(inner))));
+  }
+  if (at != "") {
+    std::vector<FanOutNode::Branch> outer(2);
+    outer[1] = std::move(chain);
+    chain = MakeChain(LogicalOperatorPtr(
+        std::make_unique<FanOutNode>(std::move(outer))));
+  }
+  LogicalPlan plan;
+  plan.SetSource(MakeSource());
+  for (LogicalOperatorPtr& op : chain) plan.Append(std::move(op));
+  return plan;
+}
+
+// One row per KeyBy rule. The compiler folds a KeyBy into the window or
+// CEP node right after it and refuses it anywhere else; Validate and the
+// verifier, in both of the contexts `Submit` and a rewrite boundary use,
+// must accept and refuse exactly the same plans. Accepted rows declare
+// each sink from `OutputSchemas()`, so `branch-schema-coherence` checks
+// that the verifier derives what the compiler builds.
+TEST(PlanVerifier, KeyByRulesAgreeWithTheCompiler) {
+  struct Row {
+    std::string name;
+    std::function<Chain()> chain;
+    bool lowers = false;        // Validate, CompilePlan and VerifyPlan accept
+    std::string key = "";       // accepted: the key column the leaf leads with
+    std::string stops_at = "";  // refused: the node derivation stops at
+    bool sinkless = false;      // left unterminated: only mid-rewrite accepts
+  };
+  const std::vector<Row> rows = {
+      {.name = "KeyBy -> window",
+       .chain = [] { return MakeChain(KeyBy("key"), CountWindow()); },
+       .lowers = true,
+       .key = "key"},
+      {.name = "KeyBy wins over the window's key",
+       .chain = [] { return MakeChain(KeyBy("key"), CountWindow("value")); },
+       .lowers = true,
+       .key = "key"},
+      {.name = "the pattern's key wins over KeyBy",
+       .chain = [] { return MakeChain(KeyBy("key"), Detect("value")); },
+       .lowers = true,
+       .key = "value"},
+      {.name = "KeyBy -> Filter -> window",
+       .chain =
+           [] { return MakeChain(KeyBy("key"), Above(1.0), CountWindow()); },
+       .stops_at = "op #1 -> Filter"},
+      {.name = "KeyBy -> KeyBy -> window",
+       .chain =
+           [] {
+             return MakeChain(KeyBy("key"), KeyBy("value"), CountWindow());
+           },
+       .stops_at = "op #1 -> KeyBy(value)"},
+      {.name = "trailing KeyBy",
+       .chain = [] { return MakeChain(Above(1.0), KeyBy("key")); },
+       .sinkless = true},
+  };
+  for (const std::string at : {"", "1", "1.0"}) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Row& row = rows[r];
+      if (at != "" && r >= 4) continue;  // branches take the first four
+      SCOPED_TRACE(row.name + " at path '" + at + "'");
+      LogicalPlan plan = PlanWithChainAt(row.chain(), at);
+      if (!row.sinkless) {
+        auto leaves = plan.OutputSchemas();
+        ASSERT_EQ(leaves.ok(), row.lowers) << leaves.status().ToString();
+        std::vector<std::shared_ptr<SinkOperator>> sinks;
+        for (size_t leaf = 0; leaf < plan.NumLeaves(); ++leaf) {
+          sinks.push_back(std::make_shared<CountingSink>(
+              leaves.ok() ? (*leaves)[leaf].second : EventSchema()));
+        }
+        ASSERT_TRUE(plan.SetLeafSinks(std::move(sinks)).ok());
+        for (size_t leaf = 0; leaves.ok() && leaf < leaves->size(); ++leaf) {
+          const auto& [path, schema] = (*leaves)[leaf];
+          if (path == at) {
+            EXPECT_EQ(schema.field(0).name, row.key);
+          }
+        }
+      }
+      EXPECT_EQ(plan.Validate().ok(), row.lowers);
+      EXPECT_EQ(CompilePlan(EventSchema(), plan).ok(), row.lowers);
+      const Status verified = analysis::VerifyPlan(plan);
+      EXPECT_EQ(verified.ok(), row.lowers) << verified.ToString();
+      analysis::VerifyContext mid_rewrite;
+      mid_rewrite.allow_unterminated = true;
+      const Status relaxed = analysis::VerifyPlan(plan, mid_rewrite);
+      EXPECT_EQ(relaxed.ok(), row.lowers || row.sinkless)
+          << relaxed.ToString();
+      if (!row.stops_at.empty()) {
+        // Derivation stops where lowering stops, not at a keyed window
+        // the compiler never builds.
+        const std::string chain =
+            at.empty() ? "root chain" : "branch '" + at + "'";
+        EXPECT_NE(verified.message().find("[schema-derivation] " + chain +
+                                          " " + row.stops_at),
+                  std::string::npos)
+            << verified.message();
+      }
+    }
+  }
 }
 
 // --- verify-each ------------------------------------------------------------

@@ -551,5 +551,58 @@ TEST(OneAccountingPlane, SharedHostPolledWhileBranchesAttachAndDetach) {
   }
 }
 
+// A branch suffix passes the structural walk a plan's chain passes at
+// `Validate`: a sink before the end of the chain, or a window without
+// aggregates, is refused and attaches nothing, so the host's one valid
+// branch sees every row it selects.
+TEST(SharedHost, AttachBranchRefusesWhatValidateRefuses) {
+  NodeEngine engine;
+  LogicalPlan prefix;
+  prefix.SetSource(MakeSource(40));
+  auto host = engine.SubmitShared(std::move(prefix));
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  const auto over_ten = [] {
+    return std::make_unique<FilterNode>(Gt(Attribute("value"), Lit(10.0)));
+  };
+
+  auto a = std::make_shared<CountingSink>(EventSchema());
+  std::vector<LogicalOperatorPtr> interior_sink;
+  interior_sink.push_back(std::make_unique<SinkNode>(a));
+  interior_sink.push_back(over_ten());
+  interior_sink.push_back(std::make_unique<SinkNode>(
+      std::make_shared<CountingSink>(EventSchema())));
+  const Status interior =
+      engine.AttachBranch(*host, std::move(interior_sink)).status();
+  EXPECT_EQ(interior.code(), StatusCode::kInvalidArgument)
+      << interior.ToString();
+
+  WindowAggOptions window;
+  window.window = TumblingWindowSpec{Seconds(10)};
+  window.time_field = "ts";
+  std::vector<LogicalOperatorPtr> no_aggregates;
+  no_aggregates.push_back(std::make_unique<WindowAggNode>(std::move(window)));
+  no_aggregates.push_back(std::make_unique<SinkNode>(
+      std::make_shared<CountingSink>(Schema::Build()
+                                         .AddTimestamp("window_start")
+                                         .AddTimestamp("window_end")
+                                         .Finish())));
+  const Status empty_window =
+      engine.AttachBranch(*host, std::move(no_aggregates)).status();
+  EXPECT_EQ(empty_window.code(), StatusCode::kInvalidArgument)
+      << empty_window.ToString();
+
+  auto b = std::make_shared<CountingSink>(EventSchema());
+  std::vector<LogicalOperatorPtr> valid;
+  valid.push_back(over_ten());
+  valid.push_back(std::make_unique<SinkNode>(b));
+  ASSERT_TRUE(engine.AttachBranch(*host, std::move(valid)).ok());
+  ASSERT_TRUE(engine.RunToCompletion(*host).ok());
+  EXPECT_EQ(a->events(), 0u);
+  EXPECT_EQ(b->events(), 29u);  // values 11..39
+  auto stats = engine.Stats(*host);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->sink_stats.size(), 1u);
+}
+
 }  // namespace
 }  // namespace nebulameos::nebula

@@ -523,6 +523,47 @@ TEST(EngineFaultTolerance, ChannelInstrumentsMatchDeploymentAfterDisconnect) {
   SetLogLevel(LogLevel::kWarn);
 }
 
+// Every frame a channel counts, retransmits included, records its
+// transfer time: per channel the `transfer_micros` histogram holds one
+// sample per `frames` count, and the samples sum to `Deployment().frames`.
+TEST(EngineFaultTolerance, ChannelTransferTimesCountRetransmits) {
+  const Topology topo = Topology::SncbReference(1, 1e6, Millis(1));
+  std::shared_ptr<CollectSink> sink;
+  auto plan = MakePlacedLinearPlan(200, &sink);
+  ASSERT_TRUE(plan.ok());
+  ScopedProfileOverride lossy("drop=0.2,seed=7");
+  EngineOptions options;
+  options.optimizer.enable = false;
+  options.topology = &topo;
+  options.tuples_per_buffer = 8;
+  options.faults.profile.drop_rate = 0.2;
+  options.faults.profile.seed = 7;
+  NodeEngine engine(options);
+  auto id = engine.Submit(std::move(*plan));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(engine.RunToCompletion(*id).ok());
+  auto report = engine.Deployment(*id);
+  auto snapshot = engine.Metrics(*id);
+  ASSERT_TRUE(report.ok() && snapshot.ok());
+  ASSERT_GT(report->retransmits, 0u);
+  uint64_t samples = 0;
+  size_t channels = 0;
+  for (const auto& [name, histogram] : snapshot->histograms) {
+    if (!name.starts_with("channel.") || !name.ends_with(".transfer_micros")) {
+      continue;
+    }
+    const std::string base =
+        name.substr(0, name.size() - std::string(".transfer_micros").size());
+    ASSERT_EQ(snapshot->counters.count(base + ".frames"), 1u) << base;
+    EXPECT_EQ(histogram.count, snapshot->counters.at(base + ".frames"))
+        << base;
+    samples += histogram.count;
+    ++channels;
+  }
+  EXPECT_EQ(channels, 1u);
+  EXPECT_EQ(samples, report->frames);
+}
+
 // --- Stateful-operator monotonicity guards -----------------------------
 
 TEST(MonotonicityGuards, WindowAggShedsLateRecordsInsteadOfRefiring) {
