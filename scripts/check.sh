@@ -137,3 +137,22 @@ echo "metrics smoke: OK"
 ./bench/bench_fleet_serving 400 ../BENCH_fleet.json
 ./examples/example_fleet_serving | grep -q 'fleet serving: OK'
 echo "fleet serving smoke: OK"
+
+# Example smoke: every other example runs once, each from a fresh
+# directory because some write artifacts to their working directory
+# (export_visualization writes sncb_fleet.geojson); a non-zero exit fails
+# the gate and prints the example's output.
+for example in "$PWD"/examples/example_*; do
+  [[ -f "$example" && -x "$example" ]] || continue
+  case "$(basename "$example")" in
+    example_metrics_observability | example_fleet_serving) continue ;;
+  esac
+  run_dir="$(mktemp -d)"
+  if ! (cd "$run_dir" && "$example" >output.log 2>&1); then
+    cat "$run_dir/output.log" >&2
+    echo "check.sh: $(basename "$example") failed" >&2
+    exit 1
+  fi
+  rm -rf "$run_dir"
+done
+echo "examples smoke: OK"

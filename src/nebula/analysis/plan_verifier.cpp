@@ -342,18 +342,15 @@ void CheckSpec(const WindowSpec& spec, const PlanFacts::Node& node,
       out->push_back(MakeDiag("window-wellformed", node,
                               "tumbling window size must be > 0"));
     }
-  } else if (const auto* sliding = std::get_if<SlidingWindowSpec>(&spec)) {
-    if (sliding->size <= 0 || sliding->slide <= 0) {
+  } else {
+    const auto& sliding = std::get<SlidingWindowSpec>(spec);
+    if (sliding.size <= 0 || sliding.slide <= 0) {
       out->push_back(MakeDiag("window-wellformed", node,
                               "sliding window size/slide must be > 0"));
-    } else if (sliding->slide > sliding->size) {
+    } else if (sliding.slide > sliding.size) {
       out->push_back(MakeDiag("window-wellformed", node,
                               "sliding window slide must be <= size"));
     }
-  } else {
-    out->push_back(MakeDiag(
-        "window-wellformed", node,
-        "WindowAgg carries a threshold spec — use a ThresholdWindow node"));
   }
 }
 
@@ -589,10 +586,6 @@ bool OperatorMergeSafe(const LogicalOperator& op, std::string* why) {
         return fail(
             "custom aggregators are opaque callables with no provable "
             "cross-query identity");
-      }
-      if (const auto* threshold =
-              std::get_if<ThresholdWindowSpec>(&opts.window)) {
-        return check_expr(threshold->predicate, "threshold predicate");
       }
       return true;
     }

@@ -128,9 +128,11 @@ struct EngineOptions {
   OptimizerOptions optimizer;
   /// Lower Filter→Map→Project runs to fused batch kernels at compile time
   /// (`CompileOptions::compiled_kernels`). False forces the interpreted
-  /// `Expression::Eval` path everywhere — the A/B switch the benches use
-  /// to quantify the compiled-kernel win. Expressions the compiler
-  /// refuses fall back to the interpreter either way.
+  /// `Expression::Eval` path everywhere, which evaluates every tree as
+  /// written: the reference switch that compiled-vs-interpreted checks
+  /// compare compiled rows against, and the A/B switch the benches use to
+  /// quantify the compiled-kernel win. Expressions the compiler refuses
+  /// fall back to the interpreter either way.
   bool compiled_kernels = true;
   /// Simulated topology for placed plans (non-owning; must outlive the
   /// engine). When set, submitted plans carrying placement annotations

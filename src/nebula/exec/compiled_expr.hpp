@@ -235,9 +235,9 @@ KernelPtr MakeBoxedFnKernel(KernelType out_type, BoxedFn fn,
 /// did. Short-circuiting AND/OR means an occurrence may see rows an
 /// earlier one skipped (a subexpression first reached on an OR's right side
 /// covers only the rows where the left side was false). The owning
-/// `BatchKernelOperator` calls `Invalidate()` once per input batch; like
-/// `CseCache`, staleness is by epoch. Single-strand state: one cache
-/// belongs to one operator instance.
+/// `BatchKernelOperator` calls `Invalidate()` once per input batch, and
+/// staleness is by epoch: nothing is cleared. Single-strand state: one
+/// cache belongs to one operator instance.
 class ColumnCache {
  public:
   struct Slot {

@@ -1001,169 +1001,13 @@ ExprPtr FoldConstants(const ExprPtr& expr, bool* changed) {
 
 namespace {
 
-// The memoizing wrapper `PlanCse` installs at every occurrence of a shared
+// The wrapper `PlanKernelCse` installs at every occurrence of a shared
 // subexpression. One instance per distinct subexpression, aliased at all
 // its occurrence positions (trees are immutable after Bind, so sharing a
-// node is free): whichever occurrence evaluates first under the current
-// epoch fills the slot, later ones read it. Lazy by construction — inside
-// a short-circuited And/Or arm the wrapper is never asked and computes
-// nothing. No CompileKernel override: CSE trees stay on the interpreted
-// path (the batch compiler has its own evaluation model).
-class CachedExpr final : public Expression {
- public:
-  CachedExpr(ExprPtr inner, std::shared_ptr<CseCache> cache, size_t slot)
-      : inner_(std::move(inner)), cache_(std::move(cache)), slot_(slot) {}
-
-  Status Bind(const Schema& schema) override { return inner_->Bind(schema); }
-
-  Value Eval(const RecordView& rec) const override {
-    CseCache::Slot& slot = cache_->slots[slot_];
-    if (slot.epoch != cache_->epoch) {
-      slot.value = inner_->Eval(rec);
-      slot.epoch = cache_->epoch;
-    }
-    return slot.value;
-  }
-
-  DataType output_type() const override { return inner_->output_type(); }
-  std::string ToString() const override { return inner_->ToString(); }
-  std::optional<Value> ConstantValue() const override {
-    return inner_->ConstantValue();
-  }
-  bool ReferencedFields(std::vector<std::string>* out) const override {
-    return inner_->ReferencedFields(out);
-  }
-
- private:
-  ExprPtr inner_;
-  std::shared_ptr<CseCache> cache_;
-  size_t slot_;
-};
-
-// Field reads and literals are cheaper than a cache slot.
-bool CseTrivial(const Expression* e) {
-  return dynamic_cast<const FieldExpr*>(e) != nullptr ||
-         dynamic_cast<const LiteralExpr*>(e) != nullptr;
-}
-
-// Occurrence census bucket. Buckets key on the rendered form and verify
-// membership with StructurallyEqual, so a rendering collision degrades to
-// a missed sharing opportunity, never a wrong merge.
-struct CseBucket {
-  ExprPtr representative;
-  size_t occurrences = 0;
-  ExprPtr wrapper;  // the shared caching wrapper, built on first replacement
-};
-
-// Builds the caching wrapper for a shared subexpression — parameterizes
-// CseRewrite over the two cache models (per-record CachedExpr for the
-// interpreter, per-batch column cache for compiled kernels).
-using CseWrapperFactory = std::function<ExprPtr(const ExprPtr& rep)>;
-
-// Counts subtree occurrences over the replaceable region: every subtree
-// all of whose ancestors (within its root) are rebuildable built-ins.
-void CseCount(const ExprPtr& node, std::map<std::string, CseBucket>* buckets) {
-  if (!CseTrivial(node.get())) {
-    CseBucket& bucket = (*buckets)[node->ToString()];
-    if (!bucket.representative) bucket.representative = node;
-    if (StructurallyEqual(bucket.representative, node)) ++bucket.occurrences;
-  }
-  if (const auto* a = dynamic_cast<const ArithExpr*>(node.get())) {
-    CseCount(a->lhs(), buckets);
-    CseCount(a->rhs(), buckets);
-  } else if (const auto* c = dynamic_cast<const CompareExpr*>(node.get())) {
-    CseCount(c->lhs(), buckets);
-    CseCount(c->rhs(), buckets);
-  } else if (const auto* l = dynamic_cast<const LogicalExpr*>(node.get())) {
-    CseCount(l->lhs(), buckets);
-    CseCount(l->rhs(), buckets);
-  } else if (const auto* n = dynamic_cast<const NotExpr*>(node.get())) {
-    CseCount(n->inner(), buckets);
-  }
-}
-
-// Top-down, outermost-wins replacement: a node matching a shared bucket
-// becomes (an alias of) the bucket's wrapper and its interior is left
-// untouched — the wrapper's single evaluation covers it. Rebuilt ancestor
-// nodes come out unbound; PlanCse's caller re-binds.
-ExprPtr CseRewrite(const ExprPtr& node,
-                   std::map<std::string, CseBucket>* buckets,
-                   const CseWrapperFactory& make_wrapper,
-                   size_t* num_shared) {
-  if (!CseTrivial(node.get())) {
-    const auto it = buckets->find(node->ToString());
-    if (it != buckets->end() && it->second.occurrences >= 2 &&
-        StructurallyEqual(it->second.representative, node)) {
-      CseBucket& bucket = it->second;
-      if (!bucket.wrapper) {
-        bucket.wrapper = make_wrapper(bucket.representative);
-        ++*num_shared;
-      }
-      return bucket.wrapper;
-    }
-  }
-  if (const auto* a = dynamic_cast<const ArithExpr*>(node.get())) {
-    ExprPtr lhs = CseRewrite(a->lhs(), buckets, make_wrapper, num_shared);
-    ExprPtr rhs = CseRewrite(a->rhs(), buckets, make_wrapper, num_shared);
-    if (lhs != a->lhs() || rhs != a->rhs()) {
-      return Arith(a->op(), std::move(lhs), std::move(rhs));
-    }
-    return node;
-  }
-  if (const auto* c = dynamic_cast<const CompareExpr*>(node.get())) {
-    ExprPtr lhs = CseRewrite(c->lhs(), buckets, make_wrapper, num_shared);
-    ExprPtr rhs = CseRewrite(c->rhs(), buckets, make_wrapper, num_shared);
-    if (lhs != c->lhs() || rhs != c->rhs()) {
-      return Compare(c->op(), std::move(lhs), std::move(rhs));
-    }
-    return node;
-  }
-  if (const auto* l = dynamic_cast<const LogicalExpr*>(node.get())) {
-    ExprPtr lhs = CseRewrite(l->lhs(), buckets, make_wrapper, num_shared);
-    ExprPtr rhs = CseRewrite(l->rhs(), buckets, make_wrapper, num_shared);
-    if (lhs != l->lhs() || rhs != l->rhs()) {
-      return l->logical_kind() == LogicalExpr::Kind::kAnd
-                 ? And(std::move(lhs), std::move(rhs))
-                 : Or(std::move(lhs), std::move(rhs));
-    }
-    return node;
-  }
-  if (const auto* n = dynamic_cast<const NotExpr*>(node.get())) {
-    ExprPtr inner = CseRewrite(n->inner(), buckets, make_wrapper, num_shared);
-    if (inner != n->inner()) return Not(std::move(inner));
-    return node;
-  }
-  return node;
-}
-
-// Census + rewrite shared by both CSE planners; returns the rewritten
-// roots (unchanged when nothing repeats) and the shared-wrapper count.
-std::vector<ExprPtr> CseRun(std::vector<ExprPtr> roots,
-                            const CseWrapperFactory& make_wrapper,
-                            size_t* num_shared) {
-  std::map<std::string, CseBucket> buckets;
-  for (const ExprPtr& root : roots) {
-    if (root) CseCount(root, &buckets);
-  }
-  bool any_shared = false;
-  for (const auto& [key, bucket] : buckets) {
-    any_shared = any_shared || bucket.occurrences >= 2;
-  }
-  if (!any_shared) return roots;
-  std::vector<ExprPtr> out;
-  out.reserve(roots.size());
-  for (const ExprPtr& root : roots) {
-    out.push_back(root ? CseRewrite(root, &buckets, make_wrapper, num_shared)
-                       : root);
-  }
-  return out;
-}
-
-// The wrapper `PlanKernelCse` installs: interpretation passes straight
-// through to the inner tree (per-record evaluation has its own CSE in
-// PlanCse), while `CompileKernel` wraps the inner kernel so each row's
-// value is computed at most once per batch and every occurrence in the
-// fused run's stages reads it from the shared column.
+// node is free). Interpretation passes straight through to the inner tree,
+// while `CompileKernel` wraps the inner kernel so each row's value is
+// computed at most once per batch and every occurrence in the fused run's
+// stages reads it from the shared column.
 class KernelCachedExpr final : public Expression {
  public:
   KernelCachedExpr(ExprPtr inner, std::shared_ptr<exec::ColumnCache> cache,
@@ -1193,32 +1037,119 @@ class KernelCachedExpr final : public Expression {
   size_t slot_;
 };
 
-}  // namespace
-
-CsePlan PlanCse(std::vector<ExprPtr> roots) {
-  CsePlan plan;
-  auto cache = std::make_shared<CseCache>();
-  plan.roots = CseRun(std::move(roots),
-                      [&cache](const ExprPtr& rep) -> ExprPtr {
-                        cache->slots.emplace_back();
-                        return std::make_shared<CachedExpr>(
-                            rep, cache, cache->slots.size() - 1);
-                      },
-                      &plan.num_shared);
-  if (plan.num_shared > 0) plan.cache = std::move(cache);
-  return plan;
+// Field reads and literals are cheaper than a cache slot.
+bool CseTrivial(const Expression* e) {
+  return dynamic_cast<const FieldExpr*>(e) != nullptr ||
+         dynamic_cast<const LiteralExpr*>(e) != nullptr;
 }
+
+// Occurrence census bucket. Buckets key on the rendered form and verify
+// membership with StructurallyEqual, so a rendering collision degrades to
+// a missed sharing opportunity, never a wrong merge.
+struct CseBucket {
+  ExprPtr representative;
+  size_t occurrences = 0;
+  ExprPtr wrapper;  // the shared caching wrapper, built on first replacement
+};
+
+// Counts subtree occurrences over the replaceable region: every subtree
+// all of whose ancestors (within its root) are rebuildable built-ins.
+void CseCount(const ExprPtr& node, std::map<std::string, CseBucket>* buckets) {
+  if (!CseTrivial(node.get())) {
+    CseBucket& bucket = (*buckets)[node->ToString()];
+    if (!bucket.representative) bucket.representative = node;
+    if (StructurallyEqual(bucket.representative, node)) ++bucket.occurrences;
+  }
+  if (const auto* a = dynamic_cast<const ArithExpr*>(node.get())) {
+    CseCount(a->lhs(), buckets);
+    CseCount(a->rhs(), buckets);
+  } else if (const auto* c = dynamic_cast<const CompareExpr*>(node.get())) {
+    CseCount(c->lhs(), buckets);
+    CseCount(c->rhs(), buckets);
+  } else if (const auto* l = dynamic_cast<const LogicalExpr*>(node.get())) {
+    CseCount(l->lhs(), buckets);
+    CseCount(l->rhs(), buckets);
+  } else if (const auto* n = dynamic_cast<const NotExpr*>(node.get())) {
+    CseCount(n->inner(), buckets);
+  }
+}
+
+// Top-down, outermost-wins replacement: a node matching a shared bucket
+// becomes (an alias of) the bucket's wrapper, which takes the next slot of
+// `cache`, and its interior is left untouched — the wrapper's single
+// evaluation covers it. Rebuilt ancestor nodes come out unbound.
+ExprPtr CseRewrite(const ExprPtr& node,
+                   std::map<std::string, CseBucket>* buckets,
+                   const std::shared_ptr<exec::ColumnCache>& cache) {
+  if (!CseTrivial(node.get())) {
+    const auto it = buckets->find(node->ToString());
+    if (it != buckets->end() && it->second.occurrences >= 2 &&
+        StructurallyEqual(it->second.representative, node)) {
+      CseBucket& bucket = it->second;
+      if (!bucket.wrapper) {
+        bucket.wrapper = std::make_shared<KernelCachedExpr>(
+            bucket.representative, cache, cache->AddSlot());
+      }
+      return bucket.wrapper;
+    }
+  }
+  if (const auto* a = dynamic_cast<const ArithExpr*>(node.get())) {
+    ExprPtr lhs = CseRewrite(a->lhs(), buckets, cache);
+    ExprPtr rhs = CseRewrite(a->rhs(), buckets, cache);
+    if (lhs != a->lhs() || rhs != a->rhs()) {
+      return Arith(a->op(), std::move(lhs), std::move(rhs));
+    }
+    return node;
+  }
+  if (const auto* c = dynamic_cast<const CompareExpr*>(node.get())) {
+    ExprPtr lhs = CseRewrite(c->lhs(), buckets, cache);
+    ExprPtr rhs = CseRewrite(c->rhs(), buckets, cache);
+    if (lhs != c->lhs() || rhs != c->rhs()) {
+      return Compare(c->op(), std::move(lhs), std::move(rhs));
+    }
+    return node;
+  }
+  if (const auto* l = dynamic_cast<const LogicalExpr*>(node.get())) {
+    ExprPtr lhs = CseRewrite(l->lhs(), buckets, cache);
+    ExprPtr rhs = CseRewrite(l->rhs(), buckets, cache);
+    if (lhs != l->lhs() || rhs != l->rhs()) {
+      return l->logical_kind() == LogicalExpr::Kind::kAnd
+                 ? And(std::move(lhs), std::move(rhs))
+                 : Or(std::move(lhs), std::move(rhs));
+    }
+    return node;
+  }
+  if (const auto* n = dynamic_cast<const NotExpr*>(node.get())) {
+    ExprPtr inner = CseRewrite(n->inner(), buckets, cache);
+    if (inner != n->inner()) return Not(std::move(inner));
+    return node;
+  }
+  return node;
+}
+
+}  // namespace
 
 KernelCsePlan PlanKernelCse(std::vector<ExprPtr> roots) {
   KernelCsePlan plan;
+  std::map<std::string, CseBucket> buckets;
+  for (const ExprPtr& root : roots) {
+    if (root) CseCount(root, &buckets);
+  }
+  bool any_shared = false;
+  for (const auto& [key, bucket] : buckets) {
+    any_shared = any_shared || bucket.occurrences >= 2;
+  }
+  if (!any_shared) {
+    plan.roots = std::move(roots);
+    return plan;
+  }
   auto cache = std::make_shared<exec::ColumnCache>();
-  plan.roots = CseRun(std::move(roots),
-                      [&cache](const ExprPtr& rep) -> ExprPtr {
-                        return std::make_shared<KernelCachedExpr>(
-                            rep, cache, cache->AddSlot());
-                      },
-                      &plan.num_shared);
-  if (plan.num_shared > 0) plan.cache = std::move(cache);
+  plan.roots.reserve(roots.size());
+  for (const ExprPtr& root : roots) {
+    plan.roots.push_back(root ? CseRewrite(root, &buckets, cache) : root);
+  }
+  plan.num_shared = cache->num_slots();
+  plan.cache = std::move(cache);
   return plan;
 }
 

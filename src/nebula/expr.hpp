@@ -293,70 +293,17 @@ bool ExpressionMergeSafe(const ExprPtr& expr);
 /// (integer widening, division-by-zero behaviour) match runtime exactly.
 ExprPtr FoldConstants(const ExprPtr& expr, bool* changed);
 
-// --- Common-subexpression elimination (interpreter path) ---------------------
-
-/// \brief Per-record memoization state backing `PlanCse`-rewritten trees:
-/// one slot per distinct shared subexpression. Invalidation is by epoch —
-/// the evaluating operator calls `BeginRecord()` before each record and
-/// stale slots simply miss; nothing is cleared. Single-evaluator state:
-/// the owning operator instance runs on one strand, so plain fields need
-/// no synchronization.
-struct CseCache {
-  struct Slot {
-    /// Initialized to a value no real epoch reaches, so the first Eval of
-    /// a slot always computes even if epochs started at 0.
-    uint64_t epoch = ~uint64_t{0};
-    Value value = false;
-  };
-
-  uint64_t epoch = 0;
-  std::vector<Slot> slots;
-
-  /// Starts a new record: previously cached values become stale.
-  void BeginRecord() { ++epoch; }
-};
-
-/// \brief Result of `PlanCse` over one operator's expression trees.
-struct CsePlan {
-  /// The rewritten trees, position-for-position with the input roots.
-  /// Rebuilt nodes are unbound — callers bind (or re-bind) against their
-  /// input schema before evaluating. Unchanged when nothing was shared.
-  std::vector<ExprPtr> roots;
-  /// The shared memoization cache; null when `num_shared == 0` (callers
-  /// then skip the per-record `BeginRecord`).
-  std::shared_ptr<CseCache> cache;
-  /// Distinct subexpressions now computed once per record.
-  size_t num_shared = 0;
-};
-
-/// \brief Memoizes repeated subexpressions across \p roots — the trees one
-/// operator evaluates per record (a filter's predicate, a map's computed
-/// fields). Every subexpression occurring more than once (by
-/// `StructurallyEqual`) is replaced with a caching wrapper evaluating the
-/// subtree once per record; later occurrences reuse the slot. Wrappers are
-/// lazy, so And/Or short-circuiting still skips whole subtrees — a skipped
-/// occurrence computes nothing, and the slot fills at the first occurrence
-/// actually reached.
-///
-/// Conservative by construction: only subtrees whose ancestors are all
-/// built-in arithmetic/comparison/logical/NOT nodes are replaced (anything
-/// below a function call would require rebuilding the enclosing function
-/// node, whose concrete subclass is unknown), and bare field references
-/// and literals are never cached (the wrapper would cost more than the
-/// read). The compiled-kernel path never sees these trees — CSE is the
-/// interpreter fallback's optimization.
-CsePlan PlanCse(std::vector<ExprPtr> roots);
-
-// --- Common-subexpression elimination (compiled path) ------------------------
+// --- Common-subexpression elimination --------------------------------------
 
 /// \brief Result of `PlanKernelCse` over the expression roots of one fused
 /// kernel run (consecutive filter predicates plus the map specs that share
 /// their input buffer).
 struct KernelCsePlan {
-  /// Rewritten trees, position-for-position with the input roots. Shared
-  /// subtrees are wrapped so their *compiled kernels* write/read a cached
-  /// column; interpreted `Eval` of a wrapper simply delegates (the
-  /// interpreter fallback stays correct without the cache).
+  /// Rewritten trees, position-for-position with the input roots; the
+  /// input trees themselves when nothing repeats. Shared subtrees are
+  /// wrapped so their *compiled kernels* write/read a cached column;
+  /// interpreted `Eval` of a wrapper simply delegates. Rebuilt nodes are
+  /// unbound — callers bind against their input schema before compiling.
   std::vector<ExprPtr> roots;
   /// Cross-stage computed-column cache the wrappers' kernels share; null
   /// when `num_shared == 0`. The owning `BatchKernelOperator` invalidates
@@ -366,16 +313,24 @@ struct KernelCsePlan {
   size_t num_shared = 0;
 };
 
-/// \brief Kernel-level CSE: shares repeated subexpressions across the
-/// stages of one fused `BatchKernelOperator` run. `PlanCse` covers only the
-/// interpreter path; fused batch kernels previously recomputed shared
-/// subtrees per stage. Each repeated subtree (by `StructurallyEqual`, same
-/// conservative ancestor/triviality rules as `PlanCse`) compiles into a
-/// kernel that keeps its column for the current input batch — by physical
-/// row index, recording which rows it holds — and every occurrence
-/// computes only the rows no earlier occurrence did. An earlier occurrence
-/// need not cover a later one's rows: a short-circuiting AND/OR evaluates
-/// its right side only over the rows its left side left undecided.
+/// \brief Kernel-level CSE, the engine's one common-subexpression
+/// mechanism: shares repeated subexpressions across the stages of one fused
+/// `BatchKernelOperator` run. The interpreted operators evaluate their
+/// trees as written, so they stay a plain reference for these kernels.
+/// Each subtree occurring more than once (by `StructurallyEqual`) compiles
+/// into a kernel that keeps its column for the current input batch — by
+/// physical row index, recording which rows it holds — and every
+/// occurrence computes only the rows no earlier occurrence did. An earlier
+/// occurrence need not cover a later one's rows: a short-circuiting AND/OR
+/// evaluates its right side only over the rows its left side left
+/// undecided.
+///
+/// Conservative by construction: only subtrees whose ancestors are all
+/// built-in arithmetic/comparison/logical/NOT nodes are replaced (anything
+/// below a function call would require rebuilding the enclosing function
+/// node, whose concrete subclass is unknown), and bare field references
+/// and literals are never cached (the cache would cost more than the
+/// read).
 KernelCsePlan PlanKernelCse(std::vector<ExprPtr> roots);
 
 }  // namespace nebulameos::nebula

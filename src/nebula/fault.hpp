@@ -84,8 +84,10 @@ enum class HealthState {
 
 const char* ToString(HealthState state);
 
-/// \brief Recovery configuration of one channel pair (sender retransmit
-/// queue + receiver reorder-repair buffer).
+/// \brief Recovery configuration of one channel pair: the sender's
+/// retransmit queue and what happens when recovery fails. The backoff
+/// schedule (topology.cpp) and the receiver's reorder-repair buffer size
+/// (operators.cpp) are constants beside their one use.
 struct RetryOptions {
   /// Sender-side frames retained for retransmission until acknowledged.
   /// Saturation applies `shed_policy`; a shed frame that later turns out
@@ -94,17 +96,6 @@ struct RetryOptions {
   /// Retransmission attempts per frame before giving up
   /// (`ResourceExhausted`).
   uint32_t max_attempts = 8;
-  /// Exponential backoff per attempt: `base * 2^(attempt-1)`, capped, plus
-  /// seeded jitter — modelled as simulated transfer seconds, so lossy
-  /// deployments price their recovery latency deterministically.
-  double backoff_base_seconds = 0.05;
-  double backoff_cap_seconds = 2.0;
-  /// Fraction of the backoff randomized (±jitter/2, seeded).
-  double jitter = 0.5;
-  /// Receiver-side reorder-repair buffer capacity in frames; a gap older
-  /// than this buffer triggers retransmission (the deterministic stand-in
-  /// for a retransmit timeout).
-  size_t reorder_capacity = 64;
   /// Applied when the retain queue saturates or a frame is unrecoverable:
   /// `kBlock` fails the branch, the drop policies skip the frame and
   /// count it shed.

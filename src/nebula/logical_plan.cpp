@@ -62,11 +62,9 @@ std::string FormatWindowSpec(const WindowSpec& spec) {
   if (const auto* t = std::get_if<TumblingWindowSpec>(&spec)) {
     return "tumbling " + FormatDurationText(t->size);
   }
-  if (const auto* s = std::get_if<SlidingWindowSpec>(&spec)) {
-    return "sliding " + FormatDurationText(s->size) + " by " +
-           FormatDurationText(s->slide);
-  }
-  return "threshold";
+  const auto& s = std::get<SlidingWindowSpec>(spec);
+  return "sliding " + FormatDurationText(s.size) + " by " +
+         FormatDurationText(s.slide);
 }
 
 }  // namespace
@@ -185,14 +183,9 @@ bool WindowSpecEqual(const WindowSpec& a, const WindowSpec& b) {
   if (const auto* ta = std::get_if<TumblingWindowSpec>(&a)) {
     return ta->size == std::get<TumblingWindowSpec>(b).size;
   }
-  if (const auto* sa = std::get_if<SlidingWindowSpec>(&a)) {
-    const auto& sb = std::get<SlidingWindowSpec>(b);
-    return sa->size == sb.size && sa->slide == sb.slide;
-  }
-  const auto& tha = std::get<ThresholdWindowSpec>(a);
-  const auto& thb = std::get<ThresholdWindowSpec>(b);
-  return tha.min_duration == thb.min_duration &&
-         StructurallyEqual(tha.predicate, thb.predicate);
+  const auto& sa = std::get<SlidingWindowSpec>(a);
+  const auto& sb = std::get<SlidingWindowSpec>(b);
+  return sa.size == sb.size && sa.slide == sb.slide;
 }
 
 bool PatternsEqual(const Pattern& a, const Pattern& b) {

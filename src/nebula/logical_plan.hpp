@@ -510,7 +510,8 @@ struct CompileOptions {
   /// whose expressions compile to batch kernels into a single fused
   /// `exec::BatchKernelOperator` pass. Nodes whose expressions refuse to
   /// compile fall back to the interpreted operators; false interprets
-  /// everything (A/B benchmarking).
+  /// everything, each tree as written — the reference the compiled
+  /// kernels are checked against, and the A/B benchmarking switch.
   bool compiled_kernels = true;
   /// Compile the suffix hanging off each qualifying keyed stateful node
   /// (window aggregation, threshold window, CEP) this many times, one

@@ -65,14 +65,8 @@ Result<exec::Batch> MaterializeRows(ExecutionContext* ctx,
 Result<OperatorPtr> FilterOperator::Make(const Schema& input,
                                          ExprPtr predicate) {
   if (!predicate) return Status::InvalidArgument("filter without predicate");
-  // Memoize repeated subtrees — e.g. `f(x) > lo && f(x) < hi` evaluates
-  // f(x) once per record. Rebuilt nodes come out unbound; the Bind below
-  // covers originals and rewrites alike.
-  CsePlan cse = PlanCse({std::move(predicate)});
-  predicate = std::move(cse.roots.front());
   NM_RETURN_NOT_OK(predicate->Bind(input));
-  return OperatorPtr(
-      new FilterOperator(input, std::move(predicate), std::move(cse.cache)));
+  return OperatorPtr(new FilterOperator(input, std::move(predicate)));
 }
 
 Status FilterOperator::ProcessBatch(const exec::Batch& input,
@@ -82,7 +76,6 @@ Status FilterOperator::ProcessBatch(const exec::Batch& input,
   scratch_sel_.clear();
   for (size_t i = 0; i < n; ++i) {
     const size_t row = input.RowAt(i);
-    if (cse_cache_) cse_cache_->BeginRecord();
     if (ValueAsBool(predicate_->Eval(input.data->At(row)))) {
       scratch_sel_.push_back(static_cast<uint32_t>(row));
     }
@@ -142,24 +135,11 @@ Result<MapLayout> PlanMapLayout(const Schema& input,
 Result<OperatorPtr> MapOperator::Make(const Schema& input,
                                       std::vector<MapSpec> specs) {
   auto op = std::unique_ptr<MapOperator>(new MapOperator());
-  op->input_schema_ = input;
-  // Memoize subtrees repeated within or *across* the computed fields
-  // before the layout binds them (PlanMapLayout re-binds the rewritten
-  // roots). The cache spans all specs: one record, one epoch.
-  std::vector<ExprPtr> roots;
-  roots.reserve(specs.size());
-  for (MapSpec& spec : specs) roots.push_back(std::move(spec.expr));
-  CsePlan cse = PlanCse(std::move(roots));
-  for (size_t i = 0; i < specs.size(); ++i) {
-    specs[i].expr = std::move(cse.roots[i]);
-  }
-  op->cse_cache_ = std::move(cse.cache);
   NM_ASSIGN_OR_RETURN(op->layout_, PlanMapLayout(input, std::move(specs)));
   return OperatorPtr(std::move(op));
 }
 
 void MapOperator::WriteRecord(const RecordView& rec, RecordWriter* w) const {
-  if (cse_cache_) cse_cache_->BeginRecord();
   const Schema& out_schema = layout_.output_schema;
   for (size_t f = 0; f < out_schema.num_fields(); ++f) {
     if (layout_.copy_from[f] >= 0) {
@@ -338,10 +318,6 @@ void WriteKey(RecordWriter* w, size_t field, DataType type,
 
 Result<OperatorPtr> WindowAggOperator::Make(const Schema& input,
                                             WindowAggOptions options) {
-  if (std::holds_alternative<ThresholdWindowSpec>(options.window)) {
-    return Status::InvalidArgument(
-        "use ThresholdWindowOperator for threshold windows");
-  }
   auto op = std::unique_ptr<WindowAggOperator>(new WindowAggOperator());
   op->input_schema_ = input;
   NM_ASSIGN_OR_RETURN(op->assigner_, WindowAssigner::Make(options.window));
@@ -762,9 +738,12 @@ Status NetworkChannelSource::Drain(const BatchEmitFn& emit, bool at_end) {
     NM_RETURN_NOT_OK(ReleaseReady(emit));
     // After releasing the in-sequence prefix, anything still pending sits
     // behind a gap at next_seq_. Repair it when the buffer overflows its
-    // bound, or at end-of-stream when the sender's tail never arrived.
+    // bound (a gap older than the buffer is the deterministic stand-in for
+    // a retransmit timeout), or at end-of-stream when the sender's tail
+    // never arrived.
+    constexpr size_t kReorderCapacity = 64;  // frames
     const RetryOptions& retry = channel_->retry_options();
-    const bool overflow = pending_.size() > retry.reorder_capacity;
+    const bool overflow = pending_.size() > kReorderCapacity;
     const bool tail_missing = at_end && next_seq_ < channel_->seq_end();
     if (!overflow && !tail_missing) return Status::OK();
     Status repair = channel_->RequestRetransmit(next_seq_);

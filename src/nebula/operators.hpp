@@ -22,8 +22,10 @@ namespace nebulameos::nebula {
 
 /// \brief Emits only records for which the predicate evaluates true.
 ///
-/// The interpreted fallback for predicates the batch compiler refuses.
-/// Still selection-aware: `ProcessBatch` evaluates per record but emits
+/// The interpreted fallback for predicates the batch compiler refuses, and
+/// the reference the compiled kernels are checked against: it evaluates
+/// the predicate as written, sharing no subexpression. Still
+/// selection-aware: `ProcessBatch` evaluates per record but emits
 /// the input buffer with a refined selection vector — no survivor copies.
 class FilterOperator : public Operator {
  public:
@@ -35,17 +37,10 @@ class FilterOperator : public Operator {
                       const BatchEmitFn& emit) override;
 
  private:
-  FilterOperator(Schema schema, ExprPtr predicate,
-                 std::shared_ptr<CseCache> cse_cache)
-      : schema_(std::move(schema)),
-        predicate_(std::move(predicate)),
-        cse_cache_(std::move(cse_cache)) {}
+  FilterOperator(Schema schema, ExprPtr predicate)
+      : schema_(std::move(schema)), predicate_(std::move(predicate)) {}
   Schema schema_;
   ExprPtr predicate_;
-  /// Shared-subexpression memo of the `PlanCse`-rewritten predicate; null
-  /// when nothing repeats. Strand-serialized with the operator, so the
-  /// per-record epoch bump needs no synchronization.
-  std::shared_ptr<CseCache> cse_cache_;
   /// Selection scratch: only a *partial* result takes ownership of it
   /// (one allocation); fully-selective and empty results allocate nothing.
   exec::SelectionVector scratch_sel_;
@@ -76,7 +71,8 @@ struct MapLayout {
 Result<MapLayout> PlanMapLayout(const Schema& input,
                                 std::vector<MapSpec> specs);
 
-/// \brief Adds or replaces computed fields (interpreted fallback).
+/// \brief Adds or replaces computed fields (interpreted fallback and
+/// reference; each spec evaluates as written).
 class MapOperator : public Operator {
  public:
   static Result<OperatorPtr> Make(const Schema& input,
@@ -94,12 +90,7 @@ class MapOperator : public Operator {
 
   void WriteRecord(const RecordView& rec, RecordWriter* w) const;
 
-  Schema input_schema_;
   MapLayout layout_;
-  /// Shared-subexpression memo spanning *all* spec expressions (a subtree
-  /// repeated across two computed fields evaluates once per record); null
-  /// when nothing repeats.
-  std::shared_ptr<CseCache> cse_cache_;
 };
 
 // --- Project ------------------------------------------------------------------
@@ -360,7 +351,7 @@ class NetworkChannelSource : public Operator {
   Schema schema_;
   std::shared_ptr<NetworkChannel> channel_;
   /// Reorder-repair buffer keyed by channel sequence; bounded by
-  /// `retry_options().reorder_capacity` (overflow triggers gap repair).
+  /// `Drain`'s `kReorderCapacity` frames (overflow triggers gap repair).
   std::map<uint64_t, PendingFrame> pending_;
   uint64_t next_seq_ = 0;  ///< next channel sequence to release
   /// Per-channel watermark clamp: emitted watermarks are monotonic even

@@ -669,18 +669,13 @@ bool VerifyEachDefault() {
 
 PlanRewriter PlanRewriter::Default(const OptimizerOptions& options) {
   PlanRewriter rewriter;
-  rewriter.max_iterations_ = options.max_iterations;
   rewriter.verify_each_ = options.verify_each;
   if (!options.enable) return rewriter;
-  if (options.constant_folding) rewriter.AddPass(MakeConstantFoldingPass());
-  if (options.predicate_pushdown) {
-    rewriter.AddPass(MakePredicatePushdownPass());
-  }
-  if (options.filter_fusion) rewriter.AddPass(MakeFilterFusionPass());
-  if (options.map_fusion) rewriter.AddPass(MakeMapFusionPass());
-  if (options.projection_pushdown) {
-    rewriter.AddPass(MakeProjectionPushdownPass());
-  }
+  rewriter.AddPass(MakeConstantFoldingPass())
+      .AddPass(MakePredicatePushdownPass())
+      .AddPass(MakeFilterFusionPass())
+      .AddPass(MakeMapFusionPass())
+      .AddPass(MakeProjectionPushdownPass());
   return rewriter;
 }
 
@@ -690,7 +685,9 @@ PlanRewriter& PlanRewriter::AddPass(RewritePassPtr pass) {
 }
 
 Status PlanRewriter::Rewrite(LogicalPlan* plan) const {
-  for (size_t iter = 0; iter < max_iterations_; ++iter) {
+  // Fixpoint guard: bounds the rounds of a pipeline that keeps changing.
+  constexpr size_t kMaxIterations = 8;
+  for (size_t iter = 0; iter < kMaxIterations; ++iter) {
     bool any_changed = false;
     for (const RewritePassPtr& pass : passes_) {
       bool changed = false;

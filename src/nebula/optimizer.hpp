@@ -10,8 +10,9 @@
 /// (extension expressions that don't report their reads are never moved
 /// across a producer).
 ///
-/// Built-in passes (all on by default, individually togglable through
-/// `OptimizerOptions`, reachable via `EngineOptions::optimizer`):
+/// Built-in passes (`PlanRewriter::Default` runs all five, in this order;
+/// `OptimizerOptions::enable`, reachable via `EngineOptions::optimizer`,
+/// switches the pipeline off as a whole):
 ///
 /// * **constant folding** — constant expression subtrees pre-evaluate into
 ///   literals (`Mul(Lit(3.6), Lit(2))` → `7.2`) and always-true filters
@@ -49,14 +50,9 @@ bool VerifyEachDefault();
 
 /// \brief Optimizer configuration (a member of `EngineOptions`).
 struct OptimizerOptions {
-  bool enable = true;  ///< master switch: false = submit plans verbatim
-  bool constant_folding = true;
-  bool predicate_pushdown = true;
-  bool filter_fusion = true;
-  bool map_fusion = true;
-  bool projection_pushdown = true;
-  /// Fixpoint guard: maximum full pipeline iterations.
-  size_t max_iterations = 8;
+  /// Run the built-in passes; false submits plans verbatim (A/B
+  /// benchmarking, debugging, plans whose exact shape a test pins).
+  bool enable = true;
   /// LLVM-style verify-each: run the plan verifier
   /// (analysis/plan_verifier.hpp) after every rewrite pass that changed
   /// the plan — a pass that breaks an invariant then fails at its own
@@ -147,16 +143,16 @@ void AnnotateEdgePushdownPlacement(LogicalPlan* plan, int edge_node,
 void AnnotateCloudPlacement(LogicalPlan* plan, int edge_node, int cloud_node);
 
 /// \brief The pass pipeline. Runs its passes in registration order,
-/// repeating the whole pipeline until no pass reports a change (bounded by
-/// `max_iterations`).
+/// repeating the whole pipeline until no pass reports a change (at most
+/// eight times).
 class PlanRewriter {
  public:
   PlanRewriter() = default;
   PlanRewriter(PlanRewriter&&) = default;
   PlanRewriter& operator=(PlanRewriter&&) = default;
 
-  /// The default pipeline for \p options (only enabled passes are added;
-  /// an all-false options set yields an empty, no-op rewriter).
+  /// The five built-in passes, or an empty, no-op rewriter when
+  /// `options.enable` is false; verify-each follows `options.verify_each`.
   static PlanRewriter Default(const OptimizerOptions& options = {});
 
   /// Appends a pass; returns *this for chaining.
@@ -178,7 +174,6 @@ class PlanRewriter {
 
  private:
   std::vector<RewritePassPtr> passes_;
-  size_t max_iterations_ = 8;
   bool verify_each_ = false;
 };
 

@@ -17,9 +17,11 @@
 /// ```
 ///
 /// The builder is *thin*: every step appends a node to the plan IR, and
-/// `Build()` surfaces misuse — `Aggregate` without a pending window, a
-/// window never completed with `Aggregate`, `KeyBy` never consumed — as
-/// `Result` errors instead of silently misbehaving at submission. The
+/// `Build()` surfaces builder misuse — `Aggregate` without a pending
+/// window, a window never completed with `Aggregate` — as `Result` errors
+/// instead of silently misbehaving at submission. Plan-shape rules are
+/// the plan's: a `KeyBy` never consumed builds fine and is refused by
+/// `LogicalPlan::Validate`, `CompilePlan` and `NodeEngine::Submit`. The
 /// emitted plan can be inspected (`Explain`), optimized (optimizer.hpp)
 /// and lowered (`CompilePlan`); `NodeEngine::Submit` accepts either a
 /// finished plan or the builder itself.
@@ -75,7 +77,8 @@ class Query {
   Query&& Project(std::vector<std::string> fields) &&;
 
   /// Sets the partitioning key for the next window/CEP step. A key that is
-  /// not consumed by the immediately following step is a build error.
+  /// not consumed by the immediately following step builds, but the plan
+  /// fails `LogicalPlan::Validate` and `CompilePlan`.
   Query&& KeyBy(std::string field) &&;
 
   /// Starts a tumbling-window aggregation (finish with `Aggregate`).

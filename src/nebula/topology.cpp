@@ -351,13 +351,17 @@ Status NetworkChannel::RequestRetransmit(uint64_t seq) {
         " retransmission attempts");
   }
   entry.attempts += 1;
-  // Backoff: base * 2^(attempt-1), capped, with seeded jitter — priced as
-  // simulated transfer time so lossy deployments show their recovery cost.
-  double backoff = retry_.backoff_base_seconds;
+  // Backoff: base * 2^(attempt-1), capped, with seeded jitter of ±kJitter/2
+  // of it — priced as simulated transfer time so lossy deployments show
+  // their recovery cost deterministically.
+  constexpr double kBackoffBaseSeconds = 0.05;
+  constexpr double kBackoffCapSeconds = 2.0;
+  constexpr double kJitter = 0.5;
+  double backoff = kBackoffBaseSeconds;
   for (uint32_t a = 1; a < entry.attempts; ++a) backoff *= 2.0;
-  backoff = std::min(backoff, retry_.backoff_cap_seconds);
-  if (injector_ != nullptr && retry_.jitter > 0.0) {
-    backoff *= 1.0 + retry_.jitter * (injector_->JitterDraw() - 0.5);
+  backoff = std::min(backoff, kBackoffCapSeconds);
+  if (injector_ != nullptr) {
+    backoff *= 1.0 + kJitter * (injector_->JitterDraw() - 0.5);
   }
   retransmits_ += 1;
   if (m_retransmits_ != nullptr) m_retransmits_->Increment();

@@ -9,17 +9,14 @@ Result<WindowAssigner> WindowAssigner::Make(const WindowSpec& spec) {
     }
     return WindowAssigner(t->size, t->size);
   }
-  if (const auto* s = std::get_if<SlidingWindowSpec>(&spec)) {
-    if (s->size <= 0 || s->slide <= 0) {
-      return Status::InvalidArgument("sliding window size/slide must be > 0");
-    }
-    if (s->slide > s->size) {
-      return Status::InvalidArgument("sliding window slide must be <= size");
-    }
-    return WindowAssigner(s->size, s->slide);
+  const auto& s = std::get<SlidingWindowSpec>(spec);
+  if (s.size <= 0 || s.slide <= 0) {
+    return Status::InvalidArgument("sliding window size/slide must be > 0");
   }
-  return Status::InvalidArgument(
-      "threshold windows are handled by ThresholdWindowOperator");
+  if (s.slide > s.size) {
+    return Status::InvalidArgument("sliding window slide must be <= size");
+  }
+  return WindowAssigner(s.size, s.slide);
 }
 
 void WindowAssigner::AssignWindows(Timestamp t,

@@ -31,23 +31,14 @@ struct SlidingWindowSpec {
   Duration slide = 0;
 };
 
-/// \brief Data-driven windows: a window opens (per key) while `predicate`
-/// holds and closes when it stops holding; windows shorter than
-/// `min_duration` are discarded. This is NebulaStream's threshold window.
-struct ThresholdWindowSpec {
-  ExprPtr predicate;
-  Duration min_duration = 0;
-};
-
-/// Any window specification.
-using WindowSpec =
-    std::variant<TumblingWindowSpec, SlidingWindowSpec, ThresholdWindowSpec>;
+/// A time-window specification. Threshold windows are data-driven and
+/// configured by `ThresholdWindowOptions` (operators.hpp) instead.
+using WindowSpec = std::variant<TumblingWindowSpec, SlidingWindowSpec>;
 
 /// \brief Assigns event timestamps to time-window start offsets.
 class WindowAssigner {
  public:
-  /// Builds an assigner for tumbling or sliding windows. Threshold windows
-  /// are stateful and handled by the operator directly.
+  /// Builds an assigner for tumbling or sliding windows.
   static Result<WindowAssigner> Make(const WindowSpec& spec);
 
   /// Start timestamps of every window containing \p t (one for tumbling).

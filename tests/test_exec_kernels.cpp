@@ -1250,7 +1250,7 @@ class ExprGen {
 };
 
 // What generated chains must contain for the differential test to cover
-// the fused run's layout and short-circuit rules.
+// the fused run's layout, short-circuit and kernel-CSE rules.
 enum ChainFeature : size_t {
   kMapReplacesInputField,
   kMapReadsEarlierMap,
@@ -1259,6 +1259,7 @@ enum ChainFeature : size_t {
   kSharedOnOrRightReadAgain,
   kInt64DeclaredDoubleLambda,
   kLambdaInsideExpression,
+  kLookAlikeSubtrees,
   kNumChainFeatures,
 };
 
@@ -1289,7 +1290,12 @@ class ChainGenerator {
     map_seen_ = false;
     std::vector<ChainStage> chain;
     const size_t length = 2 + Uniform(5);
-    if (Uniform(100) < 30) SharedOnOrRight(&chain);
+    const size_t lead = Uniform(100);
+    if (lead < 30) {
+      SharedOnOrRight(&chain);
+    } else if (lead < 45) {
+      LookAlikeTwins(&chain);
+    }
     while (chain.size() < length) {
       const size_t pick = Uniform(100);
       if (pick < 15 && !computed_.empty() && fields_.size() > 1 &&
@@ -1457,6 +1463,71 @@ class ChainGenerator {
     ++features_[kSharedOnOrRightReadAgain];
   }
 
+  // Two subtrees that print alike but differ, inside the run's kernel-CSE
+  // scope (its leading Filters and first Map): a text comparison of two
+  // fields and its twin with one field replaced by a literal spelling the
+  // field's name (`s == u` and `s == 'u'`), or an integer-literal subtree
+  // and its double twin (`i * 2`, INT64, and `i * 2.0`, DOUBLE). Merging
+  // the twins would change which rows pass, a computed value or a
+  // computed field's type. Each pair sits in one Filter, in one Map, or in
+  // a leading Filter and the Map after it.
+  void LookAlikeTwins(std::vector<ChainStage>* chain) {
+    const size_t variant = Uniform(4);
+    std::function<ExprPtr(bool)> twin;  // false: first twin, true: second
+    if (variant % 2 == 0) {
+      static const char* const kTextFields[] = {"s", "u"};
+      static const CompareOp kOps[] = {CompareOp::kLt, CompareOp::kGe,
+                                       CompareOp::kEq, CompareOp::kNe};
+      const std::string x = kTextFields[Uniform(2)];
+      const std::string y = kTextFields[Uniform(2)];
+      const CompareOp op = kOps[Uniform(4)];
+      const bool literal_left = Uniform(2) == 0;
+      const bool literal_first = Uniform(2) == 0;
+      twin = [=](bool second) -> ExprPtr {
+        if (second == literal_first) {
+          return Compare(op, Attribute(x), Attribute(y));
+        }
+        return literal_left ? Compare(op, Lit(x), Attribute(y))
+                            : Compare(op, Attribute(x), Lit(y));
+      };
+    } else {
+      static const ArithOp kOps[] = {ArithOp::kAdd, ArithOp::kSub,
+                                     ArithOp::kMul};
+      const uint64_t seed = rng_();
+      const ArithOp op = kOps[Uniform(3)];
+      const int64_t k = static_cast<int64_t>(Uniform(7)) - 3;
+      const bool double_first = Uniform(2) == 0;
+      twin = [this, seed, op, k, double_first](bool second) -> ExprPtr {
+        ExprPtr x = Gen(seed).Int(1);  // equal trees for equal seeds
+        return second == double_first
+                   ? Arith(op, std::move(x), Lit(k))
+                   : Arith(op, std::move(x), Lit(static_cast<double>(k)));
+      };
+    }
+    const ExprGen none = Gen(0);  // no generated subtree to report
+    switch (variant) {
+      case 0:  // one Filter: first XOR second
+        AddFilter(chain,
+                  Or(And(twin(false), Not(twin(true))),
+                     And(Not(twin(false)), twin(true))),
+                  none);
+        break;
+      case 1:  // one Map
+        AddMap(chain, {{FreshName(), twin(false)}, {FreshName(), twin(true)}},
+               none);
+        break;
+      case 2:  // a Filter keeping rows either way, then the Map
+        AddFilter(chain, Or(twin(false), Attribute("b")), none);
+        AddMap(chain, {{FreshName(), twin(true)}}, none);
+        break;
+      default:
+        AddFilter(chain, Or(Gt(twin(false), Lit(0.0)), Attribute("b")), none);
+        AddMap(chain, {{FreshName(), twin(true)}}, none);
+        break;
+    }
+    ++features_[kLookAlikeSubtrees];
+  }
+
   std::mt19937_64 rng_;
   std::vector<Field> fields_;
   std::set<std::string> computed_;
@@ -1612,7 +1683,7 @@ TEST(FusedRunDifferential, GeneratedChainsMatchTheInterpreter) {
       "map replaces an input field",  "map reads an earlier map",
       "project drops, map re-adds",   "text comparison after a map",
       "shared on OR's right, re-read", "int64-declared double lambda",
-      "lambda inside an expression"};
+      "lambda inside an expression",  "look-alike subtrees in one scope"};
   for (size_t f = 0; f < kNumChainFeatures; ++f) {
     EXPECT_GT(generator.features()[f], 0u) << kFeatureNames[f];
   }
@@ -1645,15 +1716,13 @@ TEST(FusedRunDifferential, Int64LambdaReturningDoubleFiltersAlike) {
   for (const auto& row : rows[0]) EXPECT_GE(std::get<double>(row[2]), 4.5);
 }
 
-// Counts its calls; true for a positive argument.
+// Calls of `test.counted`, a bool lambda true for a positive argument.
 std::atomic<uint64_t>& CountedCalls() {
   static std::atomic<uint64_t> calls{0};
   return calls;
 }
 
-// A lambda on an AND's (and an OR's) right side runs on exactly the rows
-// the interpreter runs it on: those the left side leaves undecided.
-TEST(FusedRunDifferential, RightSideLambdaRunsOnTheInterpretersRows) {
+bool RegisterCountedLambda() {
   static const bool registered =
       RegisterLambdaFunction("test.counted", 1, DataType::kBool,
                              [](const std::vector<Value>& v) {
@@ -1661,7 +1730,13 @@ TEST(FusedRunDifferential, RightSideLambdaRunsOnTheInterpretersRows) {
                                return Value(ValueAsDouble(v[0]) > 0.0);
                              })
           .ok();
-  ASSERT_TRUE(registered);
+  return registered;
+}
+
+// A lambda on an AND's (and an OR's) right side runs on exactly the rows
+// the interpreter runs it on: those the left side leaves undecided.
+TEST(FusedRunDifferential, RightSideLambdaRunsOnTheInterpretersRows) {
+  ASSERT_TRUE(RegisterCountedLambda());
   const Schema schema = DiffSchema();
   auto plan =
       Query::From(std::make_unique<MemorySource>(
@@ -1706,6 +1781,40 @@ TEST(FusedRunDifferential, RightSideLambdaRunsOnTheInterpretersRows) {
   // Both sides short-circuit most rows: d > 2 holds for under half.
   EXPECT_GT(compiled_calls, 0u);
   EXPECT_LT(compiled_calls, buf->size() + partial->size());
+}
+
+// Kernel CSE keeps short circuits lazy: a cached lambda on two AND arms
+// whose guards fail on every row is never called.
+TEST(KernelCse, SharedLambdaBehindAFailingGuardNeverRuns) {
+  ASSERT_TRUE(RegisterCountedLambda());
+  const Schema schema = DiffSchema();
+  auto guarded = [](const char* guard_field) {
+    return And(Gt(Attribute(guard_field), Lit(1000.0)),
+               Fn("test.counted", {Attribute("e")}));
+  };
+  auto plan = Query::From(std::make_unique<MemorySource>(
+                              schema, std::vector<std::vector<Value>>{}))
+                  .Filter(Or(guarded("d"), guarded("i")))
+                  .To(std::make_shared<CountingSink>(schema))
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto pipe = CompilePlan(schema, *plan);
+  ASSERT_TRUE(pipe.ok()) << pipe.status().ToString();
+  ASSERT_EQ(pipe->operators.size(), 1u);
+  const auto* fused =
+      dynamic_cast<const exec::BatchKernelOperator*>(pipe->operators[0].get());
+  ASSERT_NE(fused, nullptr);
+  ASSERT_NE(fused->cse_cache(), nullptr);
+  EXPECT_EQ(fused->cse_cache()->num_slots(), 1u);  // the lambda call
+  ExecutionContext ctx;
+  ASSERT_TRUE(pipe->operators[0]->Open(&ctx).ok());
+  std::mt19937_64 data_rng(5);
+  const exec::Batch batch(DiffBuffer(&data_rng, 64));
+  CountedCalls().store(0);
+  Rows rows;
+  ASSERT_TRUE(DriveChain(pipe->operators, 0, &batch, &rows).ok());
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(CountedCalls().load(), 0u);
 }
 
 }  // namespace

@@ -177,11 +177,12 @@ TEST_F(ExprTest, FunctionComposesWithNativeNodes) {
 }
 
 // --- Common-subexpression elimination ---------------------------------------
+// `PlanKernelCse`'s planning rules; test_exec_kernels runs its kernels.
 
-TEST_F(ExprTest, PlanCseLeavesUnsharedTreesAlone) {
+TEST_F(ExprTest, PlanKernelCseLeavesUnsharedTreesAlone) {
   ExprPtr a = Gt(Attribute("speed"), Lit(10.0));
   ExprPtr b = Add(Attribute("id"), Lit(1));
-  CsePlan plan = PlanCse({a, b});
+  KernelCsePlan plan = PlanKernelCse({a, b});
   EXPECT_EQ(plan.num_shared, 0u);
   EXPECT_EQ(plan.cache, nullptr);
   ASSERT_EQ(plan.roots.size(), 2u);
@@ -190,86 +191,16 @@ TEST_F(ExprTest, PlanCseLeavesUnsharedTreesAlone) {
   EXPECT_EQ(plan.roots[1], b);
 }
 
-TEST_F(ExprTest, PlanCseNeverCachesBareFieldsOrLiterals) {
+TEST_F(ExprTest, PlanKernelCseNeverCachesBareFieldsOrLiterals) {
   // `speed` and `1.0` each occur twice, but caching a field read or a
   // literal costs more than re-reading it.
-  CsePlan plan = PlanCse({Add(Attribute("speed"), Lit(1.0)),
-                          Sub(Attribute("speed"), Lit(1.0))});
+  KernelCsePlan plan = PlanKernelCse({Add(Attribute("speed"), Lit(1.0)),
+                                      Sub(Attribute("speed"), Lit(1.0))});
   EXPECT_EQ(plan.num_shared, 0u);
   EXPECT_EQ(plan.cache, nullptr);
 }
 
-TEST_F(ExprTest, PlanCseSharesRepeatedSubtreeAndStaysEquivalent) {
-  // (speed*3.6 > 80) && (speed*3.6 < 120): speed*3.6 computes once.
-  auto kmh = [] { return Mul(Attribute("speed"), Lit(3.6)); };
-  ExprPtr original = And(Gt(kmh(), Lit(80.0)), Lt(kmh(), Lit(98.0)));
-  CsePlan plan = PlanCse({original});
-  EXPECT_EQ(plan.num_shared, 1u);
-  ASSERT_NE(plan.cache, nullptr);
-  ASSERT_EQ(plan.roots.size(), 1u);
-  ExprPtr rewritten = plan.roots[0];
-  ASSERT_TRUE(rewritten->Bind(buffer_.schema()).ok());
-  ASSERT_TRUE(original->Bind(buffer_.schema()).ok());
-  // 27.5 * 3.6 = 99 -> first conjunct true, second false.
-  plan.cache->BeginRecord();
-  EXPECT_EQ(ValueAsBool(rewritten->Eval(buffer_.At(0))),
-            ValueAsBool(original->Eval(buffer_.At(0))));
-  EXPECT_FALSE(ValueAsBool(rewritten->Eval(buffer_.At(0))));
-}
-
-TEST_F(ExprTest, PlanCseEvaluatesSharedFunctionOncePerRecord) {
-  auto calls = std::make_shared<int>(0);
-  Status st = RegisterLambdaFunction(
-      "cse_probe_test", 1, DataType::kDouble,
-      [calls](const std::vector<Value>& args) {
-        ++*calls;
-        return Value(ValueAsDouble(args[0]) * 2.0);
-      });
-  ASSERT_TRUE(st.ok() || st.code() == StatusCode::kAlreadyExists);
-  auto probe = [] { return Fn("cse_probe_test", {Attribute("speed")}); };
-  // The function subtree repeats three times across two roots.
-  ExprPtr root0 = Add(probe(), probe());
-  ExprPtr root1 = Sub(probe(), Lit(5.0));
-  CsePlan plan = PlanCse({root0, root1});
-  EXPECT_EQ(plan.num_shared, 1u);
-  ASSERT_NE(plan.cache, nullptr);
-  for (const ExprPtr& root : plan.roots) {
-    ASSERT_TRUE(root->Bind(buffer_.schema()).ok());
-  }
-  *calls = 0;
-  for (int record = 0; record < 3; ++record) {
-    plan.cache->BeginRecord();
-    EXPECT_DOUBLE_EQ(ValueAsDouble(plan.roots[0]->Eval(buffer_.At(0))), 110.0);
-    EXPECT_DOUBLE_EQ(ValueAsDouble(plan.roots[1]->Eval(buffer_.At(0))), 50.0);
-  }
-  // Three records, one evaluation each — not three per record.
-  EXPECT_EQ(*calls, 3);
-}
-
-TEST_F(ExprTest, PlanCseKeepsShortCircuitLazy) {
-  auto calls = std::make_shared<int>(0);
-  Status st = RegisterLambdaFunction(
-      "cse_lazy_test", 1, DataType::kBool,
-      [calls](const std::vector<Value>& args) {
-        ++*calls;
-        return Value(ValueAsDouble(args[0]) > 0.0);
-      });
-  ASSERT_TRUE(st.ok() || st.code() == StatusCode::kAlreadyExists);
-  auto probe = [] { return Fn("cse_lazy_test", {Attribute("speed")}); };
-  // Both occurrences sit in And-arms never reached: speed > 1000 is
-  // false, so the cached wrapper must not evaluate at all.
-  ExprPtr guard = Gt(Attribute("speed"), Lit(1000.0));
-  ExprPtr root = Or(And(guard, probe()), And(guard, probe()));
-  CsePlan plan = PlanCse({root});
-  EXPECT_GE(plan.num_shared, 1u);
-  ASSERT_TRUE(plan.roots[0]->Bind(buffer_.schema()).ok());
-  *calls = 0;
-  plan.cache->BeginRecord();
-  EXPECT_FALSE(ValueAsBool(plan.roots[0]->Eval(buffer_.At(0))));
-  EXPECT_EQ(*calls, 0);
-}
-
-TEST_F(ExprTest, PlanCseNeverDescendsIntoFunctionArguments) {
+TEST_F(ExprTest, PlanKernelCseNeverDescendsIntoFunctionArguments) {
   RegisterBuiltinFunctions();
   // `speed + 1.0` repeats, but only *inside* abs() calls — rebuilding the
   // enclosing function node is impossible, so nothing may be cached
@@ -279,11 +210,15 @@ TEST_F(ExprTest, PlanCseNeverDescendsIntoFunctionArguments) {
                               Lit(0.0)),
                            Lt(Fn("abs", {Add(Attribute("speed"), Lit(1.0))}),
                               Lit(100.0)));
-  CsePlan plan = PlanCse({inner_only});
+  KernelCsePlan plan = PlanKernelCse({inner_only});
   EXPECT_EQ(plan.num_shared, 1u);  // the whole abs(...) subtree, nothing inside
   ASSERT_TRUE(plan.roots[0]->Bind(buffer_.schema()).ok());
-  plan.cache->BeginRecord();
   EXPECT_TRUE(ValueAsBool(plan.roots[0]->Eval(buffer_.At(0))));
+  // Under two different functions the repeat is only inside arguments.
+  KernelCsePlan split = PlanKernelCse(
+      {Gt(Fn("abs", {Add(Attribute("speed"), Lit(1.0))}), Lit(0.0)),
+       Lt(Fn("sqrt", {Add(Attribute("speed"), Lit(1.0))}), Lit(100.0))});
+  EXPECT_EQ(split.num_shared, 0u);
 }
 
 TEST_F(ExprTest, ValueConversions) {

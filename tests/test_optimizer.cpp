@@ -392,12 +392,10 @@ TEST(PlanRewriter, DefaultPipelineReachesFixpoint) {
 }
 
 TEST(PlanRewriter, TogglesDisableIndividualPasses) {
-  OptimizerOptions options;
-  options.constant_folding = false;
-  options.filter_fusion = false;
-  options.predicate_pushdown = false;
-  const PlanRewriter rewriter = PlanRewriter::Default(options);
-  EXPECT_EQ(rewriter.NumPasses(), 2u);  // map fusion + projection pushdown
+  // A rewriter without filter fusion (or pushdown) leaves two filters be.
+  PlanRewriter rewriter;
+  rewriter.AddPass(MakeMapFusionPass()).AddPass(MakeProjectionPushdownPass());
+  EXPECT_EQ(rewriter.NumPasses(), 2u);
 
   auto plan = Query::From(MakeSource())
                   .Filter(Gt(Attribute("value"), Lit(1.0)))

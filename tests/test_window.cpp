@@ -103,7 +103,6 @@ TEST(WindowAssigner, Validation) {
   EXPECT_FALSE(WindowAssigner::Make(TumblingWindowSpec{0}).ok());
   EXPECT_FALSE(
       WindowAssigner::Make(SlidingWindowSpec{Seconds(5), Seconds(10)}).ok());
-  EXPECT_FALSE(WindowAssigner::Make(ThresholdWindowSpec{}).ok());
 }
 
 TEST(AggState, AllKinds) {
@@ -210,9 +209,6 @@ TEST(WindowAggOperator, Validation) {
   EXPECT_FALSE(WindowAggOperator::Make(EventSchema(), opts).ok());
   opts = TumblingOptions(Seconds(10));
   opts.key_field = "missing";
-  EXPECT_FALSE(WindowAggOperator::Make(EventSchema(), opts).ok());
-  opts = TumblingOptions(Seconds(10));
-  opts.window = ThresholdWindowSpec{Lit(true), 0};
   EXPECT_FALSE(WindowAggOperator::Make(EventSchema(), opts).ok());
   opts = TumblingOptions(Seconds(10));
   opts.aggregates = {AggregateSpec::Avg("missing", "x")};
